@@ -56,6 +56,7 @@
 use crate::array::AArray;
 use crate::incidence::adjacency_plan;
 use crate::keys::KeySet;
+use crate::matmul::{parallel_flops_threshold, would_parallelize};
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
 use aarray_obs::{
@@ -65,6 +66,7 @@ use aarray_sparse::spgemm_delta::spgemm_delta;
 use aarray_sparse::spgemm_multi::MultiAccumulator;
 use aarray_sparse::Csr;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Why an appended batch was rejected.
@@ -110,18 +112,19 @@ pub enum BatchKind {
     OutOfOrder,
 }
 
-/// One logged append: the batch blocks when incremental replay is
-/// possible, or a barrier when it is not.
-enum LogEntry<V: Value> {
-    /// Boxed so the log's enum stays small next to [`LogEntry::Barrier`].
-    Delta {
-        d_out: Box<AArray<V>>,
-        d_in: Box<AArray<V>>,
-    },
-    /// An out-of-order append: views whose refresh crosses this entry
-    /// cannot replay deltas and must rebuild.
-    Barrier,
+/// One logged append. Together with the initial pair, the logged
+/// blocks are the storage of the cumulative incidence.
+struct LogEntry<V: Value> {
+    d_out: AArray<V>,
+    d_in: AArray<V>,
+    /// Whether the batch was [`BatchKind::Ordered`]. Views whose
+    /// refresh crosses an out-of-order entry cannot replay deltas and
+    /// must rebuild.
+    ordered: bool,
 }
+
+/// A cumulative incidence pair `(Eout, Ein)`.
+type Pair<V> = (AArray<V>, AArray<V>);
 
 /// A growing incidence pair `(Eout, Ein)` accepting appended edge
 /// batches, with a generation counter for staleness tracking.
@@ -130,12 +133,24 @@ enum LogEntry<V: Value> {
 /// always share their edge-key row set. The builder is pair-agnostic,
 /// like [`AArray`] itself: values are stored as given and only
 /// interpreted when a view multiplies them under concrete `⊕.⊗` lanes.
+///
+/// The appended blocks are the storage: an ordered append is a push
+/// onto the batch log, and the stacked cumulative pair is built only
+/// when something reads it (see [`IncidenceBuilder::eout`]).
 pub struct IncidenceBuilder<V: Value> {
-    eout: AArray<V>,
-    ein: AArray<V>,
-    generation: u64,
+    /// The stacked cumulative pair as of `log[..base_len]`.
+    base: Pair<V>,
+    base_len: usize,
+    /// `base` plus the pending blocks `log[base_len..]`, stacked on
+    /// first read. Only `append_batch` changes the log, and it first
+    /// takes a filled cache as the new `base`.
+    cache: OnceLock<Pair<V>>,
     /// `log[g]` records the append that produced generation `g + 1`.
     log: Vec<LogEntry<V>>,
+    /// Row keys of the block holding the largest edge key: the ordered
+    /// check of the next batch runs against these alone.
+    last_rows: KeySet,
+    n_edges: usize,
 }
 
 impl<V: Value> IncidenceBuilder<V> {
@@ -147,33 +162,40 @@ impl<V: Value> IncidenceBuilder<V> {
             return Err(BatchError::EdgeKeysMismatch);
         }
         Ok(IncidenceBuilder {
-            eout,
-            ein,
-            generation: 0,
+            last_rows: eout.row_keys().clone(),
+            n_edges: eout.row_keys().len(),
+            base: (eout, ein),
+            base_len: 0,
+            cache: OnceLock::new(),
             log: Vec::new(),
         })
     }
 
     /// The cumulative out-incidence `Eout` (edges × out-vertices).
+    ///
+    /// The first read after ordered appends stacks the pending blocks
+    /// onto the last stacked pair, `O(total nnz)` once; later reads
+    /// until the next append are free.
     pub fn eout(&self) -> &AArray<V> {
-        &self.eout
+        &self.cumulative().0
     }
 
-    /// The cumulative in-incidence `Ein` (edges × in-vertices).
+    /// The cumulative in-incidence `Ein` (edges × in-vertices); built
+    /// as [`IncidenceBuilder::eout`] is.
     pub fn ein(&self) -> &AArray<V> {
-        &self.ein
+        &self.cumulative().1
     }
 
     /// The builder's generation: 0 at construction, +1 per accepted
     /// batch. Views and plans stamped with an older generation are
     /// stale.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.log.len() as u64
     }
 
     /// Number of edges (rows) accumulated so far.
     pub fn n_edges(&self) -> usize {
-        self.eout.row_keys().len()
+        self.n_edges
     }
 
     /// Append an edge batch `(ΔEout, ΔEin)`, both `Δedges × vertices`
@@ -184,6 +206,13 @@ impl<V: Value> IncidenceBuilder<V> {
     /// batches are eligible for incremental view refresh; accepted
     /// [`BatchKind::OutOfOrder`] batches force crossing views to
     /// rebuild (see the module docs for why fold order matters).
+    ///
+    /// An ordered batch costs `O(batch)`: it is checked against the
+    /// block holding the largest edge key and pushed onto the log. An
+    /// out-of-order batch may collide with any earlier edge key, so it
+    /// is stacked with the whole incidence at once, `O(total nnz)`; the
+    /// stacking finds collisions, and the barrier refresh that follows
+    /// reads the result without building again.
     pub fn append_batch(
         &mut self,
         d_out: AArray<V>,
@@ -195,45 +224,68 @@ impl<V: Value> IncidenceBuilder<V> {
         if d_out.row_keys().is_empty() {
             return Err(BatchError::EmptyBatch);
         }
-        let old_keys = self.eout.row_keys();
+        // A pair some reader stacked covers the whole log: keep it as
+        // the base so later builds only extend it.
+        if let Some(built) = self.cache.take() {
+            self.base = built;
+            self.base_len = self.log.len();
+        }
         let batch_keys = d_out.row_keys();
         // Integer-space ordering check: no string materialization.
-        let ordered = batch_keys.all_after(old_keys);
-        if !ordered {
-            // Only the interleaved case can collide with existing keys:
-            // one linear index-map walk finds any collision.
-            if let Some(j) = old_keys
-                .index_map(batch_keys)
-                .iter()
-                .position(|p| p.is_some())
-            {
-                return Err(BatchError::DuplicateEdgeKey(batch_keys.key(j).to_string()));
+        let ordered = batch_keys.all_after(&self.last_rows);
+        if ordered {
+            self.last_rows = batch_keys.clone();
+        } else {
+            let (pair, max_block) = {
+                let mut blocks = self.pending_blocks();
+                blocks.push((&d_out, &d_in));
+                stack_blocks(&blocks)?
+            };
+            if max_block == self.log.len() - self.base_len + 1 {
+                self.last_rows = batch_keys.clone();
             }
+            self.base = pair;
+            self.base_len = self.log.len() + 1;
         }
 
-        let edge_keys = old_keys.union(batch_keys);
-        let out_cols = self.eout.col_keys().union(d_out.col_keys());
-        let in_cols = self.ein.col_keys().union(d_in.col_keys());
-        self.eout = extend_into(&self.eout, &d_out, &edge_keys, &out_cols);
-        self.ein = extend_into(&self.ein, &d_in, &edge_keys, &in_cols);
-
-        let n_batch_edges = batch_keys.len() as u64;
+        let n_batch_edges = batch_keys.len();
         counters().incr(Counter::IncrementalBatches);
-        counters().add(Counter::IncrementalEdges, n_batch_edges);
-        histograms().record(Hist::DeltaBatchEdges, n_batch_edges);
-
-        let kind = if ordered {
-            self.log.push(LogEntry::Delta {
-                d_out: Box::new(d_out),
-                d_in: Box::new(d_in),
-            });
+        counters().add(Counter::IncrementalEdges, n_batch_edges as u64);
+        histograms().record(Hist::DeltaBatchEdges, n_batch_edges as u64);
+        self.n_edges += n_batch_edges;
+        self.log.push(LogEntry {
+            d_out,
+            d_in,
+            ordered,
+        });
+        Ok(if ordered {
             BatchKind::Ordered
         } else {
-            self.log.push(LogEntry::Barrier);
             BatchKind::OutOfOrder
-        };
-        self.generation += 1;
-        Ok(kind)
+        })
+    }
+
+    /// The stacked base followed by the pending logged blocks.
+    fn pending_blocks(&self) -> Vec<(&AArray<V>, &AArray<V>)> {
+        std::iter::once((&self.base.0, &self.base.1))
+            .chain(
+                self.log[self.base_len..]
+                    .iter()
+                    .map(|e| (&e.d_out, &e.d_in)),
+            )
+            .collect()
+    }
+
+    /// The cumulative pair, stacking pending blocks on first read.
+    fn cumulative(&self) -> &Pair<V> {
+        if self.base_len == self.log.len() {
+            return &self.base;
+        }
+        self.cache.get_or_init(|| {
+            stack_blocks(&self.pending_blocks())
+                .expect("logged blocks have disjoint edge keys")
+                .0
+        })
     }
 
     /// The logged batches appended after `since_generation`, or `None`
@@ -242,55 +294,75 @@ impl<V: Value> IncidenceBuilder<V> {
     fn deltas_since(&self, since_generation: u64) -> Option<Vec<(&AArray<V>, &AArray<V>)>> {
         self.log[since_generation as usize..]
             .iter()
-            .map(|e| match e {
-                LogEntry::Delta { d_out, d_in } => Some((d_out.as_ref(), d_in.as_ref())),
-                LogEntry::Barrier => None,
-            })
+            .map(|e| e.ordered.then_some((&e.d_out, &e.d_in)))
             .collect()
     }
 }
 
-/// Merge a cumulative array with a row-disjoint batch into the given
-/// (union) key sets. Entries of the two operands occupy disjoint rows,
-/// so the combined coordinate set is duplicate-free and no `⊕` is
-/// needed — this is pure re-indexing.
-fn extend_into<V: Value>(a: &AArray<V>, b: &AArray<V>, rows: &KeySet, cols: &KeySet) -> AArray<V> {
-    // Position maps from each operand's key sets into the union are
-    // strictly increasing, and the operands occupy disjoint rows, so
-    // every destination row is one (possibly empty) source row with its
-    // columns remapped — the union CSR is assembled directly, with no
-    // COO staging and no sort.
-    let row_map_a = rows.positions_of(a.row_keys());
-    let row_map_b = rows.positions_of(b.row_keys());
-    let col_map_a = cols.positions_of(a.col_keys());
-    let col_map_b = cols.positions_of(b.col_keys());
-    let mut src: Vec<Option<(bool, usize)>> = vec![None; rows.len()];
-    for (i, &d) in row_map_a.iter().enumerate() {
-        src[d] = Some((false, i));
+/// Stack incidence blocks with pairwise disjoint edge keys into one
+/// pair over the union key sets, returning it with the index of the
+/// block that holds the largest edge key. Fails with
+/// [`BatchError::DuplicateEdgeKey`], naming a key of the last block,
+/// if the edge keys are not disjoint — only a candidate batch can
+/// collide, and it is passed last.
+fn stack_blocks<V: Value>(
+    blocks: &[(&AArray<V>, &AArray<V>)],
+) -> Result<(Pair<V>, usize), BatchError> {
+    let _span = trace_span!("stack_incidence", blocks = blocks.len());
+    let row_sets: Vec<&KeySet> = blocks.iter().map(|(o, _)| o.row_keys()).collect();
+    let (rows, row_maps) = KeySet::union_many(&row_sets);
+    let last = blocks.len() - 1;
+    if rows.len() < row_sets.iter().map(|k| k.len()).sum() {
+        let mut claimed = vec![false; rows.len()];
+        for &d in row_maps[..last].iter().flatten() {
+            claimed[d] = true;
+        }
+        let j = row_maps[last]
+            .iter()
+            .position(|&d| claimed[d])
+            .expect("a collision involves the last block");
+        return Err(BatchError::DuplicateEdgeKey(
+            row_sets[last].key(j).to_string(),
+        ));
     }
-    for (i, &d) in row_map_b.iter().enumerate() {
-        src[d] = Some((true, i));
+    // Every union row is exactly one block row: record which.
+    let mut src = vec![(0usize, 0usize); rows.len()];
+    for (b, map) in row_maps.iter().enumerate() {
+        for (r, &d) in map.iter().enumerate() {
+            src[d] = (b, r);
+        }
     }
-    let nnz = a.nnz() + b.nnz();
+    let max_block = src.last().map_or(0, |&(b, _)| b);
+    let outs: Vec<&AArray<V>> = blocks.iter().map(|(o, _)| *o).collect();
+    let ins: Vec<&AArray<V>> = blocks.iter().map(|(_, i)| *i).collect();
+    let pair = (
+        stack_side(&outs, &rows, &src),
+        stack_side(&ins, &rows, &src),
+    );
+    Ok((pair, max_block))
+}
+
+/// One side of [`stack_blocks`]: row `d` of the result is row
+/// `src[d].1` of block `src[d].0`, columns remapped into the union
+/// column keys. Column maps are strictly increasing, so rows stay
+/// sorted and the CSR is assembled directly, with no COO staging.
+fn stack_side<V: Value>(blocks: &[&AArray<V>], rows: &KeySet, src: &[(usize, usize)]) -> AArray<V> {
+    let col_sets: Vec<&KeySet> = blocks.iter().map(|a| a.col_keys()).collect();
+    let (cols, col_maps) = KeySet::union_many(&col_sets);
+    let nnz = blocks.iter().map(|a| a.nnz()).sum();
     let mut indptr = Vec::with_capacity(rows.len() + 1);
     indptr.push(0usize);
     let mut indices = Vec::with_capacity(nnz);
     let mut values = Vec::with_capacity(nnz);
-    for slot in &src {
-        if let Some((from_b, r)) = *slot {
-            let (csr, col_map) = if from_b {
-                (b.csr(), &col_map_b)
-            } else {
-                (a.csr(), &col_map_a)
-            };
-            let (ci, vals) = csr.row(r);
-            indices.extend(ci.iter().map(|&c| col_map[c as usize] as u32));
-            values.extend(vals.iter().cloned());
-        }
+    for &(b, r) in src {
+        let (ci, vals) = blocks[b].csr().row(r);
+        let col_map = &col_maps[b];
+        indices.extend(ci.iter().map(|&c| col_map[c as usize] as u32));
+        values.extend(vals.iter().cloned());
         indptr.push(indices.len());
     }
     let data = Csr::from_parts(rows.len(), cols.len(), indptr, indices, values);
-    AArray::from_parts(rows.clone(), cols.clone(), data)
+    AArray::from_parts(rows.clone(), cols, data)
 }
 
 /// How one [`AdjacencyView::refresh`] brought the view current.
@@ -371,7 +443,9 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     ///
     /// Lanes whose `⊕` is associative ([`DynOpPair::plus_associative`])
     /// replay the pending ordered batches: one fused
-    /// [`spgemm_delta`] traversal per batch feeding those lanes, then a
+    /// [`spgemm_delta`] traversal per batch feeding those lanes
+    /// (row-parallel only when the batch product's flops pass the
+    /// planner's dispatch threshold), then a
     /// union `⊕`-merge per lane ([`Counter::IncrementalApply`],
     /// [`Hist::DeltaApplyNs`]). All other lanes — non-associative `⊕`,
     /// or any refresh crossing an out-of-order batch — are recomputed
@@ -403,9 +477,16 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             let inc_pairs: Vec<&dyn DynOpPair<V>> =
                 inc_idx.iter().map(|&i| self.pairs[i]).collect();
             journal().begin(Stage::DeltaApply, inc_idx.len() as u64);
+            let (threshold, threads) = (parallel_flops_threshold(), rayon::current_num_threads());
+            let mut any_parallel = false;
             for (d_out, d_in) in batches {
                 let t0 = Instant::now();
-                let delta_csrs = spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, self.acc);
+                // Same gate as the planner's: a small batch stays serial.
+                let parallel =
+                    would_parallelize(delta_flops(d_out.csr(), d_in.csr()), threshold, threads);
+                any_parallel |= parallel;
+                let delta_csrs =
+                    spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, self.acc, parallel);
                 for (&lane, delta_csr) in inc_idx.iter().zip(delta_csrs) {
                     let delta = AArray::from_parts(
                         d_out.col_keys().clone(),
@@ -429,6 +510,7 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             if let Some(t) = op.as_mut() {
                 t.set_lanes(inc_idx.len() as u64);
                 t.set_out_nnz(inc_idx.iter().map(|&i| self.lanes[i].nnz() as u64).sum());
+                t.set_dispatch(any_parallel, threads as u64);
             }
             if let Some(t) = op {
                 t.finish();
@@ -467,6 +549,16 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
         self.generation = builder.generation();
         report
     }
+}
+
+/// Flops of the batch product `ΔEoutᵀ ⊕.⊗ ΔEin`, the planner's
+/// [`spgemm_flops`](aarray_sparse::spgemm_flops) measure without
+/// materializing the transpose: edge `k` pairs each of its out-entries
+/// with each of its in-entries.
+fn delta_flops<V: Value>(d_out: &Csr<V>, d_in: &Csr<V>) -> u64 {
+    (0..d_out.nrows())
+        .map(|k| (d_out.row_nnz(k) * d_in.row_nnz(k)) as u64)
+        .sum()
 }
 
 /// Full `Eᵀout ⊕.⊗ Ein` for the given lanes in one fused traversal,
@@ -587,6 +679,106 @@ mod tests {
         assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::OutOfOrder));
         assert_eq!(b.n_edges(), 5);
         assert!(b.deltas_since(0).is_none(), "barrier blocks replay");
+    }
+
+    #[test]
+    fn duplicate_key_in_a_pending_block_is_rejected() {
+        let (e0, i0) = chain_batch(0, 3);
+        let mut b = IncidenceBuilder::new(e0, i0).unwrap();
+        let (d_out, d_in) = chain_batch(3, 6);
+        assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::Ordered));
+        assert!(
+            b.cache.get().is_none(),
+            "the ordered block is still pending"
+        );
+        // e0004 sorts before e0005, so the batch is out of order, and it
+        // collides only with the never-built pending block.
+        let (d_out, d_in) = chain_batch(4, 5);
+        assert_eq!(
+            b.append_batch(d_out, d_in),
+            Err(BatchError::DuplicateEdgeKey("e0004".into()))
+        );
+        assert_eq!((b.generation(), b.n_edges()), (1, 6));
+        let (want_out, want_in) = chain_batch(0, 6);
+        assert_eq!(b.eout(), &want_out);
+        assert_eq!(b.ein(), &want_in);
+    }
+
+    #[test]
+    fn out_of_order_batch_holding_the_largest_key_moves_the_ordered_check() {
+        let edges = |ids: &[usize]| {
+            let pair = pt();
+            let side = |shift: usize| {
+                let triples = ids
+                    .iter()
+                    .map(|&i| (format!("e{:04}", i), format!("v{:04}", i + shift), Nat(1)));
+                AArray::from_triples(&pair, triples)
+            };
+            (side(0), side(1))
+        };
+        let (e0, i0) = edges(&[5]);
+        let mut b = IncidenceBuilder::new(e0, i0).unwrap();
+        let (d_out, d_in) = edges(&[3, 9]);
+        assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::OutOfOrder));
+        let (d_out, d_in) = edges(&[7]);
+        assert_eq!(
+            b.append_batch(d_out, d_in),
+            Ok(BatchKind::OutOfOrder),
+            "e0007 sorts before e0009"
+        );
+        let (d_out, d_in) = edges(&[10]);
+        assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::Ordered));
+    }
+
+    #[test]
+    fn counts_need_no_build_and_reads_build_once() {
+        let (e0, i0) = chain_batch(0, 2);
+        let mut b = IncidenceBuilder::new(e0, i0).unwrap();
+        for lo in (2..12).step_by(2) {
+            let (d_out, d_in) = chain_batch(lo, lo + 2);
+            b.append_batch(d_out, d_in).unwrap();
+        }
+        assert_eq!((b.generation(), b.n_edges()), (5, 12));
+        assert!(b.cache.get().is_none(), "counts must not stack blocks");
+        assert_eq!(b.base_len, 0);
+
+        let (want_out, _) = chain_batch(0, 12);
+        assert_eq!(b.eout(), &want_out);
+        let built: *const AArray<Nat> = b.eout();
+        assert!(
+            std::ptr::eq(built, b.eout()),
+            "a second read reuses the build"
+        );
+        // The next append adopts the build as its base: only the new
+        // block stays pending.
+        let (d_out, d_in) = chain_batch(12, 14);
+        b.append_batch(d_out, d_in).unwrap();
+        assert_eq!((b.base_len, b.log.len()), (5, 6));
+        let (want_out, want_in) = chain_batch(0, 14);
+        assert_eq!(b.eout(), &want_out);
+        assert_eq!(b.ein(), &want_in);
+    }
+
+    #[test]
+    fn out_of_order_append_stacks_once_for_its_barrier_refresh() {
+        let mm = MaxMin::<Nat>::new();
+        let (e0, i0) = chain_batch(4, 8);
+        let mut b = IncidenceBuilder::new(e0, i0).unwrap();
+        let mut view = AdjacencyView::new(&b, vec![&mm]);
+        let (d_out, d_in) = chain_batch(8, 10);
+        b.append_batch(d_out, d_in).unwrap();
+        let (d_out, d_in) = chain_batch(0, 4);
+        assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::OutOfOrder));
+        // The barrier append stacked everything, itself included.
+        assert_eq!(b.base_len, b.log.len());
+        view.refresh(&b);
+        assert!(b.cache.get().is_none(), "the rebuild read the stacked base");
+        // The ordered check still runs against the largest key's block.
+        let (d_out, d_in) = chain_batch(10, 11);
+        assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::Ordered));
+        view.refresh(&b);
+        let full = adjacency_arrays_multi(b.eout(), b.ein(), &[&mm as &dyn DynOpPair<Nat>]);
+        assert_eq!(view.lane(0), &full[0]);
     }
 
     #[test]

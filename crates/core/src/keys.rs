@@ -583,6 +583,63 @@ impl KeySet {
         KeySet::from_vec(self.dict.clone(), keys)
     }
 
+    /// Union of many key sets at once, plus, for every input, the
+    /// positions of its keys in the union (strictly increasing, as from
+    /// [`KeySet::positions_of`]).
+    ///
+    /// Shaped for one large set followed by many small ones — a
+    /// cumulative incidence and its pending batches: the first set is
+    /// walked in place and only the members of the rest are sorted, so
+    /// a same-dictionary call costs `O(|first| + R log R)` for `R`
+    /// members in the rest. As with [`KeySet::union`], a union that adds
+    /// nothing to the first set returns its handle.
+    pub(crate) fn union_many(sets: &[&KeySet]) -> (KeySet, Vec<Vec<usize>>) {
+        let (&first, rest) = sets.split_first().expect("union_many needs a first set");
+        if rest.iter().any(|s| !Arc::ptr_eq(&s.dict, &first.dict)) {
+            // Cross-dictionary: pairwise string-merge unions.
+            let union = rest.iter().fold(first.clone(), |u, s| u.union(s));
+            let maps = sets.iter().map(|s| union.positions_of(s)).collect();
+            return (union, maps);
+        }
+        let ranks = first.dict.ranks();
+        let rank = |id: u32| ranks[id as usize];
+        // `(rank, set, position)` of every member of the rest, ascending.
+        let mut tail: Vec<(u32, usize, usize)> = rest
+            .iter()
+            .enumerate()
+            .flat_map(|(s, set)| {
+                set.ids
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, &id)| (rank(id), s + 1, i))
+            })
+            .collect();
+        tail.sort_unstable();
+        let mut ids = Vec::with_capacity(first.len() + tail.len());
+        let mut maps: Vec<Vec<usize>> = sets.iter().map(|s| vec![0; s.len()]).collect();
+        let (mut i, mut t, mut last_rank) = (0usize, 0usize, None);
+        while i < first.len() || t < tail.len() {
+            let from_first =
+                t == tail.len() || (i < first.len() && rank(first.ids[i]) <= tail[t].0);
+            let (r, s, j) = if from_first {
+                i += 1;
+                (rank(first.ids[i - 1]), 0, i - 1)
+            } else {
+                t += 1;
+                tail[t - 1]
+            };
+            if last_rank != Some(r) {
+                ids.push(sets[s].ids[j]);
+                last_rank = Some(r);
+            }
+            maps[s][j] = ids.len() - 1;
+        }
+        if ids.len() == first.len() {
+            return (first.clone(), maps);
+        }
+        (KeySet::from_ids(first.dict.clone(), ids), maps)
+    }
+
     /// For every position in `from`, the position of the same key in
     /// `self` (or `None`). One linear integer walk for same-dictionary
     /// sets; the precomputed map replaces per-entry
@@ -790,6 +847,27 @@ mod tests {
         let again = KeySet::from_iter(["alpha", "delta", "mike"]);
         assert_eq!(ks.ids(), again.ids());
         assert_eq!(ks, again);
+    }
+
+    #[test]
+    fn union_many_merges_and_maps_every_input() {
+        let base = KeySet::from_iter(["b", "d", "f"]);
+        let x = KeySet::from_iter(["a", "d"]);
+        let y = KeySet::from_iter(["g", "a", "c"]);
+        let (u, maps) = KeySet::union_many(&[&base, &x, &y]);
+        assert_eq!(u.keys(), &["a", "b", "c", "d", "f", "g"]);
+        assert_eq!(maps, vec![vec![1, 3, 4], vec![0, 3], vec![0, 2, 5]]);
+        for (set, map) in [&base, &x, &y].into_iter().zip(&maps) {
+            assert_eq!(&u.positions_of(set), map);
+        }
+        // Adding nothing new returns the first set's own handle.
+        let (same, _) = KeySet::union_many(&[&base, &KeySet::from_iter(["d"])]);
+        assert!(Arc::ptr_eq(&same.ids, &base.ids));
+        // Cross-dictionary inputs agree with pairwise union.
+        let other = KeySet::from_iter_with_dict(&KeyDict::new(), ["c", "z"]);
+        let (mixed, maps) = KeySet::union_many(&[&base, &other]);
+        assert_eq!(mixed.keys(), &["b", "c", "d", "f", "z"]);
+        assert_eq!(maps[1], vec![1, 4]);
     }
 
     #[test]

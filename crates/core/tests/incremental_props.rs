@@ -49,14 +49,19 @@ fn arb_spec() -> impl Strategy<Value = Spec> {
 /// explicit keys (a row may have entries on one side only — both
 /// blocks of a pair must still agree on their edge keys).
 fn block(triples: &[(usize, usize, u32)], lo: usize, hi: usize, n_cols: usize) -> AArray<NN> {
+    rows_block(triples, &(lo..hi).collect::<Vec<_>>(), n_cols)
+}
+
+/// [`block`] over an arbitrary set of rows.
+fn rows_block(triples: &[(usize, usize, u32)], rows: &[usize], n_cols: usize) -> AArray<NN> {
     let pt = PlusTimes::<NN>::new();
     AArray::from_triples_with_keys(
         &pt,
-        KeySet::from_iter((lo..hi).map(edge_key)),
+        KeySet::from_iter(rows.iter().map(|&r| edge_key(r))),
         KeySet::from_iter((0..n_cols).map(vert_key)),
         triples
             .iter()
-            .filter(|(r, _, _)| (lo..hi).contains(r))
+            .filter(|(r, _, _)| rows.contains(r))
             .map(|&(r, c, w)| (edge_key(r), vert_key(c), nn(f64::from(w) * 0.5))),
     )
 }
@@ -197,6 +202,73 @@ proptest! {
         let report = view.refresh(&builder);
         prop_assert_eq!((report.incremental_lanes, report.rebuilt_lanes), (0, 2));
 
+        let full_out = block(&out_t, 0, n, 6);
+        let full_in = block(&in_t, 0, n, 6);
+        prop_assert_eq!(builder.eout(), &full_out);
+        prop_assert_eq!(builder.ein(), &full_in);
+        let rebuilt = adjacency_plan(&full_out, &full_in).execute_all(&pairs);
+        for (i, full) in rebuilt.iter().enumerate() {
+            prop_assert_eq!(view.lane(i), full, "lane {} diverged", i);
+        }
+    }
+
+    /// Chunks appended in random order — some ordered, some out of
+    /// order — with cumulative reads and view refreshes at random
+    /// points, so a batch arrives sometimes onto a stacked pair and
+    /// sometimes onto pending blocks. Every read must see exactly the
+    /// rows appended so far, every lane must match a rebuild from it,
+    /// and the final pair must equal the one-shot incidence.
+    #[test]
+    fn lazy_stacking_agrees_under_mixed_appends_and_reads(
+        spec in arb_spec(),
+        order in prop::collection::vec(0u32..1000, 5),
+        steps in prop::collection::vec(0u8..4, 5),
+    ) {
+        let (n, out_t, in_t, cuts) = spec;
+        let b = bounds(n, &cuts);
+        let mut chunks: Vec<(usize, usize)> = b.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut keys = order.iter();
+        chunks.sort_by_cached_key(|_| keys.next().copied());
+
+        let max_times = MaxTimes::<NN>::new();
+        let min_plus = MinPlus::<NN>::new();
+        let max_min = MaxMin::<NN>::new();
+        let pairs: [&dyn DynOpPair<NN>; 3] = [&max_times, &min_plus, &max_min];
+
+        let (lo, hi) = chunks[0];
+        let mut rows: Vec<usize> = (lo..hi).collect();
+        let mut builder = IncidenceBuilder::new(
+            block(&out_t, lo, hi, 6),
+            block(&in_t, lo, hi, 6),
+        ).unwrap();
+        let mut view = AdjacencyView::new(&builder, pairs.to_vec());
+        for (g, (&(lo, hi), &step)) in chunks[1..].iter().zip(&steps).enumerate() {
+            let (read, refresh) = (step & 1 == 1, step & 2 == 2);
+            let ordered = rows.iter().all(|&r| r < lo);
+            let kind = builder
+                .append_batch(block(&out_t, lo, hi, 6), block(&in_t, lo, hi, 6))
+                .unwrap();
+            prop_assert_eq!(kind == BatchKind::Ordered, ordered);
+            rows.extend(lo..hi);
+            rows.sort_unstable();
+            prop_assert_eq!(builder.generation(), g as u64 + 1);
+            prop_assert_eq!(builder.n_edges(), rows.len());
+            if refresh {
+                view.refresh(&builder);
+            }
+            if read {
+                prop_assert_eq!(builder.eout(), &rows_block(&out_t, &rows, 6));
+                prop_assert_eq!(builder.ein(), &rows_block(&in_t, &rows, 6));
+                view.refresh(&builder);
+                let rebuilt =
+                    adjacency_plan(builder.eout(), builder.ein()).execute_all(&pairs);
+                for (i, full) in rebuilt.iter().enumerate() {
+                    prop_assert_eq!(view.lane(i), full, "lane {} diverged after batch {}", i, g);
+                }
+            }
+        }
+
+        view.refresh(&builder);
         let full_out = block(&out_t, 0, n, 6);
         let full_in = block(&in_t, 0, n, 6);
         prop_assert_eq!(builder.eout(), &full_out);

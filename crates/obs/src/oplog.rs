@@ -18,7 +18,7 @@
 //! sequence number with one relaxed `fetch_add` and never block or
 //! allocate; the oldest records are overwritten when the ring wraps
 //! (`dropped = recorded − capacity`); readers reject torn records by
-//! sequence check. The record carries the op kind, the ambient
+//! sequence check. The record carries the op kind, the thread's
 //! workload label, a per-stage nanosecond breakdown derived from the
 //! op's own journal spans, flops, output nnz, lanes, the dispatch
 //! decision (serial/parallel + pool size), the fallback reason code,
@@ -150,11 +150,21 @@ fn label_table() -> &'static Mutex<Vec<String>> {
     TABLE.get_or_init(|| Mutex::new(vec![String::new()]))
 }
 
-/// The ambient label id new ops are stamped with (0 = unlabeled).
-static CURRENT_LABEL: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// The workload label id ops opened on this thread are stamped
+    /// with (0 = unlabeled). Thread-local like the current op, so
+    /// concurrent workloads never relabel each other's ops.
+    static CURRENT_LABEL: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The workload label id installed on this thread (0 when none).
+#[inline]
+fn current_label() -> u64 {
+    CURRENT_LABEL.with(Cell::get)
+}
 
 /// Intern `label` (returning its stable id) without changing the
-/// ambient label. Ids are assigned in first-seen order; id 0 is the
+/// thread's label. Ids are assigned in first-seen order; id 0 is the
 /// empty/unlabeled entry.
 pub fn intern_label(label: &str) -> u64 {
     let mut t = label_table().lock().unwrap_or_else(|e| e.into_inner());
@@ -165,23 +175,24 @@ pub fn intern_label(label: &str) -> u64 {
     (t.len() - 1) as u64
 }
 
-/// RAII guard restoring the previous ambient workload label on drop.
+/// RAII guard restoring the thread's previous workload label on drop.
 pub struct LabelScope {
     prev: u64,
 }
 
-/// Intern `label` and install it as the ambient workload label every
-/// subsequently opened op is stamped with, until the guard drops.
-/// Labels are user-influenced strings; exporters escape them.
+/// Intern `label` and install it as this thread's workload label, which
+/// every op subsequently opened on the thread is stamped with, until
+/// the guard drops. Labels are user-influenced strings; exporters
+/// escape them.
 pub fn workload_label(label: &str) -> LabelScope {
     let id = intern_label(label);
-    let prev = CURRENT_LABEL.swap(id, Ordering::Relaxed);
+    let prev = CURRENT_LABEL.with(|c| c.replace(id));
     LabelScope { prev }
 }
 
 impl Drop for LabelScope {
     fn drop(&mut self) {
-        CURRENT_LABEL.store(self.prev, Ordering::Relaxed);
+        CURRENT_LABEL.with(|c| c.set(self.prev));
     }
 }
 
@@ -850,14 +861,14 @@ pub struct OpToken {
 }
 
 impl OpToken {
-    /// Open an operation: allocate an id, stamp the ambient label,
+    /// Open an operation: allocate an id, stamp this thread's label,
     /// capture the journal cursor and scratch watermarks, and install
     /// the op as current on this thread.
     pub fn begin(kind: OpKind) -> OpToken {
         let id = alloc_op_id();
         let mut draft = OpDraft::new(kind);
         draft.id = id;
-        draft.label = CURRENT_LABEL.load(Ordering::Relaxed);
+        draft.label = current_label();
         draft.seq_start = journal().cursor();
         OpToken {
             draft,
@@ -1130,7 +1141,7 @@ mod tests {
         assert_eq!(intern_label("oplog-test-label"), id);
         {
             let _s = workload_label("oplog-test-label");
-            assert_eq!(CURRENT_LABEL.load(Ordering::Relaxed), id);
+            assert_eq!(current_label(), id);
             let log = OpLog::with_capacity(4);
             let tok = OpToken::begin(OpKind::Matmul);
             tok.finish_into(&log);
@@ -1138,6 +1149,22 @@ mod tests {
             assert_eq!(snap.records.len(), 1);
             assert_eq!(snap.label_name(snap.records[0].label), "oplog-test-label");
         }
+    }
+
+    #[test]
+    fn labels_are_per_thread() {
+        let id = intern_label("oplog-thread-label");
+        let _s = workload_label("oplog-thread-label");
+        let elsewhere = std::thread::spawn(current_label).join().unwrap();
+        assert_eq!(elsewhere, 0, "another thread's ops stay unlabeled");
+        let other = std::thread::spawn(|| {
+            let _l = workload_label("oplog-other-label");
+            current_label()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(other, intern_label("oplog-other-label"));
+        assert_eq!(current_label(), id, "another thread's label leaves ours");
     }
 
     #[test]

@@ -41,6 +41,10 @@ use aarray_obs::{counters, journal, memstats, trace_span, Counter, MemRegion, St
 /// out-block is materialized internally and accounted as delta scratch.
 /// Panics if the two blocks disagree on the edge-row count.
 ///
+/// `parallel` selects the row-parallel numeric pass; the caller
+/// decides it with the same flops gate the planner uses, so a small
+/// batch does not pay pool dispatch. Both passes are bit-identical.
+///
 /// Returns one `Csr` per pair (vertices × vertices), in order, each
 /// bit-identical to the corresponding standalone sequential product of
 /// the same operands.
@@ -49,6 +53,7 @@ pub fn spgemm_delta<V: Value>(
     delta_ein: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
     acc: MultiAccumulator,
+    parallel: bool,
 ) -> Vec<Csr<V>> {
     assert_eq!(
         delta_eout.nrows(),
@@ -70,13 +75,9 @@ pub fn spgemm_delta<V: Value>(
     let mut scratch = memstats().track(MemRegion::DeltaScratch, eout_t.heap_bytes());
     let sym = spgemm_symbolic(&eout_t, delta_ein);
     scratch.grow_to(eout_t.heap_bytes() + sym.heap_bytes());
-    // Batches are usually far below the flops dispatch threshold, so
-    // gate the row-parallel driver on the pool alone: it is
-    // bit-identical to the serial traversal, and on a 1-thread pool the
-    // parallel driver would only rename the call. No dispatch counters
-    // here — the dispatch audit covers the planner's gate, not this
-    // always-structural choice.
-    let outs = if rayon::current_num_threads() > 1 {
+    // No dispatch counters here: the dispatch audit covers the
+    // planner's own decisions.
+    let outs = if parallel {
         spgemm_multi_numeric_parallel(&sym, &eout_t, delta_ein, pairs, acc)
     } else {
         spgemm_multi_numeric(&sym, &eout_t, delta_ein, pairs, acc)
@@ -117,11 +118,17 @@ mod tests {
         let pt = pt();
         let mm = MaxMin::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm];
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("2-thread pool");
         for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let deltas = spgemm_delta(&out, &inn, &pairs, acc);
-            let eout_t = out.transpose();
-            assert_eq!(deltas[0], spgemm_with(&eout_t, &inn, &pt, Accumulator::Spa));
-            assert_eq!(deltas[1], spgemm_with(&eout_t, &inn, &mm, Accumulator::Spa));
+            for parallel in [false, true] {
+                let deltas = pool.install(|| spgemm_delta(&out, &inn, &pairs, acc, parallel));
+                let eout_t = out.transpose();
+                assert_eq!(deltas[0], spgemm_with(&eout_t, &inn, &pt, Accumulator::Spa));
+                assert_eq!(deltas[1], spgemm_with(&eout_t, &inn, &mm, Accumulator::Spa));
+            }
         }
     }
 
@@ -131,7 +138,7 @@ mod tests {
         let pt = pt();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
         let before = aarray_obs::snapshot();
-        let _ = spgemm_delta(&out, &inn, &pairs, MultiAccumulator::Spa);
+        let _ = spgemm_delta(&out, &inn, &pairs, MultiAccumulator::Spa, false);
         let delta = aarray_obs::snapshot().since(&before);
         assert!(delta.get(Counter::DeltaTraversals) >= 1);
         assert!(
@@ -147,6 +154,6 @@ mod tests {
         let inn = Csr::<Nat>::empty(5, 4);
         let pt = pt();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let _ = spgemm_delta(&out, &inn, &pairs, MultiAccumulator::Spa);
+        let _ = spgemm_delta(&out, &inn, &pairs, MultiAccumulator::Spa, false);
     }
 }

@@ -116,3 +116,48 @@ proptest! {
         }
     }
 }
+
+/// Building and dropping pools must never hang. A worker that is about
+/// to park just as its pool is dropped must still see the shutdown, or
+/// the drop's join waits forever. Runs many short-lived pools of sizes
+/// 2–8 under a watchdog, so a lost wakeup fails the test instead of
+/// hanging the suite.
+#[test]
+fn pool_teardown_never_loses_the_shutdown_wakeup() {
+    use rayon::prelude::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const ROUNDS: usize = 2000;
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for round in 0..ROUNDS {
+            let threads = 2 + round % 7;
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let v: Vec<usize> =
+                pool.install(|| (0..64usize).into_par_iter().map(|x| x + round).collect());
+            assert_eq!(v[63], 63 + round);
+            drop(pool);
+            if tx.send(round).is_err() {
+                return;
+            }
+        }
+    });
+    let mut done = 0;
+    while done < ROUNDS {
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(round) => done = round + 1,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!(
+                "pool of {} threads hung after round {}: teardown lost a wakeup",
+                2 + done % 7,
+                done
+            ),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("stress thread panicked at round {done}")
+            }
+        }
+    }
+}

@@ -350,7 +350,15 @@ impl Registry {
 
 impl Drop for Registry {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the ticket lock: a worker checks it under
+        // that lock before parking, so it either sees the flag or is
+        // already waiting when the notify below arrives. Stored without
+        // the lock, the notify could land between a worker's check and
+        // its wait, and the join would hang.
+        {
+            let _tickets = self.shared.tickets.lock().unwrap();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.cond.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
