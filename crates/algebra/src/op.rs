@@ -27,7 +27,7 @@ pub trait BinaryOp<V: Value>: Copy + Default + fmt::Debug + Send + Sync + 'stati
     /// implementation asserts only when verified by the law machinery
     /// (each `true` override carries a matching [`AssociativeOp`] marker,
     /// and the pairing is pinned by tests against
-    /// [`crate::properties::check_associative`]). The same operator
+    /// [`crate::laws::check_associative`]). The same operator
     /// symbol can differ per carrier — `Plus` is associative on `Nat`
     /// but **not** on IEEE-754 `NN` — which is why this is a per-impl
     /// constant rather than a property of the strategy type.

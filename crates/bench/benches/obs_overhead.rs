@@ -23,9 +23,8 @@
 //!    ns_per_journal_record + ops × ns_per_op_record) / workload_ns`,
 //!    with a 2× safety factor
 //!    covering the non-registry instrumentation of the same order
-//!    (per-plan stage cells, gauges, memory-accounting adds, the
-//!    numeric-pass mutex push, the per-row flop sums computed only for
-//!    histogram recording).
+//!    (gauges, memory-accounting adds, the per-row flop sums computed
+//!    only for histogram recording).
 //!
 //! Asserts the total bound stays ≤ 2% and writes `BENCH_pr2.json` at
 //! the workspace root so CI can track it.

@@ -59,15 +59,12 @@ use crate::keys::KeySet;
 use crate::matmul::{parallel_flops_threshold, would_parallelize};
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
-use aarray_obs::{
-    counters, histograms, journal, trace_span, Counter, EventKind, Hist, OpKind, OpToken, Stage,
-};
+use aarray_obs::{counters, histograms, journal, Counter, EventKind, Hist, OpKind, OpToken, Stage};
 use aarray_sparse::spgemm_delta::spgemm_delta;
 use aarray_sparse::spgemm_multi::MultiAccumulator;
 use aarray_sparse::Csr;
 use std::fmt;
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Why an appended batch was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -308,7 +305,6 @@ impl<V: Value> IncidenceBuilder<V> {
 fn stack_blocks<V: Value>(
     blocks: &[(&AArray<V>, &AArray<V>)],
 ) -> Result<(Pair<V>, usize), BatchError> {
-    let _span = trace_span!("stack_incidence", blocks = blocks.len());
     let row_sets: Vec<&KeySet> = blocks.iter().map(|(o, _)| o.row_keys()).collect();
     let (rows, row_maps) = KeySet::union_many(&row_sets);
     let last = blocks.len() - 1;
@@ -446,22 +442,17 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     /// [`spgemm_delta`] traversal per batch feeding those lanes
     /// (row-parallel only when the batch product's flops pass the
     /// planner's dispatch threshold), then a
-    /// union `⊕`-merge per lane ([`Counter::IncrementalApply`],
-    /// [`Hist::DeltaApplyNs`]). All other lanes — non-associative `⊕`,
-    /// or any refresh crossing an out-of-order batch — are recomputed
-    /// from the cumulative incidence in one fused rebuild traversal
-    /// ([`Counter::IncrementalFallback`], [`Hist::RebuildNs`]).
+    /// union `⊕`-merge per lane ([`Counter::IncrementalApply`], one
+    /// [`OpKind::DeltaApply`] ledger record). All other lanes —
+    /// non-associative `⊕`, or any refresh crossing an out-of-order
+    /// batch — are recomputed from the cumulative incidence in one fused
+    /// rebuild traversal ([`Counter::IncrementalFallback`], one
+    /// [`OpKind::Rebuild`] ledger record).
     pub fn refresh(&mut self, builder: &IncidenceBuilder<V>) -> RefreshReport {
         if !self.is_stale(builder) {
             return RefreshReport::default();
         }
         let mut report = RefreshReport::default();
-        let _span = trace_span!(
-            "incremental_refresh",
-            k_lanes = self.pairs.len(),
-            from_generation = self.generation,
-            to_generation = builder.generation()
-        );
 
         let deltas = builder.deltas_since(self.generation);
         let (inc_idx, reb_idx): (Vec<usize>, Vec<usize>) = match &deltas {
@@ -480,7 +471,6 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             let (threshold, threads) = (parallel_flops_threshold(), rayon::current_num_threads());
             let mut any_parallel = false;
             for (d_out, d_in) in batches {
-                let t0 = Instant::now();
                 // Same gate as the planner's: a small batch stays serial.
                 let parallel =
                     would_parallelize(delta_flops(d_out.csr(), d_in.csr()), threshold, threads);
@@ -495,7 +485,6 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
                     );
                     self.lanes[lane] = self.lanes[lane].ewise_add_dyn(&delta, self.pairs[lane]);
                 }
-                histograms().record(Hist::DeltaApplyNs, t0.elapsed().as_nanos() as u64);
                 report.batches_applied += 1;
             }
             journal().end(Stage::DeltaApply, inc_idx.len() as u64);
@@ -562,13 +551,12 @@ fn delta_flops<V: Value>(d_out: &Csr<V>, d_in: &Csr<V>) -> u64 {
 }
 
 /// Full `Eᵀout ⊕.⊗ Ein` for the given lanes in one fused traversal,
-/// recording the rebuild latency.
+/// inside a rebuild journal span.
 fn rebuild_lanes<V: Value>(
     builder: &IncidenceBuilder<V>,
     pairs: &[&dyn DynOpPair<V>],
     acc: MultiAccumulator,
 ) -> Vec<AArray<V>> {
-    let t0 = Instant::now();
     journal().begin(Stage::Rebuild, pairs.len() as u64);
     let plan = adjacency_plan(builder.eout(), builder.ein()).with_generation(builder.generation());
     debug_assert!(
@@ -577,7 +565,6 @@ fn rebuild_lanes<V: Value>(
     );
     let lanes = plan.execute_all_with(pairs, acc);
     journal().end(Stage::Rebuild, pairs.len() as u64);
-    histograms().record(Hist::RebuildNs, t0.elapsed().as_nanos() as u64);
     lanes
 }
 

@@ -52,7 +52,6 @@ pub mod io;
 pub mod keys;
 pub mod matmul;
 pub mod plan;
-pub mod profile;
 pub mod query;
 pub mod select;
 #[cfg(feature = "serde")]
@@ -74,7 +73,6 @@ pub use matmul::{
     DEFAULT_PARALLEL_FLOPS_THRESHOLD, PAR_FLOPS_THRESHOLD_ENV,
 };
 pub use plan::MatmulPlan;
-pub use profile::{NumericPass, StageProfile, StageReport};
 pub use vector::AVector;
 
 /// Commonly used items (re-exporting the algebra prelude too).

@@ -10,9 +10,10 @@
 //! runs in ascending key order, left-associated — see `aarray-sparse`.
 
 use crate::array::AArray;
-use crate::profile::timed;
 use aarray_algebra::{BinaryOp, OpPair, Value};
-use aarray_obs::{counters, histograms, journal, Counter, EventKind, Gauge, Hist, OpKind, OpToken};
+use aarray_obs::{
+    counters, histograms, journal, Counter, EventKind, Gauge, Hist, OpKind, OpToken, Stage,
+};
 use aarray_sparse::{spgemm_flops, spgemm_parallel, spgemm_with, Accumulator};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -231,17 +232,14 @@ impl<V: Value> AArray<V> {
 
         let acc = acc.unwrap_or(Accumulator::Spa);
         let big = should_parallelize(|| spgemm_flops(lhs, rhs));
-        let (data, numeric_time) = timed(|| {
-            if big {
-                spgemm_parallel(lhs, rhs, pair, acc)
-            } else {
-                spgemm_with(lhs, rhs, pair, acc)
-            }
-        });
-        histograms().record(
-            Hist::NumericPassNs,
-            numeric_time.as_nanos().min(u64::MAX as u128) as u64,
-        );
+        let rows = lhs.nrows() as u64;
+        journal().begin(Stage::Numeric, rows);
+        let data = if big {
+            spgemm_parallel(lhs, rhs, pair, acc)
+        } else {
+            spgemm_with(lhs, rhs, pair, acc)
+        };
+        journal().end(Stage::Numeric, rows);
         record_pool_stats();
 
         if let Some(t) = op.as_mut() {

@@ -47,11 +47,10 @@
 use crate::array::AArray;
 use crate::keys::KeySet;
 use crate::matmul::should_parallelize;
-use crate::profile::{timed, NumericPass, StageProfile, StageReport};
 use aarray_algebra::{BinaryOp, DynOpPair, OpPair, Value};
 use aarray_obs::{
-    counters, histograms, journal, memstats, trace_span, Counter, EventKind, Hist, MemRegion,
-    MemReservation, OpKind, OpToken, Stage,
+    counters, histograms, journal, memstats, Counter, EventKind, Hist, MemRegion, MemReservation,
+    OpKind, OpToken, Stage,
 };
 use aarray_sparse::spgemm_multi::{
     spgemm_multi_numeric, spgemm_multi_numeric_parallel, MultiAccumulator,
@@ -102,7 +101,6 @@ pub struct MatmulPlan<'a, V: Value> {
     transposed: bool,
     /// Caller-assigned version stamp (see [`MatmulPlan::generation`]).
     generation: u64,
-    profile: StageProfile,
 }
 
 impl<'a, V: Value> MatmulPlan<'a, V> {
@@ -114,28 +112,18 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         lhs_inner: &KeySet,
         other: &'a AArray<V>,
     ) -> Self {
-        let _span = trace_span!(
-            "plan_build",
-            nnz_lhs = lhs.nnz(),
-            nnz_rhs = other.nnz(),
-            aligned = (lhs_inner != other.row_keys())
-        );
-        let profile = StageProfile::default();
         let nnz_in = lhs.nnz() as u64 + other.nnz() as u64;
         journal().begin(Stage::Align, nnz_in);
-        let ((lhs, rhs), align_time) = timed(|| {
-            if lhs_inner == other.row_keys() {
-                (lhs, MaybeOwned::Borrowed(other.csr()))
-            } else {
-                let (_, left_idx, right_idx) = lhs_inner.intersect(other.row_keys());
-                (
-                    MaybeOwned::Owned(lhs.select_cols(&left_idx)),
-                    MaybeOwned::Owned(other.csr().select_rows(&right_idx)),
-                )
-            }
-        });
+        let (lhs, rhs) = if lhs_inner == other.row_keys() {
+            (lhs, MaybeOwned::Borrowed(other.csr()))
+        } else {
+            let (_, left_idx, right_idx) = lhs_inner.intersect(other.row_keys());
+            (
+                MaybeOwned::Owned(lhs.select_cols(&left_idx)),
+                MaybeOwned::Owned(other.csr().select_rows(&right_idx)),
+            )
+        };
         journal().end(Stage::Align, nnz_in);
-        profile.record_align(align_time);
         let flops = spgemm_flops(&lhs, &rhs);
         // The dispatch estimate is always known here — plans compute it
         // eagerly at build time, even on 1-thread pools where the
@@ -152,7 +140,6 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
             _transpose_mem: None,
             transposed: false,
             generation: 0,
-            profile,
         }
     }
 
@@ -213,21 +200,10 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         }
         self.sym.get_or_init(|| {
             counters().incr(Counter::PlanSymbolicMiss);
-            let _span = trace_span!(
-                "symbolic_pass",
-                nnz_lhs = self.lhs.nnz(),
-                nnz_rhs = self.rhs.nnz(),
-                flops = self.flops
-            );
             journal().begin(Stage::Symbolic, self.flops);
-            let (sym, symbolic_time) = timed(|| spgemm_symbolic(&self.lhs, &self.rhs));
+            let sym = spgemm_symbolic(&self.lhs, &self.rhs);
             journal().end(Stage::Symbolic, self.flops);
             journal().record(EventKind::PlanCacheMiss, self.flops, sym.nnz() as u64);
-            self.profile.record_symbolic(symbolic_time);
-            histograms().record(
-                Hist::SymbolicPassNs,
-                symbolic_time.as_nanos().min(u64::MAX as u128) as u64,
-            );
             let _ = self
                 .sym_mem
                 .set(memstats().track(MemRegion::PlanSymbolic, sym.heap_bytes()));
@@ -241,13 +217,6 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         self.sym.get().is_some()
     }
 
-    /// Snapshot of the per-stage timing accumulated by this plan so
-    /// far (alignment at build, transpose for transpose-plans, then
-    /// one symbolic pass and one numeric pass per traversal).
-    pub fn profile(&self) -> StageReport {
-        self.profile.report()
-    }
-
     /// Execute the plan under one statically-typed pair. Bit-identical
     /// to the equivalent [`AArray::matmul`] call.
     pub fn execute<A, M>(&self, pair: &OpPair<V, A, M>) -> AArray<V>
@@ -256,7 +225,6 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         M: BinaryOp<V>,
     {
         let dyn_pair: &dyn DynOpPair<V> = pair;
-        let _span = trace_span!("numeric_pass", pair = dyn_pair.name(), flops = self.flops);
         self.execute_all(&[dyn_pair])
             .pop()
             .expect("one pair in, one result out")
@@ -283,42 +251,19 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         let mut op = OpToken::begin_if_root(OpKind::PlanExecute);
         let sym = self.symbolic();
         let parallel = should_parallelize(|| self.flops);
-        let acc_name = match acc {
-            MultiAccumulator::Spa => "spa",
-            MultiAccumulator::Hash => "hash",
-        };
-        let _span = trace_span!(
-            "execute_all",
-            k_lanes = pairs.len(),
-            flops = self.flops,
-            accumulator = acc_name,
-            nnz = sym.nnz(),
-            parallel = parallel
-        );
         let c = counters();
         c.add(Counter::FlopsTotal, self.flops);
         if self.transposed {
             c.incr(Counter::PlanTransposeReused);
         }
         journal().begin(Stage::Numeric, self.flops);
-        let (data, numeric_time) = timed(|| {
-            if parallel {
-                spgemm_multi_numeric_parallel(sym, &self.lhs, &self.rhs, pairs, acc)
-            } else {
-                spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, acc)
-            }
-        });
+        let data = if parallel {
+            spgemm_multi_numeric_parallel(sym, &self.lhs, &self.rhs, pairs, acc)
+        } else {
+            spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, acc)
+        };
         journal().end(Stage::Numeric, self.flops);
         crate::matmul::record_pool_stats();
-        let numeric_ns = numeric_time.as_nanos().min(u64::MAX as u128) as u64;
-        histograms().record(Hist::NumericPassNs, numeric_ns);
-        self.profile.record_numeric(NumericPass {
-            lanes: pairs.len(),
-            parallel,
-            accumulator: acc_name,
-            flops: self.flops,
-            ns: numeric_ns,
-        });
         if let Some(t) = op.as_mut() {
             t.set_flops(self.flops);
             t.set_lanes(pairs.len() as u64);
@@ -341,61 +286,47 @@ impl<V: Value> AArray<V> {
     /// runs now, the symbolic pattern on first execute; neither is
     /// redone per pair. See [`MatmulPlan`].
     pub fn matmul_plan<'a>(&'a self, other: &'a AArray<V>) -> MatmulPlan<'a, V> {
-        let mut op = OpToken::begin_if_root(OpKind::PlanBuild);
-        let (plan, build_time) = timed(|| {
-            MatmulPlan::new(
-                self.row_keys().clone(),
-                MaybeOwned::Borrowed(self.csr()),
-                self.col_keys(),
-                other,
-            )
-        });
-        histograms().record(
-            Hist::PlanBuildNs,
-            build_time.as_nanos().min(u64::MAX as u128) as u64,
+        let op = OpToken::begin_if_root(OpKind::PlanBuild);
+        let plan = MatmulPlan::new(
+            self.row_keys().clone(),
+            MaybeOwned::Borrowed(self.csr()),
+            self.col_keys(),
+            other,
         );
-        if let Some(t) = op.as_mut() {
-            t.set_flops(plan.flops);
-        }
-        if let Some(t) = op {
-            t.finish();
-        }
-        plan
+        plan.finish_build(op)
     }
 
     /// Prepare `selfᵀ ⊕.⊗ other` — the adjacency-construction shape
     /// `Eᵀout ⊕.⊗ Ein` — transposing `self` **once** into the plan
     /// instead of materializing a transposed array per call.
     pub fn transpose_matmul_plan<'a>(&self, other: &'a AArray<V>) -> MatmulPlan<'a, V> {
-        let mut op = OpToken::begin_if_root(OpKind::PlanBuild);
-        let (plan, build_time) = timed(|| {
-            journal().begin(Stage::Transpose, self.nnz() as u64);
-            let (transposed, transpose_time) = timed(|| self.csr().transpose());
-            journal().end(Stage::Transpose, self.nnz() as u64);
-            counters().incr(Counter::PlanTransposeBuilt);
-            let transpose_mem = memstats().track(MemRegion::PlanTranspose, transposed.heap_bytes());
-            let mut plan = MatmulPlan::new(
-                self.col_keys().clone(),
-                MaybeOwned::Owned(transposed),
-                self.row_keys(),
-                other,
-            );
-            plan.transposed = true;
-            plan._transpose_mem = Some(transpose_mem);
-            plan.profile.record_transpose(transpose_time);
-            plan
-        });
-        histograms().record(
-            Hist::PlanBuildNs,
-            build_time.as_nanos().min(u64::MAX as u128) as u64,
+        let op = OpToken::begin_if_root(OpKind::PlanBuild);
+        journal().begin(Stage::Transpose, self.nnz() as u64);
+        let transposed = self.csr().transpose();
+        journal().end(Stage::Transpose, self.nnz() as u64);
+        counters().incr(Counter::PlanTransposeBuilt);
+        let transpose_mem = memstats().track(MemRegion::PlanTranspose, transposed.heap_bytes());
+        let mut plan = MatmulPlan::new(
+            self.col_keys().clone(),
+            MaybeOwned::Owned(transposed),
+            self.row_keys(),
+            other,
         );
-        if let Some(t) = op.as_mut() {
-            t.set_flops(plan.flops);
-        }
-        if let Some(t) = op {
+        plan.transposed = true;
+        plan._transpose_mem = Some(transpose_mem);
+        plan.finish_build(op)
+    }
+}
+
+impl<V: Value> MatmulPlan<'_, V> {
+    /// Close the plan-build ledger op (when this build was the root op)
+    /// with the plan's flops estimate.
+    fn finish_build(self, op: Option<OpToken>) -> Self {
+        if let Some(mut t) = op {
+            t.set_flops(self.flops);
             t.finish();
         }
-        plan
+        self
     }
 }
 
@@ -405,6 +336,7 @@ mod tests {
     use aarray_algebra::ops::{AbsDiff, Times};
     use aarray_algebra::pairs::{MaxMin, MinPlus, PlusTimes};
     use aarray_algebra::values::nat::Nat;
+    use aarray_obs::{oplog, workload_label, OpRecord, StageReport};
 
     fn pt() -> PlusTimes<Nat> {
         PlusTimes::new()
@@ -562,67 +494,64 @@ mod tests {
         );
     }
 
+    /// The ledger records since `start` carrying this thread's workload
+    /// label. Each test installs a label of its own, so exact counts
+    /// hold under the parallel test runner.
+    fn ops_since(start: u64) -> Vec<OpRecord> {
+        oplog()
+            .labeled_window(start, oplog().cursor())
+            .expect("ledger window intact")
+    }
+
     #[test]
     fn profile_records_each_stage_per_plan() {
+        let _label = workload_label("plan::tests::profile_records_each_stage_per_plan");
         let pair = pt();
         let eout = AArray::from_triples(&pair, [("e1", "a", Nat(1)), ("e2", "a", Nat(1))]);
         let ein = AArray::from_triples(&pair, [("e1", "b", Nat(1)), ("e2", "c", Nat(1))]);
+        let start = oplog().cursor();
         let plan = eout.transpose_matmul_plan(&ein);
-        let built = plan.profile();
-        assert_eq!(built.align_calls, 1);
-        assert_eq!(built.transpose_calls, 1);
-        assert_eq!(built.symbolic_calls, 0, "symbolic is lazy");
-        assert!(built.numeric.is_empty());
+        let built = ops_since(start);
+        assert_eq!(built.len(), 1);
+        assert_eq!(built[0].kind, OpKind::PlanBuild);
+        assert!(built[0].align_ns + built[0].transpose_ns > 0);
+        assert_eq!(built[0].symbolic_ns, 0, "symbolic is lazy");
 
         let _ = plan.execute(&pair);
         let p2 = MaxMin::<Nat>::new();
         let _ = plan.execute_all_with(&[&pair as &dyn DynOpPair<Nat>, &p2], MultiAccumulator::Hash);
-        // The profile is per-plan state, so exact counts are safe even
-        // under parallel test execution.
-        let ran = plan.profile();
-        assert_eq!(ran.symbolic_calls, 1, "one miss, then a memoized hit");
-        assert_eq!(ran.numeric.len(), 2);
-        assert_eq!(ran.numeric[0].lanes, 1);
-        assert_eq!(ran.numeric[0].accumulator, "spa");
-        assert_eq!(ran.numeric[1].lanes, 2);
-        assert_eq!(ran.numeric[1].accumulator, "hash");
-        assert_eq!(ran.numeric[0].flops, plan.flops());
-        assert!(ran.total_ns() > 0);
+        let ran = ops_since(start);
+        let execs = &ran[1..];
+        assert_eq!(execs.len(), 2);
+        assert!(execs.iter().all(|r| r.kind == OpKind::PlanExecute));
+        assert!(
+            execs[0].symbolic_ns > 0,
+            "the first execute fills the pattern"
+        );
+        assert_eq!(execs[1].symbolic_ns, 0, "the second hits the memo");
+        assert_eq!((execs[0].lanes, execs[1].lanes), (1, 2));
+        assert_eq!(execs[0].flops, plan.flops());
+        let report = StageReport::from_records(&ran);
+        assert_eq!(report.numeric.len(), 2);
+        assert!(report.total_ns() > 0);
     }
 
     #[test]
     fn plan_latency_histograms_and_memory_recorded() {
+        let _label = workload_label("plan::tests::plan_latency_histograms_and_memory_recorded");
         let (a, b) = operands();
-        let build_before = histograms().get(Hist::PlanBuildNs).snapshot();
-        let sym_before = histograms().get(Hist::SymbolicPassNs).snapshot();
-        let num_before = histograms().get(Hist::NumericPassNs).snapshot();
+        let start = oplog().cursor();
+        let tails_before = oplog().report();
         let flops_before = histograms().get(Hist::DispatchFlops).snapshot();
         let plan = a.matmul_plan(&b);
         let _ = plan.execute(&pt());
-        assert!(
-            histograms()
-                .get(Hist::PlanBuildNs)
-                .snapshot()
-                .since(&build_before)
-                .count()
-                >= 1
-        );
-        assert!(
-            histograms()
-                .get(Hist::SymbolicPassNs)
-                .snapshot()
-                .since(&sym_before)
-                .count()
-                >= 1
-        );
-        assert!(
-            histograms()
-                .get(Hist::NumericPassNs)
-                .snapshot()
-                .since(&num_before)
-                .count()
-                >= 1
-        );
+        let kinds: Vec<OpKind> = ops_since(start).iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [OpKind::PlanBuild, OpKind::PlanExecute]);
+        // The ledger's per-kind wall-time tails are the plan latencies
+        // (≥: sibling tests record plan ops concurrently).
+        let tails = oplog().report().since(&tails_before);
+        assert!(tails.count(OpKind::PlanBuild) >= 1);
+        assert!(tails.count(OpKind::PlanExecute) >= 1);
         let flops = histograms()
             .get(Hist::DispatchFlops)
             .snapshot()

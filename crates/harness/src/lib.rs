@@ -16,7 +16,7 @@
 //! committed baseline lineage shape ([`history`]).
 //!
 //! `obsctl trace` additionally drains the always-on flight recorder
-//! ([`aarray_obs::journal`]) after one workload and exports it as a
+//! ([`aarray_obs::journal()`]) after one workload and exports it as a
 //! Chrome-trace/Perfetto timeline, validated structurally by
 //! [`chrome_trace`] before it is written.
 //!

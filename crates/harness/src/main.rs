@@ -194,7 +194,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let hist_on = aarray_obs::histograms_enabled();
     if !hist_on {
         eprintln!(
-            "obsctl run: warning: {}=0 — latency/shape histograms will be empty in this capture",
+            "obsctl run: warning: {}=0 — shape/dispatch histograms will be empty in this capture",
             aarray_obs::HISTOGRAMS_ENV
         );
     }
@@ -322,7 +322,7 @@ fn cmd_stream(args: &[String]) -> ExitCode {
     let hist_on = aarray_obs::histograms_enabled();
     if !hist_on {
         eprintln!(
-            "obsctl stream: warning: {}=0 — latency/shape histograms will be empty in this capture",
+            "obsctl stream: warning: {}=0 — shape/dispatch histograms will be empty in this capture",
             aarray_obs::HISTOGRAMS_ENV
         );
     }

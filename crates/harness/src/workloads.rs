@@ -4,9 +4,10 @@
 //! adjacency lanes plus the tropical max.+ lane on its own plan) and
 //! the Figure 5 variant (same shape over a re-weighted E1) against
 //! [`aarray_bench::synthetic_e1_e2`] tables at several scales. Stage
-//! timings come from each plan's [`StageReport`](aarray_core::StageReport)
-//! rather than ad-hoc stopwatches, so the numbers in `BENCH_pr3.json`
-//! are the same ones `repro --profile` prints.
+//! timings are the op ledger's per-op breakdowns (derived from the
+//! journal's stage spans) read through [`StageReport`], the same view
+//! `repro --profile` prints; each rep's wall is timed around the same
+//! ops, and both are reported as medians over the reps.
 
 use aarray_algebra::pairs::{MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, PlusTimes};
 use aarray_algebra::values::nn::{nn, NN};
@@ -15,6 +16,7 @@ use aarray_algebra::DynOpPair;
 use aarray_bench::synthetic_e1_e2;
 use aarray_core::incremental::{AdjacencyView, IncidenceBuilder};
 use aarray_core::{adjacency_plan, AArray};
+use aarray_obs::{oplog, StageReport};
 use std::time::Instant;
 
 /// Which canonical figure a workload replays.
@@ -51,11 +53,37 @@ pub struct StageMedians {
     /// NN-plan total (align + transpose + symbolic + numeric) — the
     /// figure comparable to legacy `fused_ms`.
     pub total_ns: u64,
-    /// Mean wall time per rep for the whole workload (both plans),
-    /// measured bench-style — one clock window around a loop of bare
-    /// reps, no per-rep profile reads — so it is directly comparable
-    /// to the legacy `workload_ms` figure of `obs_overhead`.
+    /// Wall time of one whole rep (both plans), timed around the same
+    /// ops the stage cells cover.
     pub wall_ns: u64,
+}
+
+impl StageMedians {
+    /// One rep's cells: the stages of the ops `r` covers, and the rep's
+    /// wall.
+    fn from_report(r: &StageReport, wall_ns: u64) -> StageMedians {
+        StageMedians {
+            align_ns: r.align_ns,
+            transpose_ns: r.transpose_ns,
+            symbolic_ns: r.symbolic_ns,
+            numeric_ns: r.numeric.iter().map(|p| p.numeric_ns).sum(),
+            total_ns: r.total_ns(),
+            wall_ns,
+        }
+    }
+
+    /// Cell-by-cell medians across reps.
+    fn median_of(samples: &[StageMedians]) -> StageMedians {
+        let cell = |f: fn(&StageMedians) -> u64| median(samples.iter().map(f).collect());
+        StageMedians {
+            align_ns: cell(|s| s.align_ns),
+            transpose_ns: cell(|s| s.transpose_ns),
+            symbolic_ns: cell(|s| s.symbolic_ns),
+            numeric_ns: cell(|s| s.numeric_ns),
+            total_ns: cell(|s| s.total_ns),
+            wall_ns: cell(|s| s.wall_ns),
+        }
+    }
 }
 
 /// One workload's measurements, ready for JSON emission.
@@ -88,7 +116,9 @@ fn median(mut xs: Vec<u64>) -> u64 {
 
 /// Run one figure workload at one scale, `reps` timed iterations after
 /// one warmup. Each rep rebuilds both plans so plan construction
-/// (transpose, symbolic) is measured, not amortised away.
+/// (transpose, symbolic) is measured, not amortised away. A rep's wall
+/// covers both plans; its stage cells are the NN plan's ops, read from
+/// the ledger after the clock stops.
 pub fn run_workload(figure: Figure, rows: usize, reps: usize) -> WorkloadRun {
     // Every op the reps record carries this workload label in the
     // ledger, so `obsctl ops` can attribute tails per workload.
@@ -117,52 +147,28 @@ pub fn run_workload(figure: Figure, rows: usize, reps: usize) -> WorkloadRun {
         &min_max,
     ];
 
-    let rep_once = |record: Option<&mut Vec<StageMedians>>| -> usize {
+    let rep_once = || -> (StageMedians, usize) {
+        let start = oplog().cursor();
+        let t0 = Instant::now();
         let plan = adjacency_plan(&e1, &e2);
         let outs = plan.execute_all(&pairs);
+        let nn_end = oplog().cursor();
         let _trop = adjacency_plan(&e1t, &e2t).execute(&mp);
-        if let Some(samples) = record {
-            let profile = plan.profile();
-            let numeric_ns: u64 = profile.numeric.iter().map(|p| p.ns).sum();
-            samples.push(StageMedians {
-                align_ns: profile.align_ns,
-                transpose_ns: profile.transpose_ns,
-                symbolic_ns: profile.symbolic_ns,
-                numeric_ns,
-                total_ns: profile.total_ns(),
-                wall_ns: 0, // filled from the bench-style pass below
-            });
-        }
-        outs[0].nnz()
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let nn = StageReport::from_window(oplog(), start, nn_end)
+            .unwrap_or_else(|e| panic!("{}: NN plan stages: {}", figure.name(), e));
+        (StageMedians::from_report(&nn, wall_ns), outs[0].nnz())
     };
 
-    rep_once(None); // warmup
+    rep_once(); // warmup
     let reps = reps.max(1);
-
-    // Pass 1: per-rep stage profiles → medians.
     let mut samples = Vec::with_capacity(reps);
     let mut product_nnz = 0;
     for _ in 0..reps {
-        product_nnz = rep_once(Some(&mut samples));
+        let (sample, nnz) = rep_once();
+        samples.push(sample);
+        product_nnz = nnz;
     }
-
-    // Pass 2: bench-shaped wall clock — the same loop the legacy
-    // `obs_overhead`/`fused_vs_sequential` benches time, so the
-    // `wall` stage compares cleanly against their committed figures.
-    let start = Instant::now();
-    for _ in 0..reps {
-        rep_once(None);
-    }
-    let wall_ns = (start.elapsed().as_nanos() as u64) / reps as u64;
-
-    let stages = StageMedians {
-        align_ns: median(samples.iter().map(|s| s.align_ns).collect()),
-        transpose_ns: median(samples.iter().map(|s| s.transpose_ns).collect()),
-        symbolic_ns: median(samples.iter().map(|s| s.symbolic_ns).collect()),
-        numeric_ns: median(samples.iter().map(|s| s.numeric_ns).collect()),
-        total_ns: median(samples.iter().map(|s| s.total_ns).collect()),
-        wall_ns,
-    };
 
     WorkloadRun {
         name: figure.name(),
@@ -170,8 +176,8 @@ pub fn run_workload(figure: Figure, rows: usize, reps: usize) -> WorkloadRun {
         e1_nnz: e1.nnz(),
         e2_nnz: e2.nnz(),
         product_nnz,
-        reps: reps.max(1),
-        stages,
+        reps,
+        stages: StageMedians::median_of(&samples),
     }
 }
 
@@ -192,8 +198,8 @@ pub fn run_workload(figure: Figure, rows: usize, reps: usize) -> WorkloadRun {
 /// union-of-interval stage slots summed over the refresh's own ops
 /// (delta-apply time folds into `numeric` — it is numeric work on the
 /// delta product); `total` = the refresh stopwatch; `wall` = append +
-/// refresh. For `stream-rebuild` the stages are the rebuild plan's own
-/// [`StageReport`](aarray_core::StageReport) (`total` = its stage sum,
+/// refresh. For `stream-rebuild` the stages are the [`StageReport`] of
+/// the rebuild plan's ledger records (`total` = its stage sum,
 /// `wall` = the rebuild stopwatch), so `numeric`, `total`, and `wall`
 /// are each independently measured rather than aliases of one number.
 /// The builder stacks its cumulative incidence on first read; that
@@ -239,10 +245,6 @@ pub fn run_streaming(rows: usize, reps: usize) -> (WorkloadRun, WorkloadRun) {
     let mut incr_samples: Vec<StageMedians> = Vec::with_capacity(reps);
     let mut rebuild_samples: Vec<StageMedians> = Vec::with_capacity(reps);
     let mut product_nnz = 0usize;
-    // Refresh ops carry this label (set by `workload_label` above), so
-    // the ledger window can be filtered down to our own records even if
-    // something else runs ops concurrently in the process.
-    let stream_label = aarray_obs::intern_label("stream");
 
     for rep in 0..=reps {
         let warmup = rep == 0;
@@ -257,24 +259,24 @@ pub fn run_streaming(rows: usize, reps: usize) -> (WorkloadRun, WorkloadRun) {
         let append_ns = t0.elapsed().as_nanos() as u64;
 
         // The refresh's stage breakdown comes from the op ledger: every
-        // op it records lands at a sequence past this cursor, with
+        // op it records lands in this cursor window, with
         // union-of-interval stage slots derived from its journal spans.
-        let ops_cursor = aarray_obs::oplog().cursor();
+        let refresh_start = oplog().cursor();
         let t1 = Instant::now();
         let report = view.refresh(&builder);
         let refresh_ns = t1.elapsed().as_nanos() as u64;
+        let refresh_end = oplog().cursor();
         assert_eq!(
             (report.incremental_lanes, report.rebuilt_lanes),
             (lanes.len(), 0),
             "all five streaming lanes are associative-⊕ and must take the delta path"
         );
-        let snap = aarray_obs::oplog().snapshot();
+        let refresh_ops = oplog()
+            .labeled_window(refresh_start, refresh_end)
+            .unwrap_or_else(|e| panic!("stream refresh stages: {}", e));
         let (mut r_align, mut r_transpose, mut r_symbolic, mut r_numeric) =
             (0u64, 0u64, 0u64, 0u64);
-        for r in snap.since(ops_cursor) {
-            if r.label != stream_label {
-                continue;
-            }
+        for r in &refresh_ops {
             r_align += r.align_ns;
             r_transpose += r.transpose_ns;
             r_symbolic += r.symbolic_ns;
@@ -284,12 +286,13 @@ pub fn run_streaming(rows: usize, reps: usize) -> (WorkloadRun, WorkloadRun) {
 
         // Stack the cumulative pair outside both stopwatches.
         let (eout, ein) = (builder.eout(), builder.ein());
+        let rebuild_start = oplog().cursor();
         let t2 = Instant::now();
         let plan = adjacency_plan(eout, ein);
         let full = plan.execute_all(&lanes);
         let rebuild_ns = t2.elapsed().as_nanos() as u64;
-        let rb = plan.profile();
-        let rb_numeric: u64 = rb.numeric.iter().map(|p| p.ns).sum();
+        let rb = StageReport::from_window(oplog(), rebuild_start, oplog().cursor())
+            .unwrap_or_else(|e| panic!("stream rebuild stages: {}", e));
 
         for (i, lane) in full.iter().enumerate() {
             assert_eq!(
@@ -311,29 +314,13 @@ pub fn run_streaming(rows: usize, reps: usize) -> (WorkloadRun, WorkloadRun) {
             total_ns: refresh_ns,
             wall_ns: append_ns + refresh_ns,
         });
-        rebuild_samples.push(StageMedians {
-            align_ns: rb.align_ns,
-            transpose_ns: rb.transpose_ns,
-            symbolic_ns: rb.symbolic_ns,
-            numeric_ns: rb_numeric,
-            total_ns: rb.total_ns(),
-            wall_ns: rebuild_ns,
-        });
+        rebuild_samples.push(StageMedians::from_report(&rb, rebuild_ns));
     }
 
     // Both maintenance strategies pay the same incidence accumulation
     // (`append_batch`), so the totals compare only the maintenance
     // work itself: delta apply (refresh) vs full rebuild. The shared
     // append cost is still visible in stream-incr's `align` and `wall`.
-    let median_stages = |samples: &[StageMedians]| StageMedians {
-        align_ns: median(samples.iter().map(|s| s.align_ns).collect()),
-        transpose_ns: median(samples.iter().map(|s| s.transpose_ns).collect()),
-        symbolic_ns: median(samples.iter().map(|s| s.symbolic_ns).collect()),
-        numeric_ns: median(samples.iter().map(|s| s.numeric_ns).collect()),
-        total_ns: median(samples.iter().map(|s| s.total_ns).collect()),
-        wall_ns: median(samples.iter().map(|s| s.wall_ns).collect()),
-    };
-
     let mk = |name: &'static str, stages: StageMedians| WorkloadRun {
         name,
         rows,
@@ -344,8 +331,8 @@ pub fn run_streaming(rows: usize, reps: usize) -> (WorkloadRun, WorkloadRun) {
         stages,
     };
     (
-        mk("stream-incr", median_stages(&incr_samples)),
-        mk("stream-rebuild", median_stages(&rebuild_samples)),
+        mk("stream-incr", StageMedians::median_of(&incr_samples)),
+        mk("stream-rebuild", StageMedians::median_of(&rebuild_samples)),
     )
 }
 
@@ -478,21 +465,14 @@ mod tests {
         ];
         assert!(runs[0].product_nnz > 0);
         assert!(runs[0].e1_nnz > 0 && runs[0].e2_nnz > 0);
-        // Stage medians are live (numeric covers 6 lanes of real work).
-        assert!(runs[0].stages.numeric_ns > 0);
-        assert!(runs[0].stages.wall_ns > 0);
-        // The run's wall and stage medians come from different timed
-        // passes, so check that wall covers the stages within one pass:
-        // a stopwatch around a single plan build + execute.
-        let (e1, e2) = synthetic_e1_e2(300, 8, 100, 7);
-        let plus_times = PlusTimes::<NN>::new();
-        let start = Instant::now();
-        let plan = adjacency_plan(&e1, &e2);
-        let _ = plan.execute_all(&[&plus_times as &dyn DynOpPair<NN>]);
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let profile = plan.profile();
-        assert!(!profile.numeric.is_empty());
-        assert!(wall_ns >= profile.total_ns());
+        // Stage medians are live (numeric covers 6 lanes of real work),
+        // and each rep's wall encloses the ops its stages come from, so
+        // the wall median covers the total median.
+        for run in &runs {
+            let s = run.stages;
+            assert!(s.numeric_ns > 0, "{}: {:?}", run.name, s);
+            assert!(s.wall_ns >= s.total_ns, "{}: {:?}", run.name, s);
+        }
 
         let report = aarray_obs::ObsReport::capture();
         let note = measure_journal_note(&report, runs.iter().map(|r| r.stages.wall_ns).sum());

@@ -52,7 +52,7 @@ fn run_produces_schema_valid_observatory_file() {
         aarray_harness::schema::BenchKind::V3
     );
 
-    // ≥ 4 distinct non-empty histograms (latencies + row shapes).
+    // ≥ 4 distinct non-empty histograms (row shapes + dispatch flops).
     let hists = doc
         .path(&["report", "histograms"])
         .unwrap()

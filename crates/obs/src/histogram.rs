@@ -35,13 +35,6 @@ pub const N_BUCKETS: usize = 65;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// Plan construction wall-clock (alignment + transpose), ns.
-    PlanBuildNs,
-    /// Symbolic (sparsity discovery) pass wall-clock, ns.
-    SymbolicPassNs,
-    /// Numeric pass wall-clock (one fused traversal or one-shot
-    /// kernel), ns.
-    NumericPassNs,
     /// Stored entries per emitted output row.
     RowNnz,
     /// `⊗`-terms folded per output row.
@@ -51,12 +44,6 @@ pub enum Hist {
     AccOccupancy,
     /// Flops estimate per dispatch decision / plan construction.
     DispatchFlops,
-    /// Incremental adjacency refresh wall-clock (delta product plus
-    /// in-place `⊕`-fold), ns.
-    DeltaApplyNs,
-    /// Full adjacency rebuild wall-clock (from-scratch SpGEMM, whether
-    /// chosen directly or as the incremental fallback), ns.
-    RebuildNs,
     /// Edges per appended batch at `IncidenceBuilder::append_batch`.
     DeltaBatchEdges,
 }
@@ -65,15 +52,10 @@ const N_HISTS: usize = Hist::DeltaBatchEdges as usize + 1;
 
 /// Every histogram with its report label, in enum order.
 pub const HIST_NAMES: [(Hist, &str); N_HISTS] = [
-    (Hist::PlanBuildNs, "latency.plan-build-ns"),
-    (Hist::SymbolicPassNs, "latency.symbolic-pass-ns"),
-    (Hist::NumericPassNs, "latency.numeric-pass-ns"),
     (Hist::RowNnz, "row.nnz"),
     (Hist::RowFlops, "row.flops"),
     (Hist::AccOccupancy, "accumulator.occupancy"),
     (Hist::DispatchFlops, "dispatch.flops"),
-    (Hist::DeltaApplyNs, "latency.delta-apply-ns"),
-    (Hist::RebuildNs, "latency.rebuild-ns"),
     (Hist::DeltaBatchEdges, "delta.batch-edges"),
 ];
 

@@ -193,7 +193,7 @@ pub struct Event {
     pub a: u64,
     /// Second payload slot; meaning depends on `kind`.
     pub b: u64,
-    /// The [`crate::oplog`] operation this record belongs to (the
+    /// The [`mod@crate::oplog`] operation this record belongs to (the
     /// recording thread's current op at write time; 0 = unattributed).
     pub op: u64,
 }

@@ -3,18 +3,17 @@
 //! Observability primitives for the aarray workspace:
 //!
 //! * an **always-on histogram registry** ([`histograms`]) — lock-free
-//!   log2-bucketed distributions of kernel latencies (plan build,
-//!   symbolic, numeric passes), per-row nnz/flops, accumulator
-//!   occupancy, and dispatch flops; recording can be disabled at
-//!   runtime with `AARRAY_OBS_HISTOGRAMS=0`;
+//!   log2-bucketed distributions of per-row nnz/flops, accumulator
+//!   occupancy, dispatch flops, and appended batch sizes; recording can
+//!   be disabled at runtime with `AARRAY_OBS_HISTOGRAMS=0`;
 //!
-//! * a **memory accounting layer** ([`memstats`]) — current/peak bytes
+//! * a **memory accounting layer** ([`mod@memstats`]) — current/peak bytes
 //!   per working-set region (SPA and hash accumulators, fused
 //!   accumulator blocks, plan-owned transposes and symbolic patterns,
 //!   interned key sets), fed by explicit instrumentation at the
 //!   allocation sites;
 //!
-//! * an **always-on flight recorder** ([`journal`]) — a lock-free,
+//! * an **always-on flight recorder** ([`mod@journal`]) — a lock-free,
 //!   bounded ring-buffer journal of fixed-size structured events
 //!   (monotonic timestamp, thread id, kind, two payload slots) that
 //!   overwrites oldest entries when full and counts the drops. Hot
@@ -25,7 +24,7 @@
 //!   ([`JournalSnapshot::to_chrome_trace`]). Ring capacity is tunable
 //!   via `AARRAY_OBS_EVENTS`;
 //!
-//! * a **per-operation ledger** ([`oplog`]) — every root operation
+//! * a **per-operation ledger** ([`mod@oplog`]) — every root operation
 //!   (plan build/execute, one-shot matmul or kernel, incremental
 //!   delta-apply or rebuild) allocates an `OpId` that journal records
 //!   carry in a payload slot, and completion publishes one fixed-size
@@ -49,7 +48,7 @@
 //!   a `/metrics`-style endpoint or terminal live view reads while a
 //!   workload runs;
 //!
-//! * an **always-on counter registry** ([`counters`]) — one process-wide
+//! * an **always-on counter registry** ([`mod@counters`]) — one process-wide
 //!   set of relaxed atomic counters recording every kernel decision the
 //!   plan/SpGEMM execution layer makes: which `KeySet::intersect` fast
 //!   path fired, whether a plan's memoized symbolic pattern was reused,
@@ -58,18 +57,12 @@
 //!   `fetch_add` costs a few nanoseconds against kernels that do
 //!   microseconds-to-milliseconds of work per call, so the registry
 //!   stays on in release builds (quantified by the `obs_overhead`
-//!   bench, budget ≤ 2% on the seven-pair fused workload);
+//!   bench, budget ≤ 2% on the seven-pair fused workload).
 //!
-//! * **feature-gated tracing spans** ([`trace_span!`]) — compiled to
-//!   nothing (a unit guard) unless the `trace` feature is enabled, in
-//!   which case spans with `nnz`/`flops`/`k_lanes`/`accumulator` fields
-//!   are emitted through the `tracing` facade. With default features
-//!   the `tracing` dependency does not exist in the build graph at all.
-//!
-//! Consumers that emit spans must declare their own `trace` feature
-//! forwarding to `aarray-obs/trace` (as `aarray-core` does), because
-//! [`trace_span!`] expands in the consumer and checks the consumer's
-//! feature set.
+//! Stage time has one recording path: the journal's stage begin/end
+//! pairs. The ledger derives each op's breakdown from them, and
+//! [`StageReport`] sums one workload label's window of ledger records
+//! into the per-stage table; the Chrome-trace export shows the same spans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,6 +73,7 @@ pub mod histogram;
 pub mod journal;
 pub mod memstats;
 pub mod oplog;
+pub mod profile;
 pub mod report;
 pub mod timeseries;
 
@@ -100,45 +94,12 @@ pub use journal::{
 pub use memstats::{memstats, MemRegion, MemReservation, MemSnapshot, MemStats};
 pub use oplog::{
     current_op, enter_op, intern_label, oplog, workload_label, KindStageTotals, OpId, OpKind,
-    OpLog, OpLogSnapshot, OpLogStats, OpRecord, OpToken, OpsReport, DEFAULT_OP_RECORDS, OPS_ENV,
-    OP_KIND_NAMES,
+    OpLog, OpLogSnapshot, OpLogStats, OpRecord, OpToken, OpsReport, RecordsLost,
+    DEFAULT_OP_RECORDS, OPS_ENV, OP_KIND_NAMES,
 };
+pub use profile::StageReport;
 pub use report::{ObsReport, REPORT_SCHEMA_VERSION};
 pub use timeseries::{
     frames_from_env, Frame, SeriesStats, TimeSeriesRing, TimeSeriesSnapshot, DEFAULT_FRAMES,
     FRAMES_ENV,
 };
-
-/// Re-export of the `tracing` facade for [`trace_span!`] expansion.
-#[cfg(feature = "trace")]
-pub use tracing;
-
-/// Enter a tracing span — or do nothing, at zero cost, without the
-/// `trace` feature.
-///
-/// Expands to an entered span guard when the **calling crate's**
-/// `trace` feature is enabled (which must forward to
-/// `aarray-obs/trace`), and to `()` otherwise, so field expressions
-/// are never even evaluated in untraced builds:
-///
-/// ```ignore
-/// let _span = aarray_obs::trace_span!("execute_all", k_lanes = pairs.len(), flops = flops);
-/// ```
-#[macro_export]
-macro_rules! trace_span {
-    ($name:literal $(, $k:ident = $v:expr)* $(,)?) => {{
-        #[cfg(feature = "trace")]
-        {
-            $crate::tracing::span!($name $(, $k = $v)*).entered()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            $crate::NoopSpan
-        }
-    }};
-}
-
-/// Zero-sized stand-in guard returned by [`trace_span!`] when the
-/// `trace` feature is disabled (avoids binding a unit value).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSpan;

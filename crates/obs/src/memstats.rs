@@ -5,7 +5,7 @@
 //! scratchpad reports `ncols × size_of::<Option<V>>()` when built, a
 //! fused accumulator block reports its high-water capacity, a plan
 //! reports its memoized symbolic pattern and materialized transpose,
-//! and interned [`KeySet`]-style buffers report their string payload.
+//! and interned `KeySet`-style buffers report their string payload.
 //! Each [`MemRegion`] tracks **current** bytes (allocations minus
 //! frees) and a **peak** watermark, both relaxed atomics.
 //!

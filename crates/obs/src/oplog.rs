@@ -38,6 +38,7 @@ use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::journal::{journal, Event, EventKind, Stage};
 use crate::memstats::{memstats, MemRegion};
 use std::cell::Cell;
+use std::fmt;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -196,6 +197,21 @@ impl Drop for LabelScope {
     }
 }
 
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's ordinal, stamped on the ops it opens so a ledger
+    /// window can be narrowed to the calling thread (`std`'s
+    /// `ThreadId` has no stable integer form).
+    static THREAD: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The calling thread's ordinal (≥ 1, never reused).
+#[inline]
+fn current_thread() -> u64 {
+    THREAD.with(|t| *t)
+}
+
 /// A copy of the interned label table, index = label id.
 pub fn labels() -> Vec<String> {
     label_table()
@@ -220,6 +236,8 @@ pub struct OpRecord {
     /// Interned workload label id (resolve via
     /// [`OpLogSnapshot::label_name`]).
     pub label: u64,
+    /// Ordinal of the thread that opened the op.
+    pub thread: u64,
     /// Key-alignment time within the op, ns.
     pub align_ns: u64,
     /// Transpose materialization time within the op, ns.
@@ -283,6 +301,7 @@ struct OpSlot {
     id: AtomicU64,
     /// `kind << 32 | label` — one word so the pair can never tear.
     kind_label: AtomicU64,
+    thread: AtomicU64,
     align_ns: AtomicU64,
     transpose_ns: AtomicU64,
     symbolic_ns: AtomicU64,
@@ -305,6 +324,7 @@ impl OpSlot {
             seq: AtomicU64::new(0),
             id: AtomicU64::new(0),
             kind_label: AtomicU64::new(0),
+            thread: AtomicU64::new(0),
             align_ns: AtomicU64::new(0),
             transpose_ns: AtomicU64::new(0),
             symbolic_ns: AtomicU64::new(0),
@@ -332,6 +352,8 @@ pub struct OpDraft {
     pub kind: OpKind,
     /// See [`OpRecord::label`].
     pub label: u64,
+    /// See [`OpRecord::thread`].
+    pub thread: u64,
     /// See [`OpRecord::align_ns`].
     pub align_ns: u64,
     /// See [`OpRecord::transpose_ns`].
@@ -365,12 +387,14 @@ pub struct OpDraft {
 }
 
 impl OpDraft {
-    /// An empty draft of the given kind.
+    /// An empty draft of the given kind, stamped with the calling
+    /// thread.
     pub fn new(kind: OpKind) -> OpDraft {
         OpDraft {
             id: 0,
             kind,
             label: 0,
+            thread: current_thread(),
             align_ns: 0,
             transpose_ns: 0,
             symbolic_ns: 0,
@@ -511,6 +535,7 @@ impl OpLog {
             ((d.kind as u64) << 32) | (d.label & 0xFFFF_FFFF),
             Ordering::Relaxed,
         );
+        slot.thread.store(d.thread, Ordering::Relaxed);
         slot.align_ns.store(d.align_ns, Ordering::Relaxed);
         slot.transpose_ns.store(d.transpose_ns, Ordering::Relaxed);
         slot.symbolic_ns.store(d.symbolic_ns, Ordering::Relaxed);
@@ -561,6 +586,7 @@ impl OpLog {
             }
             let id = slot.id.load(Ordering::Relaxed);
             let kind_label = slot.kind_label.load(Ordering::Relaxed);
+            let thread = slot.thread.load(Ordering::Relaxed);
             let align_ns = slot.align_ns.load(Ordering::Relaxed);
             let transpose_ns = slot.transpose_ns.load(Ordering::Relaxed);
             let symbolic_ns = slot.symbolic_ns.load(Ordering::Relaxed);
@@ -589,6 +615,7 @@ impl OpLog {
                 id,
                 kind,
                 label: kind_label & 0xFFFF_FFFF,
+                thread,
                 align_ns,
                 transpose_ns,
                 symbolic_ns,
@@ -615,6 +642,34 @@ impl OpLog {
             torn,
             labels: labels(),
         }
+    }
+
+    /// The records with `start <= seq < end` (two [`OpLog::cursor`]
+    /// reads) of ops the calling thread opened under its current
+    /// workload label, oldest first. Ops another thread completes in
+    /// the window stay out, whatever its label.
+    ///
+    /// Fails when wraparound has reused a slot of the window, because
+    /// a view built from the survivors would quietly under-count. A
+    /// record absent from the window without wraparound is still being
+    /// written, so its op had not finished when `end` was read.
+    pub fn labeled_window(&self, start: u64, end: u64) -> Result<Vec<OpRecord>, RecordsLost> {
+        let snap = self.snapshot();
+        // Claim `c` reuses the slot of record `c - capacity`.
+        let overwritten_below = self.cursor().saturating_sub(snap.capacity);
+        if overwritten_below > start {
+            return Err(RecordsLost {
+                lost: overwritten_below.min(end) - start,
+                capacity: snap.capacity,
+            });
+        }
+        let (label, thread) = (current_label(), current_thread());
+        Ok(snap
+            .since(start)
+            .iter()
+            .filter(|r| r.seq < end && r.label == label && r.thread == thread)
+            .copied()
+            .collect())
     }
 
     /// Report-level summary without copying the ring.
@@ -665,6 +720,29 @@ impl OpLog {
         self.head.store(0, Ordering::Release);
     }
 }
+
+/// Error of [`OpLog::labeled_window`]: ring wraparound overwrote records
+/// of the window before they were read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecordsLost {
+    /// Records of the window overwritten.
+    pub lost: u64,
+    /// Ring capacity in records.
+    pub capacity: u64,
+}
+
+impl fmt::Display for RecordsLost {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "op ledger wraparound overwrote {} record(s) of the window (capacity {}); \
+             raise {} to cover it",
+            self.lost, self.capacity, OPS_ENV
+        )
+    }
+}
+
+impl std::error::Error for RecordsLost {}
 
 /// The process-wide operation ledger.
 pub fn oplog() -> &'static OpLog {

@@ -435,7 +435,7 @@ fn family(out: &mut String, name: &str, help: &str, ty: &str) {
     out.push_str(&format!("# TYPE {} {}\n", name, ty));
 }
 
-/// `latency.plan-build-ns` → `latency_plan_build_ns`.
+/// `accumulator.occupancy` → `accumulator_occupancy`.
 fn prom_name(label: &str) -> String {
     label
         .chars()

@@ -16,6 +16,7 @@ use aarray_core::{
 };
 use aarray_d4m::music::{music_e1, music_e1_weighted, music_e2, music_incidence};
 use aarray_graph::structured::{shared_word_array, Document};
+use aarray_obs::{oplog, StageReport};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -154,25 +155,17 @@ pub fn figure2() -> Result<String, String> {
 }
 
 /// Compute `E1ᵀ max.+ E2` by converting to the tropical carrier.
-/// Goes through its own [`MatmulPlan`] so `--profile` /
-/// `--profile-json` can report the tropical pass's stage timing
-/// alongside the fused NN plan's. The profile is returned as
-/// `(table, json)` renderings when either sink wants it.
-fn adjacency_maxplus(
-    e1: &AArray<NN>,
-    e2: &AArray<NN>,
-) -> (AArray<Tropical>, Option<(String, String)>) {
+/// Goes through its own plan so `--profile` / `--profile-json` can
+/// report the tropical pass's stage timing alongside the fused NN
+/// plan's; returns the ledger window `[start, end)` of the plan's ops.
+fn adjacency_maxplus(e1: &AArray<NN>, e2: &AArray<NN>) -> (AArray<Tropical>, (u64, u64)) {
     let pair = MaxPlus::<Tropical>::new();
     let conv = |a: &AArray<NN>| a.map_prune(&pair, |v| trop(v.get()));
     let t1 = conv(e1);
     let t2 = conv(e2);
-    let plan = adjacency_plan(&t1, &t2);
-    let a = plan.execute(&pair);
-    let prof = (profile_enabled() || profile_json_enabled()).then(|| {
-        let report = plan.profile();
-        (report.to_string(), report.to_json())
-    });
-    (a, prof)
+    let start = oplog().cursor();
+    let a = adjacency_plan(&t1, &t2).execute(&pair);
+    (a, (start, oplog().cursor()))
 }
 
 fn run_seven_pairs(
@@ -182,6 +175,9 @@ fn run_seven_pairs(
     expects: &SevenExpect,
 ) -> Result<String, String> {
     let nnf = |v: &NN| v.get();
+    // The stage profiles below read this figure's ops from the ledger
+    // by workload label.
+    let _ops_label = aarray_obs::workload_label(label);
     let capture_json = profile_json_enabled();
     let counters_before = (profile_enabled() || capture_json).then(aarray_obs::snapshot);
 
@@ -191,6 +187,7 @@ fn run_seven_pairs(
     // figure's "same pattern, different values" observation made
     // operational. max.+ runs separately on the tropical carrier
     // (its zero is −∞, so it needs converted operands).
+    let nn_start = oplog().cursor();
     let plan = adjacency_plan(e1, e2);
     let plus_times = PlusTimes::<NN>::new();
     let max_times = MaxTimes::<NN>::new();
@@ -215,6 +212,7 @@ fn run_seven_pairs(
     if plan.execute(&plus_times) != fused_all[0] {
         return Err("fused lane 0 diverges from sequential execute(+.×)".to_string());
     }
+    let nn_window = (nn_start, oplog().cursor());
 
     let mut fused = fused_all.into_iter();
     let mut next = || fused.next().expect("six fused results");
@@ -239,7 +237,7 @@ fn run_seven_pairs(
         a.to_grid(),
         diff_against(&a, expects.min_times, nnf),
     ));
-    let (a, maxplus_profile) = adjacency_maxplus(e1, e2);
+    let (a, maxplus_window) = adjacency_maxplus(e1, e2);
     panels.push((
         "max.+",
         a.to_grid(),
@@ -303,13 +301,16 @@ fn run_seven_pairs(
 
     if let Some(before) = counters_before {
         let delta = aarray_obs::snapshot().since(&before);
+        let stages = |(start, end)| {
+            StageReport::from_window(oplog(), start, end)
+                .map_err(|e| format!("{}: plan stage profile: {}", label, e))
+        };
+        let (nn, maxplus) = (stages(nn_window)?, stages(maxplus_window)?);
         if profile_enabled() {
             out.push_str("--- plan stage profile: six fused NN lanes + cross-check ---\n");
-            out.push_str(&plan.profile().to_string());
-            if let Some((table, _)) = &maxplus_profile {
-                out.push_str("\n--- plan stage profile: max.+ on the tropical carrier ---\n");
-                out.push_str(table);
-            }
+            out.push_str(&nn.to_string());
+            out.push_str("\n--- plan stage profile: max.+ on the tropical carrier ---\n");
+            out.push_str(&maxplus.to_string());
             out.push_str("\n--- counter registry delta for this figure ---\n");
             // Elide zero-delta entries: only what this figure touched.
             out.push_str(
@@ -320,15 +321,11 @@ fn run_seven_pairs(
             out.push('\n');
         }
         if capture_json {
-            let maxplus_json = maxplus_profile
-                .as_ref()
-                .map(|(_, j)| j.as_str())
-                .unwrap_or("null");
             push_profile_json(format!(
                 "{{\"figure\":\"{}\",\"plan\":{},\"maxplus_plan\":{},\"counters\":{}}}",
                 label,
-                plan.profile().to_json(),
-                maxplus_json,
+                nn.to_json(),
+                maxplus.to_json(),
                 counter_delta_json(&delta)
             ));
         }

@@ -32,7 +32,7 @@ use crate::spgemm_multi::{spgemm_multi_numeric, spgemm_multi_numeric_parallel, M
 use crate::symbolic::spgemm_symbolic;
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
-use aarray_obs::{counters, journal, memstats, trace_span, Counter, MemRegion, Stage};
+use aarray_obs::{counters, journal, memstats, Counter, MemRegion, Stage};
 
 /// All-lanes batch product `[ΔEoutᵀ ⊕_p.⊗_p ΔEin for p in pairs]`.
 ///
@@ -63,12 +63,6 @@ pub fn spgemm_delta<V: Value>(
         delta_ein.nrows()
     );
     counters().incr(Counter::DeltaTraversals);
-    let _span = trace_span!(
-        "spgemm_delta",
-        k_lanes = pairs.len(),
-        batch_edges = delta_eout.nrows(),
-        nnz = delta_eout.nnz() + delta_ein.nnz()
-    );
     journal().begin(Stage::DeltaApply, pairs.len() as u64);
 
     let eout_t = delta_eout.transpose();
