@@ -9,13 +9,15 @@
 //! SpGEMM in `aarray-sparse` holds `&[&dyn DynOpPair<V>]` and feeds
 //! every accumulator during a single pass over the operands.
 //!
-//! The dynamic dispatch cost is paid once per `⊕`/`⊗` application; the
-//! fused kernel amortizes it against the saved index traffic of K−1
-//! avoided traversals. As everywhere in this workspace, **no law
-//! beyond closure and identity is assumed** — callers must fold
-//! left-associated over ascending inner keys so that results stay
-//! bit-identical to the monomorphized kernels for arbitrary
-//! non-associative, non-commutative operations.
+//! The semiring is a parameter of the whole multiply, not of each
+//! element operation: the fused kernel gathers a block of terms and
+//! hands it to each lane's [`DynOpPair::fold_terms`], whose body is the
+//! pair's monomorphized `⊕`/`⊗` loop. Dynamic dispatch is therefore
+//! paid once per lane per block, not once per `⊕`/`⊗` application. As
+//! everywhere in this workspace, **no law beyond closure and identity
+//! is assumed** — callers must fold left-associated over ascending
+//! inner keys so that results stay bit-identical to the monomorphized
+//! kernels for arbitrary non-associative, non-commutative operations.
 
 use crate::op::{BinaryOp, OpPair};
 use crate::value::Value;
@@ -57,6 +59,13 @@ pub trait DynOpPair<V: Value>: Send + Sync {
     /// The pair's display name in `⊕.⊗` notation, e.g. `"max.min"`.
     fn name(&self) -> String;
 
+    /// Fold a block of terms into an accumulator lane, in block order:
+    /// for each `(slot, a, b)`, `acc[slot]` becomes `acc[slot] ⊕ (a ⊗ b)`,
+    /// or `a ⊗ b` when the slot is still empty. Exactly the per-term
+    /// [`DynOpPair::times`]/[`DynOpPair::plus`] fold, with one dynamic
+    /// call for the whole block. Panics if a slot is out of range.
+    fn fold_terms(&self, acc: &mut [Option<V>], terms: &[(usize, &V, &V)]);
+
     /// Whether the pair's `⊕` is verified associative on `V`.
     ///
     /// `false` by default through [`crate::op::BinaryOp::ASSOCIATIVE`];
@@ -91,6 +100,17 @@ impl<V: Value, A: BinaryOp<V>, M: BinaryOp<V>> DynOpPair<V> for OpPair<V, A, M> 
         OpPair::name(self)
     }
 
+    fn fold_terms(&self, acc: &mut [Option<V>], terms: &[(usize, &V, &V)]) {
+        for &(slot, a, b) in terms {
+            let term = OpPair::times(self, a, b);
+            let cell = &mut acc[slot];
+            match cell {
+                Some(prev) => *prev = OpPair::plus(self, prev, &term),
+                None => *cell = Some(term),
+            }
+        }
+    }
+
     fn plus_associative(&self) -> bool {
         A::ASSOCIATIVE
     }
@@ -99,6 +119,7 @@ impl<V: Value, A: BinaryOp<V>, M: BinaryOp<V>> DynOpPair<V> for OpPair<V, A, M> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{AbsDiff, Times};
     use crate::pairs::{MaxMin, MaxPlus, PlusTimes};
     use crate::values::nat::Nat;
     use crate::values::tropical::Tropical;
@@ -118,6 +139,34 @@ mod tests {
         assert_eq!(dyn_pair.zero(), stat.zero());
         assert_eq!(dyn_pair.one(), stat.one());
         assert_eq!(dyn_pair.name(), stat.name());
+
+        // One block fold equals the per-term ⊗-then-⊕ fold, in order,
+        // with repeated slots, a pre-filled slot and an empty block —
+        // also for |−|, whose ⊕ is order-sensitive.
+        let abs_diff: OpPair<Nat, AbsDiff, Times> = OpPair::new();
+        let vals: Vec<Nat> = [3u64, 8, 1, 5, 2, 9, 4].map(Nat).to_vec();
+        let slots = [2usize, 0, 2, 1, 2, 0, 2];
+        let terms: Vec<(usize, &Nat, &Nat)> = slots
+            .iter()
+            .enumerate()
+            .map(|(t, &slot)| (slot, &vals[t], &vals[(t * 3 + 1) % vals.len()]))
+            .collect();
+        for pair in [dyn_pair, &abs_diff as &dyn DynOpPair<Nat>] {
+            let start = vec![None, Some(Nat(6)), None, None];
+            let mut expected = start.clone();
+            for &(slot, a, b) in &terms {
+                let term = pair.times(a, b);
+                expected[slot] = Some(match expected[slot].take() {
+                    None => term,
+                    Some(prev) => pair.plus(&prev, &term),
+                });
+            }
+            let mut folded = start.clone();
+            pair.fold_terms(&mut folded, &terms);
+            assert_eq!(folded, expected, "{}", pair.name());
+            pair.fold_terms(&mut folded, &[]);
+            assert_eq!(folded, expected, "empty block is a no-op");
+        }
     }
 
     #[test]

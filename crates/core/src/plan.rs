@@ -46,16 +46,14 @@
 
 use crate::array::AArray;
 use crate::keys::KeySet;
-use crate::matmul::should_parallelize;
+use crate::matmul::{parallel_flops_threshold, should_parallelize, would_parallelize};
 use aarray_algebra::{BinaryOp, DynOpPair, OpPair, Value};
 use aarray_obs::{
     counters, histograms, journal, memstats, Counter, EventKind, Hist, MemRegion, MemReservation,
     OpKind, OpToken, Stage,
 };
-use aarray_sparse::spgemm_multi::{
-    spgemm_multi_numeric, spgemm_multi_numeric_parallel, MultiAccumulator,
-};
-use aarray_sparse::symbolic::{spgemm_symbolic, SymbolicProduct};
+use aarray_sparse::spgemm_multi::{spgemm_multi_numeric, MultiAccumulator};
+use aarray_sparse::symbolic::{spgemm_symbolic_with, SymbolicProduct};
 use aarray_sparse::{spgemm_flops, Csr};
 use std::sync::OnceLock;
 
@@ -192,6 +190,9 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
     /// The memoized symbolic (structural) product pattern, computed on
     /// first use. Algebra-independent, so one pattern serves every
     /// subsequent [`MatmulPlan::execute`] / [`MatmulPlan::execute_all`].
+    /// The pass runs row-parallel under the numeric pass's flops gate
+    /// ([`would_parallelize`]), so a small product never enters the pool;
+    /// the gate is evaluated without a dispatch-audit record.
     pub fn symbolic(&self) -> &SymbolicProduct {
         if let Some(sym) = self.sym.get() {
             counters().incr(Counter::PlanSymbolicHit);
@@ -201,7 +202,12 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         self.sym.get_or_init(|| {
             counters().incr(Counter::PlanSymbolicMiss);
             journal().begin(Stage::Symbolic, self.flops);
-            let sym = spgemm_symbolic(&self.lhs, &self.rhs);
+            let parallel = would_parallelize(
+                self.flops,
+                parallel_flops_threshold(),
+                rayon::current_num_threads(),
+            );
+            let sym = spgemm_symbolic_with(&self.lhs, &self.rhs, parallel);
             journal().end(Stage::Symbolic, self.flops);
             journal().record(EventKind::PlanCacheMiss, self.flops, sym.nnz() as u64);
             let _ = self
@@ -257,11 +263,7 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
             c.incr(Counter::PlanTransposeReused);
         }
         journal().begin(Stage::Numeric, self.flops);
-        let data = if parallel {
-            spgemm_multi_numeric_parallel(sym, &self.lhs, &self.rhs, pairs, acc)
-        } else {
-            spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, acc)
-        };
+        let data = spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, acc, parallel);
         journal().end(Stage::Numeric, self.flops);
         crate::matmul::record_pool_stats();
         if let Some(t) = op.as_mut() {

@@ -138,6 +138,8 @@ impl<V: Value> Csr<V> {
     /// The transpose `Aᵀ` (Definition I.2), via counting sort: `O(nnz +
     /// nrows + ncols)`. Within each output row the former row indices
     /// appear in ascending order, preserving the canonical fold order.
+    /// The scatter records each transposed entry's source position;
+    /// values are then gathered once, in output order.
     pub fn transpose(&self) -> Csr<V> {
         let mut counts = vec![0usize; self.ncols + 1];
         for &c in &self.indices {
@@ -149,21 +151,17 @@ impl<V: Value> Csr<V> {
         let indptr_t = counts.clone();
 
         let mut indices_t = vec![0u32; self.nnz()];
-        let mut values_t: Vec<Option<V>> = vec![None; self.nnz()];
+        let mut source = vec![0usize; self.nnz()];
         let mut next = counts;
         for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            for (&c, v) in cols.iter().zip(vals.iter()) {
-                let slot = next[c as usize];
-                indices_t[slot] = r as u32;
-                values_t[slot] = Some(v.clone());
-                next[c as usize] += 1;
+            for p in self.indptr[r]..self.indptr[r + 1] {
+                let c = self.indices[p] as usize;
+                indices_t[next[c]] = r as u32;
+                source[next[c]] = p;
+                next[c] += 1;
             }
         }
-        let values_t: Vec<V> = values_t
-            .into_iter()
-            .map(|v| v.expect("every slot filled"))
-            .collect();
+        let values_t: Vec<V> = source.iter().map(|&p| self.values[p].clone()).collect();
         Csr::from_parts(self.ncols, self.nrows, indptr_t, indices_t, values_t)
     }
 

@@ -48,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chunks;
 pub mod coo;
 pub mod csr;
 pub mod dcsr;

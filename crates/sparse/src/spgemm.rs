@@ -20,40 +20,15 @@
 //! * [`Accumulator::Esc`] — expand-sort-compress; best cache behaviour
 //!   for heavy-tailed rows, and the simplest to reason about.
 
+use crate::chunks::{assemble_rows, RowsBuf};
 use crate::csr::Csr;
 use aarray_algebra::{BinaryOp, OpPair, Value};
 use aarray_obs::{
-    counters, current_op, enter_op, histograms, histograms_enabled, journal, memstats, Counter,
-    EventKind, Hist, MemRegion, MemReservation, OpKind, OpToken, Stage,
+    counters, histograms, histograms_enabled, journal, memstats, Counter, EventKind, Hist,
+    MemRegion, MemReservation, OpKind, OpToken, Stage,
 };
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::ops::Range;
-
-/// Contiguous row ranges for the row-parallel drivers: ~4 chunks per
-/// pool thread (so uneven rows rebalance by stealing), one chunk when
-/// the pool cannot fan out. Each chunk is one unit of work-stealing
-/// *and* one `numeric` span on whichever thread executes it, which is
-/// what makes per-thread overlap visible in the Chrome trace.
-pub(crate) fn row_chunks(nrows: usize) -> Vec<Range<usize>> {
-    let threads = rayon::current_num_threads();
-    let nchunks = if threads <= 1 || nrows <= 1 {
-        1
-    } else {
-        (threads * 4).min(nrows)
-    };
-    let base = nrows / nchunks;
-    let extra = nrows % nchunks;
-    let mut ranges = Vec::with_capacity(nchunks);
-    let mut lo = 0;
-    for c in 0..nchunks {
-        let hi = lo + base + usize::from(c < extra);
-        ranges.push(lo..hi);
-        lo = hi;
-    }
-    ranges
-}
 
 /// Accumulator strategy for [`spgemm_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,44 +110,7 @@ where
     A: BinaryOp<V>,
     M: BinaryOp<V>,
 {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "inner dimensions must agree: A is {}×{}, B is {}×{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    let mut op = OpToken::begin_if_root(OpKind::Kernel);
-    if let Some(t) = op.as_mut() {
-        t.set_flops(spgemm_flops(a, b));
-        t.set_lanes(1);
-        t.set_dispatch(false, 1);
-    }
-    record_kernel(acc, false);
-
-    let mut indptr = vec![0usize; a.nrows() + 1];
-    let mut indices: Vec<u32> = Vec::new();
-    let mut values: Vec<V> = Vec::new();
-
-    let mut scratch = RowScratch::new(b.ncols());
-    let mut row_out: Vec<(u32, V)> = Vec::new();
-    for i in 0..a.nrows() {
-        row_out.clear();
-        multiply_row(a, b, pair, acc, i, &mut scratch, &mut row_out);
-        for (j, v) in row_out.drain(..) {
-            indices.push(j);
-            values.push(v);
-        }
-        indptr[i + 1] = indices.len();
-    }
-
-    if let Some(mut t) = op {
-        t.set_out_nnz(values.len() as u64);
-        t.finish();
-    }
-    Csr::from_parts(a.nrows(), b.ncols(), indptr, indices, values)
+    spgemm_rows(a, b, pair, acc, false)
 }
 
 /// Row-parallel `C = A ⊕.⊗ B` using rayon.
@@ -192,6 +130,24 @@ where
     A: BinaryOp<V>,
     M: BinaryOp<V>,
 {
+    spgemm_rows(a, b, pair, acc, true)
+}
+
+/// The one driver behind [`spgemm_with`] and [`spgemm_parallel`]: rows
+/// run through [`assemble_rows`], one serial range or row chunks on the
+/// pool, each chunk reusing one scratch across its rows.
+fn spgemm_rows<V, A, M>(
+    a: &Csr<V>,
+    b: &Csr<V>,
+    pair: &OpPair<V, A, M>,
+    acc: Accumulator,
+    parallel: bool,
+) -> Csr<V>
+where
+    V: Value,
+    A: BinaryOp<V>,
+    M: BinaryOp<V>,
+{
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -205,58 +161,31 @@ where
     if let Some(t) = op.as_mut() {
         t.set_flops(spgemm_flops(a, b));
         t.set_lanes(1);
-        t.set_dispatch(true, rayon::current_num_threads() as u64);
+        let threads = if parallel {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        t.set_dispatch(parallel, threads as u64);
     }
-    record_kernel(acc, true);
+    record_kernel(acc, parallel);
 
-    // Explicit contiguous chunks: each is claimed by one pool thread,
-    // reuses one scratch across its rows (the old `map_init` per-state
-    // semantics), and — when there is more than one chunk — brackets
-    // its rows in a `numeric` journal span recorded on the *executing*
-    // thread, so the flight recorder shows per-worker tracks.
-    let ranges = row_chunks(a.nrows());
-    let spans = ranges.len() > 1;
-    // Pool workers have their own (op-less) thread-local context, so
-    // the submitting thread's op must travel into the closures for the
-    // chunk spans to attribute to it.
-    let cur = current_op();
-    let chunks: Vec<Vec<Vec<(u32, V)>>> = ranges
-        .into_par_iter()
-        .map(|range| {
-            let _op = enter_op(cur);
-            if spans {
-                journal().begin(Stage::Numeric, range.len() as u64);
-            }
-            let mut scratch = RowScratch::new(b.ncols());
-            let mut rows = Vec::with_capacity(range.len());
-            for i in range.clone() {
-                let mut out = Vec::new();
-                multiply_row(a, b, pair, acc, i, &mut scratch, &mut out);
-                rows.push(out);
-            }
-            if spans {
-                journal().end(Stage::Numeric, range.len() as u64);
-            }
-            rows
-        })
-        .collect();
-
-    let nnz: usize = chunks.iter().flatten().map(Vec::len).sum();
-    let mut indptr = vec![0usize; a.nrows() + 1];
-    let mut indices = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    for (i, row) in chunks.into_iter().flatten().enumerate() {
-        for (j, v) in row {
-            indices.push(j);
-            values.push(v);
-        }
-        indptr[i + 1] = indices.len();
-    }
+    let c = assemble_rows(
+        a.nrows(),
+        1,
+        parallel,
+        Some(Stage::Numeric),
+        || RowScratch::new(b.ncols()),
+        |scratch, i, outs| multiply_row(a, b, pair, acc, i, scratch, &mut outs[0]),
+    )
+    .pop()
+    .expect("one output")
+    .into_csr(b.ncols());
     if let Some(mut t) = op {
-        t.set_out_nnz(values.len() as u64);
+        t.set_out_nnz(c.nnz() as u64);
         t.finish();
     }
-    Csr::from_parts(a.nrows(), b.ncols(), indptr, indices, values)
+    c
 }
 
 /// Per-thread scratch reused across rows (SPA slots + touched list).
@@ -282,8 +211,8 @@ impl<V: Value> RowScratch<V> {
     }
 }
 
-/// Compute one output row into `out` (sorted by column), dropping
-/// zeros after accumulation.
+/// Append one output row to `out` (sorted by column), dropping zeros
+/// after accumulation.
 fn multiply_row<V, A, M>(
     a: &Csr<V>,
     b: &Csr<V>,
@@ -291,7 +220,7 @@ fn multiply_row<V, A, M>(
     acc: Accumulator,
     i: usize,
     scratch: &mut RowScratch<V>,
-    out: &mut Vec<(u32, V)>,
+    out: &mut RowsBuf<V>,
 ) where
     V: Value,
     A: BinaryOp<V>,
@@ -332,7 +261,7 @@ fn multiply_row<V, A, M>(
                     .take()
                     .expect("touched slot filled");
                 if !pair.is_zero(&v) {
-                    out.push((j, v));
+                    out.push(j, v);
                 }
             }
             scratch.touched.clear();
@@ -363,7 +292,11 @@ fn multiply_row<V, A, M>(
             }
             let mut entries: Vec<(u32, V)> = map.into_iter().collect();
             entries.sort_unstable_by_key(|&(j, _)| j);
-            out.extend(entries.into_iter().filter(|(_, v)| !pair.is_zero(v)));
+            for (j, v) in entries {
+                if !pair.is_zero(&v) {
+                    out.push(j, v);
+                }
+            }
         }
         Accumulator::Esc => {
             // Expand: all (j, term) pairs in ascending-k order.
@@ -385,20 +318,20 @@ fn multiply_row<V, A, M>(
                         cur_v = pair.plus(&cur_v, &v);
                     } else {
                         if !pair.is_zero(&cur_v) {
-                            out.push((cur_j, cur_v));
+                            out.push(cur_j, cur_v);
                         }
                         cur_j = j;
                         cur_v = v;
                     }
                 }
                 if !pair.is_zero(&cur_v) {
-                    out.push((cur_j, cur_v));
+                    out.push(cur_j, cur_v);
                 }
             }
         }
     }
     if record {
-        histograms().record(Hist::RowNnz, out.len() as u64);
+        histograms().record(Hist::RowNnz, out.row_len() as u64);
     }
 }
 

@@ -12,8 +12,9 @@
 //! ([`crate::elementwise::ewise_add_dyn`]).
 //!
 //! The kernel is a thin orchestration over the fused machinery —
-//! [`crate::symbolic::spgemm_symbolic`] once, then
-//! [`crate::spgemm_multi::spgemm_multi_numeric`] feeding every lane —
+//! [`crate::symbolic::spgemm_symbolic_with`] once, then
+//! [`crate::spgemm_multi::spgemm_multi_numeric`] feeding every lane,
+//! both serial or both row-parallel by the caller's `parallel` flag —
 //! so each lane's `ΔA` is bit-identical to a standalone
 //! `spgemm(ΔEoutᵀ, ΔEin, pair)`. Whether folding those deltas into a
 //! *cumulative* adjacency is exact is the caller's obligation: it
@@ -28,8 +29,8 @@
 //! block still lands in `MemRegion::FusedAccumulator` as usual.
 
 use crate::csr::Csr;
-use crate::spgemm_multi::{spgemm_multi_numeric, spgemm_multi_numeric_parallel, MultiAccumulator};
-use crate::symbolic::spgemm_symbolic;
+use crate::spgemm_multi::{spgemm_multi_numeric, MultiAccumulator};
+use crate::symbolic::spgemm_symbolic_with;
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
 use aarray_obs::{counters, journal, memstats, Counter, MemRegion, Stage};
@@ -41,9 +42,9 @@ use aarray_obs::{counters, journal, memstats, Counter, MemRegion, Stage};
 /// out-block is materialized internally and accounted as delta scratch.
 /// Panics if the two blocks disagree on the edge-row count.
 ///
-/// `parallel` selects the row-parallel numeric pass; the caller
-/// decides it with the same flops gate the planner uses, so a small
-/// batch does not pay pool dispatch. Both passes are bit-identical.
+/// `parallel` selects the row-parallel symbolic and numeric passes;
+/// the caller decides it with the same flops gate the planner uses, so
+/// a small batch does not pay pool dispatch. Both are bit-identical.
 ///
 /// Returns one `Csr` per pair (vertices × vertices), in order, each
 /// bit-identical to the corresponding standalone sequential product of
@@ -67,15 +68,11 @@ pub fn spgemm_delta<V: Value>(
 
     let eout_t = delta_eout.transpose();
     let mut scratch = memstats().track(MemRegion::DeltaScratch, eout_t.heap_bytes());
-    let sym = spgemm_symbolic(&eout_t, delta_ein);
+    let sym = spgemm_symbolic_with(&eout_t, delta_ein, parallel);
     scratch.grow_to(eout_t.heap_bytes() + sym.heap_bytes());
     // No dispatch counters here: the dispatch audit covers the
     // planner's own decisions.
-    let outs = if parallel {
-        spgemm_multi_numeric_parallel(&sym, &eout_t, delta_ein, pairs, acc)
-    } else {
-        spgemm_multi_numeric(&sym, &eout_t, delta_ein, pairs, acc)
-    };
+    let outs = spgemm_multi_numeric(&sym, &eout_t, delta_ein, pairs, acc, parallel);
     journal().end(Stage::DeltaApply, pairs.len() as u64);
     outs
 }

@@ -12,34 +12,51 @@
 //!    runs once — the structural pattern depends only on the operand
 //!    patterns, never on the algebra;
 //! 2. a single **numeric** traversal walks `A`'s rows and `B`'s rows
-//!    once, and for every contributing `(i, k, j)` coordinate feeds
-//!    all `K` accumulators, laid out structure-of-arrays
-//!    (`accs[p * nslots + slot]`, one contiguous lane per pair).
+//!    once. Each output row's contributing `(i, k, j)` terms are
+//!    gathered into a block of up to [`FOLD_BLOCK`] `(slot, &A(i,k),
+//!    &B(k,j))` triples, and every lane folds the block into its own
+//!    accumulators with one [`DynOpPair::fold_terms`] call. The lanes
+//!    are laid out structure-of-arrays (`accs[p * nslots + slot]`, one
+//!    contiguous lane per pair).
 //!
 //! Heterogeneous pairs are handled through the object-safe
 //! [`DynOpPair`] adapter, so one call can mix `+.×`, `max.min`,
-//! `min.+`, … over the same value set.
+//! `min.+`, … over the same value set. The adapter is called once per
+//! lane per block, and each call runs the pair's monomorphized loop.
+//!
+//! **One driver.** [`spgemm_multi_numeric`] runs serially or
+//! row-parallel by its `parallel` flag, through the same code: rows run
+//! in contiguous chunks (a single chunk when serial), each chunk writes
+//! flat per-lane index/value/row-length buffers, and the chunks'
+//! buffers are concatenated in chunk order. No heap allocation is made
+//! per row, and no thread reassembles rows.
 //!
 //! **Bit-identity.** Terms are folded left-associated in ascending
-//! inner-key order — the same canonical order as every other kernel in
-//! this crate — and each lane prunes its own `⊕`-produced zeros with
-//! its own `is_zero`. Output `p` is therefore bit-identical to the
-//! sequential `spgemm_with(a, b, pairs[p], _)` for arbitrary
-//! non-associative, non-commutative operations (property-tested in
-//! `tests/proptest_multi.rs`).
+//! inner-key order — blocks are flushed in order, and each block is
+//! folded in order — the same canonical order as every other kernel in
+//! this crate. Each lane prunes its own `⊕`-produced zeros with its own
+//! `is_zero`. Output `p` is therefore bit-identical to the sequential
+//! `spgemm_with(a, b, pairs[p], _)` for arbitrary non-associative,
+//! non-commutative operations, serial or parallel (property-tested in
+//! `tests/proptest_multi.rs` and `tests/pool_identity.rs`).
 
+use crate::chunks::{assemble_rows, RowsBuf};
 use crate::csr::Csr;
-use crate::spgemm::{row_chunks, spgemm_flops};
-use crate::symbolic::{spgemm_symbolic, SymbolicProduct};
+use crate::spgemm::spgemm_flops;
+use crate::symbolic::{spgemm_symbolic_with, SymbolicProduct};
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
 use aarray_obs::{
-    counters, current_op, enter_op, histograms, histograms_enabled, journal, memstats, Counter,
-    EventKind, Hist, MemRegion, MemReservation, OpKind, OpToken, Stage,
+    counters, histograms, histograms_enabled, journal, memstats, Counter, EventKind, Hist,
+    MemRegion, MemReservation, OpKind, OpToken, Stage,
 };
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::mem::size_of;
+
+/// Terms gathered per row before every lane folds them: one
+/// [`DynOpPair::fold_terms`] call per lane per block. A row with more
+/// terms flushes a full block each time it fills, then the rest.
+pub const FOLD_BLOCK: usize = 256;
 
 /// Per-row slot-lookup strategy for the fused numeric traversal.
 ///
@@ -70,21 +87,7 @@ pub fn spgemm_multi<V: Value>(
     pairs: &[&dyn DynOpPair<V>],
     acc: MultiAccumulator,
 ) -> Vec<Csr<V>> {
-    // Token opens before the symbolic pass so its span lands inside
-    // the op's journal window.
-    let mut op = OpToken::begin_if_root(OpKind::Kernel);
-    if let Some(t) = op.as_mut() {
-        t.set_flops(spgemm_flops(a, b) * pairs.len() as u64);
-        t.set_lanes(pairs.len() as u64);
-        t.set_dispatch(false, 1);
-    }
-    let sym = spgemm_symbolic(a, b);
-    let outs = spgemm_multi_numeric(&sym, a, b, pairs, acc);
-    if let Some(mut t) = op {
-        t.set_out_nnz(outs.iter().map(|c| c.nnz() as u64).sum());
-        t.finish();
-    }
-    outs
+    fused(a, b, pairs, acc, false)
 }
 
 /// Row-parallel fused `K`-pair product.
@@ -98,14 +101,32 @@ pub fn spgemm_multi_parallel<V: Value>(
     pairs: &[&dyn DynOpPair<V>],
     acc: MultiAccumulator,
 ) -> Vec<Csr<V>> {
+    fused(a, b, pairs, acc, true)
+}
+
+/// Symbolic then numeric pass, both serial or both row-parallel.
+fn fused<V: Value>(
+    a: &Csr<V>,
+    b: &Csr<V>,
+    pairs: &[&dyn DynOpPair<V>],
+    acc: MultiAccumulator,
+    parallel: bool,
+) -> Vec<Csr<V>> {
+    // Token opens before the symbolic pass so its span lands inside
+    // the op's journal window.
     let mut op = OpToken::begin_if_root(OpKind::Kernel);
     if let Some(t) = op.as_mut() {
         t.set_flops(spgemm_flops(a, b) * pairs.len() as u64);
         t.set_lanes(pairs.len() as u64);
-        t.set_dispatch(true, rayon::current_num_threads() as u64);
+        let threads = if parallel {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        t.set_dispatch(parallel, threads as u64);
     }
-    let sym = spgemm_symbolic(a, b);
-    let outs = spgemm_multi_numeric_parallel(&sym, a, b, pairs, acc);
+    let sym = spgemm_symbolic_with(a, b, parallel);
+    let outs = spgemm_multi_numeric(&sym, a, b, pairs, acc, parallel);
     if let Some(mut t) = op {
         t.set_out_nnz(outs.iter().map(|c| c.nnz() as u64).sum());
         t.finish();
@@ -164,166 +185,84 @@ fn check_dims<V: Value>(sym: &SymbolicProduct, a: &Csr<V>, b: &Csr<V>) {
 /// Numeric phase of the fused product against a precomputed symbolic
 /// pattern (reuse the pattern across calls when the operands' sparsity
 /// is fixed — e.g. a plan that multiplies under new algebras later).
+///
+/// `parallel` runs row chunks on the current pool (the caller makes
+/// the dispatch decision); otherwise one serial pass. Both produce the
+/// same bits.
 pub fn spgemm_multi_numeric<V: Value>(
     sym: &SymbolicProduct,
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
     acc: MultiAccumulator,
+    parallel: bool,
 ) -> Vec<Csr<V>> {
     check_dims(sym, a, b);
-    record_fused(pairs.len(), acc, false);
-    let npairs = pairs.len();
-
-    let mut outs: Vec<RowsOut<V>> = (0..npairs).map(|_| RowsOut::with_rows(a.nrows())).collect();
-    let mut scratch = MultiScratch::new(b.ncols());
-    let mut row_out: Vec<Vec<(u32, V)>> = vec![Vec::new(); npairs];
-    for i in 0..a.nrows() {
-        multiply_row_multi(a, b, pairs, acc, i, sym.row(i), &mut scratch, &mut row_out);
-        for (p, rows) in row_out.iter_mut().enumerate() {
-            outs[p].push_row(i, rows.drain(..));
-        }
-    }
-
-    outs.into_iter()
-        .map(|o| o.into_csr(a.nrows(), b.ncols()))
-        .collect()
+    record_fused(pairs.len(), acc, parallel);
+    assemble_rows(
+        a.nrows(),
+        pairs.len(),
+        parallel,
+        Some(Stage::Numeric),
+        || MultiScratch::new(b.ncols()),
+        |scratch, i, outs| multiply_row_multi(a, b, pairs, acc, i, sym.row(i), scratch, outs),
+    )
+    .into_iter()
+    .map(|out| out.into_csr(b.ncols()))
+    .collect()
 }
 
-/// Row-parallel numeric phase; bit-identical to
-/// [`spgemm_multi_numeric`].
-pub fn spgemm_multi_numeric_parallel<V: Value>(
-    sym: &SymbolicProduct,
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
-) -> Vec<Csr<V>> {
-    check_dims(sym, a, b);
-    record_fused(pairs.len(), acc, true);
-    let npairs = pairs.len();
+/// One gathered term: accumulator slot, `A(i,k)`, `B(k,j)`.
+type Term<'a, V> = (usize, &'a V, &'a V);
 
-    // Explicit contiguous row chunks: one scratch per chunk (the old
-    // `map_init` per-state semantics) and — when more than one chunk
-    // exists — a `numeric` journal span recorded on the executing
-    // thread per chunk, making multi-worker overlap visible in the
-    // Chrome trace. Each row yields its K per-pair segments, landing
-    // in row-indexed slots regardless of which thread claimed the
-    // chunk; reassembly below is in row order, so the output is
-    // bit-identical to the serial traversal.
-    // One row's K per-pair output segments.
-    type RowSegments<V> = Vec<Vec<(u32, V)>>;
-    let ranges = row_chunks(a.nrows());
-    let spans = ranges.len() > 1;
-    // Pool workers carry no op context of their own: thread the
-    // submitting thread's op into each chunk so its numeric spans
-    // attribute to the operation that dispatched here.
-    let cur = current_op();
-    let chunks: Vec<Vec<RowSegments<V>>> = ranges
-        .into_par_iter()
-        .map(|range| {
-            let _op = enter_op(cur);
-            if spans {
-                journal().begin(Stage::Numeric, range.len() as u64);
-            }
-            let mut scratch = MultiScratch::new(b.ncols());
-            let mut rows = Vec::with_capacity(range.len());
-            for i in range.clone() {
-                let mut row_out: Vec<Vec<(u32, V)>> = vec![Vec::new(); npairs];
-                multiply_row_multi(a, b, pairs, acc, i, sym.row(i), &mut scratch, &mut row_out);
-                rows.push(row_out);
-            }
-            if spans {
-                journal().end(Stage::Numeric, range.len() as u64);
-            }
-            rows
-        })
-        .collect();
-
-    let mut outs: Vec<RowsOut<V>> = (0..npairs).map(|_| RowsOut::with_rows(a.nrows())).collect();
-    for (i, row) in chunks.into_iter().flatten().enumerate() {
-        for (p, segment) in row.into_iter().enumerate() {
-            outs[p].push_row(i, segment.into_iter());
-        }
-    }
-    outs.into_iter()
-        .map(|o| o.into_csr(a.nrows(), b.ncols()))
-        .collect()
-}
-
-/// Accumulating output buffers for one pair's Csr.
-struct RowsOut<V> {
-    indptr: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<V>,
-}
-
-impl<V: Value> RowsOut<V> {
-    fn with_rows(nrows: usize) -> Self {
-        RowsOut {
-            indptr: vec![0usize; nrows + 1],
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    fn push_row(&mut self, i: usize, entries: impl Iterator<Item = (u32, V)>) {
-        for (j, v) in entries {
-            self.indices.push(j);
-            self.values.push(v);
-        }
-        self.indptr[i + 1] = self.indices.len();
-    }
-
-    fn into_csr(self, nrows: usize, ncols: usize) -> Csr<V> {
-        Csr::from_parts(nrows, ncols, self.indptr, self.indices, self.values)
-    }
-}
-
-/// Reusable per-thread scratch: the dense column→slot map (SPA mode)
-/// and the K-lane structure-of-arrays accumulator block. Reported to
-/// [`MemRegion::FusedAccumulator`] at its high-water capacity (the
-/// slot map is fixed-size; the SoA block grows with the widest
-/// `K × nslots` row seen).
-struct MultiScratch<V> {
+/// Reusable per-chunk scratch: the dense column→slot map (SPA mode),
+/// the K-lane structure-of-arrays accumulator block, and the term
+/// block. Reported to [`MemRegion::FusedAccumulator`] at its high-water
+/// capacity (the slot map and term block are fixed-size; the SoA block
+/// grows with the widest `K × nslots` row seen).
+struct MultiScratch<'a, V> {
     slot_of: Vec<usize>,
     accs: Vec<Option<V>>,
+    block: Vec<Term<'a, V>>,
     mem: MemReservation,
 }
 
-impl<V: Value> MultiScratch<V> {
+impl<V: Value> MultiScratch<'_, V> {
     fn new(ncols: usize) -> Self {
-        MultiScratch {
+        let mut scratch = MultiScratch {
             slot_of: vec![usize::MAX; ncols],
             accs: Vec::new(),
-            mem: memstats().track(
-                MemRegion::FusedAccumulator,
-                (ncols * size_of::<usize>()) as u64,
-            ),
-        }
+            block: Vec::with_capacity(FOLD_BLOCK),
+            mem: memstats().track(MemRegion::FusedAccumulator, 0),
+        };
+        scratch.report_capacity();
+        scratch
     }
 
-    /// Re-report after the accumulator block (possibly) grew.
+    /// Report the scratch's bytes; called again after the accumulator
+    /// block (possibly) grew.
     fn report_capacity(&mut self) {
         self.mem.grow_to(
             (self.slot_of.len() * size_of::<usize>()
+                + self.block.capacity() * size_of::<Term<'_, V>>()
                 + self.accs.capacity() * size_of::<Option<V>>()) as u64,
         );
     }
 }
 
 /// One fused output row: a single sweep over `A`'s row `i` and the
-/// touched rows of `B`, folding every term into all `K` lanes.
+/// touched rows of `B`, folding every term into all `K` lanes, then
+/// each lane's row appended to its output buffer.
 #[allow(clippy::too_many_arguments)]
-fn multiply_row_multi<V: Value>(
-    a: &Csr<V>,
-    b: &Csr<V>,
+fn multiply_row_multi<'a, V: Value>(
+    a: &'a Csr<V>,
+    b: &'a Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
     acc: MultiAccumulator,
     i: usize,
     srow: &[u32],
-    scratch: &mut MultiScratch<V>,
-    out: &mut [Vec<(u32, V)>],
+    scratch: &mut MultiScratch<'a, V>,
+    outs: &mut [RowsBuf<V>],
 ) {
     let npairs = pairs.len();
     let nslots = srow.len();
@@ -339,14 +278,19 @@ fn multiply_row_multi<V: Value>(
         histograms().record(Hist::RowNnz, nslots as u64);
         journal().record(EventKind::RowShape, i as u64, flops * npairs as u64);
     }
-    let MultiScratch { slot_of, accs, .. } = scratch;
+    let MultiScratch {
+        slot_of,
+        accs,
+        block,
+        ..
+    } = scratch;
 
     match acc {
         MultiAccumulator::Spa => {
             for (slot, &j) in srow.iter().enumerate() {
                 slot_of[j as usize] = slot;
             }
-            fuse_row_terms(a, b, pairs, i, nslots, accs, |j| slot_of[j as usize]);
+            fold_row(a, b, pairs, i, nslots, accs, block, |j| slot_of[j as usize]);
             for &j in srow {
                 slot_of[j as usize] = usize::MAX;
             }
@@ -357,21 +301,21 @@ fn multiply_row_multi<V: Value>(
                 MemRegion::HashScratch,
                 (map.capacity() * (size_of::<(u32, usize)>() + size_of::<u64>())) as u64,
             );
-            fuse_row_terms(a, b, pairs, i, nslots, accs, |j| map[&j]);
+            fold_row(a, b, pairs, i, nslots, accs, block, |j| map[&j]);
         }
     }
 
     // Emit each lane in slot (= ascending column) order, pruning the
     // lane's own ⊕-produced zeros: the implicit-zero invariant is
     // per-algebra, so lanes may legitimately emit different patterns.
-    for (p, pair) in pairs.iter().enumerate() {
+    for (p, (pair, out)) in pairs.iter().zip(outs.iter_mut()).enumerate() {
         let lane = &mut accs[p * nslots..(p + 1) * nslots];
         let mut occupied = 0u64;
-        for (slot, &j) in srow.iter().enumerate() {
-            if let Some(v) = lane[slot].take() {
+        for (cell, &j) in lane.iter_mut().zip(srow) {
+            if let Some(v) = cell.take() {
                 occupied += 1;
                 if !pair.is_zero(&v) {
-                    out[p].push((j, v));
+                    out.push(j, v);
                 }
             }
         }
@@ -384,17 +328,20 @@ fn multiply_row_multi<V: Value>(
     }
 }
 
-/// The shared traversal: for every contributing `(k, j)` term of row
-/// `i`, apply all `K` pairs and fold left-associated (ascending `k`)
-/// into the SoA accumulator block. `lookup` resolves a column to its
-/// slot under the active strategy (dense scratch or per-row hash map).
-fn fuse_row_terms<V: Value>(
-    a: &Csr<V>,
-    b: &Csr<V>,
+/// The shared traversal: gather every contributing `(k, j)` term of
+/// row `i`, in ascending `k`, into `block`, and flush the block to all
+/// `K` lanes whenever it fills and once at the end of the row.
+/// `lookup` resolves a column to its slot under the active strategy
+/// (dense scratch or per-row hash map).
+#[allow(clippy::too_many_arguments)]
+fn fold_row<'a, V: Value>(
+    a: &'a Csr<V>,
+    b: &'a Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
     i: usize,
     nslots: usize,
     accs: &mut [Option<V>],
+    block: &mut Vec<Term<'a, V>>,
     lookup: impl Fn(u32) -> usize,
 ) {
     let (ks, avs) = a.row(i);
@@ -403,16 +350,30 @@ fn fuse_row_terms<V: Value>(
         for (&j, bv) in js.iter().zip(bvs.iter()) {
             let slot = lookup(j);
             debug_assert!(slot < nslots, "numeric term outside symbolic pattern");
-            for (p, pair) in pairs.iter().enumerate() {
-                let cell = &mut accs[p * nslots + slot];
-                let term = pair.times(av, bv);
-                *cell = Some(match cell.take() {
-                    None => term,
-                    Some(prev) => pair.plus(&prev, &term),
-                });
+            block.push((slot, av, bv));
+            if block.len() == FOLD_BLOCK {
+                flush(pairs, nslots, accs, block);
             }
         }
     }
+    flush(pairs, nslots, accs, block);
+}
+
+/// Fold the gathered terms into every lane (lane `p` is
+/// `accs[p * nslots..][..nslots]`) and empty the block.
+fn flush<V: Value>(
+    pairs: &[&dyn DynOpPair<V>],
+    nslots: usize,
+    accs: &mut [Option<V>],
+    block: &mut Vec<Term<'_, V>>,
+) {
+    if block.is_empty() {
+        return;
+    }
+    for (p, pair) in pairs.iter().enumerate() {
+        pair.fold_terms(&mut accs[p * nslots..(p + 1) * nslots], block);
+    }
+    block.clear();
 }
 
 #[cfg(test)]
@@ -420,6 +381,7 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::spgemm::{spgemm_with, Accumulator};
+    use crate::symbolic::spgemm_symbolic;
     use aarray_algebra::ops::{AbsDiff, Plus, Times};
     use aarray_algebra::pairs::{MaxMin, MaxPlus, MinPlus, PlusTimes};
     use aarray_algebra::values::nat::Nat;
@@ -561,6 +523,7 @@ mod tests {
             &b,
             &[&pt as &dyn DynOpPair<Nat>],
             MultiAccumulator::Spa,
+            false,
         );
         let second = spgemm_multi_numeric(
             &sym,
@@ -568,6 +531,7 @@ mod tests {
             &b,
             &[&mm as &dyn DynOpPair<Nat>],
             MultiAccumulator::Spa,
+            true,
         );
         assert_eq!(first[0], spgemm_with(&a, &b, &pt, Accumulator::Spa));
         assert_eq!(second[0], spgemm_with(&a, &b, &mm, Accumulator::Spa));

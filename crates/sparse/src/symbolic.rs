@@ -11,14 +11,20 @@
 //! seven algebras. The `ablate_accumulators` bench compares the
 //! approaches.
 //!
+//! The symbolic pass runs serially or row-parallel as its caller
+//! decides ([`spgemm_symbolic_with`]; the planner and the delta kernel
+//! pass the same flops-gated decision as their numeric pass). Like the
+//! fused numeric pass, it runs rows in chunks that each append to one
+//! flat index buffer, concatenated in row order.
+//!
 //! Caveat: the symbolic pattern is the *structural* product (every
 //! coordinate with at least one contributing term). The numeric pass
 //! can still produce zeros for non-compliant pairs; they are pruned in
 //! a final compaction, so results match the one-phase kernels exactly.
 
+use crate::chunks::{assemble_rows, RowsBuf};
 use crate::csr::Csr;
 use aarray_algebra::{BinaryOp, OpPair, Value};
-use rayon::prelude::*;
 
 /// The reusable output pattern of `A ⊕.⊗ B` (structural only).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,43 +68,54 @@ impl SymbolicProduct {
 }
 
 /// Symbolic pass: compute the output pattern of `A ⊕.⊗ B` for any
-/// value types (only the patterns of `a` and `b` matter).
+/// value types (only the patterns of `a` and `b` matter). Rows run in
+/// chunks on the current pool; see [`spgemm_symbolic_with`].
 pub fn spgemm_symbolic<V: Value, W: Value>(a: &Csr<V>, b: &Csr<W>) -> SymbolicProduct {
+    spgemm_symbolic_with(a, b, true)
+}
+
+/// [`spgemm_symbolic`] under the caller's dispatch decision: `parallel`
+/// runs row chunks on the current pool, otherwise one serial pass. Each
+/// chunk appends its rows' sorted columns to one flat index buffer
+/// (one `seen` scratch per chunk, nothing allocated per row), and the
+/// chunks are concatenated in row order, so both give the same pattern.
+pub fn spgemm_symbolic_with<V: Value, W: Value>(
+    a: &Csr<V>,
+    b: &Csr<W>,
+    parallel: bool,
+) -> SymbolicProduct {
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
 
-    let rows: Vec<Vec<u32>> = (0..a.nrows())
-        .into_par_iter()
-        .map_init(
-            || (vec![false; b.ncols()], Vec::<u32>::new()),
-            |(seen, touched), i| {
-                let (ks, _) = a.row(i);
-                for &k in ks {
-                    let (js, _) = b.row(k as usize);
-                    for &j in js {
-                        if !seen[j as usize] {
-                            seen[j as usize] = true;
-                            touched.push(j);
-                        }
+    let RowsBuf {
+        indptr, indices, ..
+    } = assemble_rows::<(), _>(
+        a.nrows(),
+        1,
+        parallel,
+        None,
+        || vec![false; b.ncols()],
+        |seen, i, outs| {
+            let cols = &mut outs[0].indices;
+            let start = cols.len();
+            let (ks, _) = a.row(i);
+            for &k in ks {
+                let (js, _) = b.row(k as usize);
+                for &j in js {
+                    if !seen[j as usize] {
+                        seen[j as usize] = true;
+                        cols.push(j);
                     }
                 }
-                touched.sort_unstable();
-                let out = touched.clone();
-                for &j in touched.iter() {
-                    seen[j as usize] = false;
-                }
-                touched.clear();
-                out
-            },
-        )
-        .collect();
-
-    let mut indptr = vec![0usize; a.nrows() + 1];
-    let nnz: usize = rows.iter().map(Vec::len).sum();
-    let mut indices = Vec::with_capacity(nnz);
-    for (i, row) in rows.into_iter().enumerate() {
-        indices.extend(row);
-        indptr[i + 1] = indices.len();
-    }
+            }
+            let row = &mut cols[start..];
+            row.sort_unstable();
+            for &j in row.iter() {
+                seen[j as usize] = false;
+            }
+        },
+    )
+    .pop()
+    .expect("one output");
     SymbolicProduct {
         nrows: a.nrows(),
         ncols: b.ncols(),

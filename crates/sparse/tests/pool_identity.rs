@@ -11,43 +11,23 @@
 //! with random operands from a proptest strategy.
 //!
 //! NN's `+` is float addition — non-associative, so any fold-order
-//! deviation across chunk boundaries would change low bits and fail
-//! the exact equality below.
+//! deviation across chunk or fold-block boundaries would change low
+//! bits and fail the exact equality below. Half the cases are long rows
+//! (`common::arb_long_rows`): rows of more than two fold blocks, empty
+//! rows, and fewer rows than the pool has chunks.
+
+mod common;
 
 use aarray_algebra::pairs::{MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, PlusTimes};
-use aarray_algebra::values::nn::{nn, NN};
+use aarray_algebra::values::nn::NN;
 use aarray_algebra::values::tropical::{trop, Tropical};
 use aarray_algebra::DynOpPair;
 use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel, MultiAccumulator};
 use aarray_sparse::{spgemm_parallel, spgemm_with, Accumulator, Coo, Csr};
+use common::arb_nn_operands;
 use proptest::prelude::*;
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
-
-/// A conforming pair of NN matrices with awkward float values (sums
-/// of these re-associate visibly).
-fn arb_nn_pair(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = (Csr<NN>, Csr<NN>)> {
-    let pt = PlusTimes::<NN>::new();
-    (2..=max_dim, 2..=max_dim, 2..=max_dim).prop_flat_map(move |(m, k, n)| {
-        let a =
-            prop::collection::vec((0..m, 0..k, 1u64..1000), 0..=max_nnz).prop_map(move |trips| {
-                let mut coo = Coo::new(m, k);
-                for (i, j, v) in trips {
-                    coo.push(i, j, nn(v as f64 * 0.1 + 0.003));
-                }
-                coo.into_csr(&pt)
-            });
-        let b =
-            prop::collection::vec((0..k, 0..n, 1u64..1000), 0..=max_nnz).prop_map(move |trips| {
-                let mut coo = Coo::new(k, n);
-                for (i, j, v) in trips {
-                    coo.push(i, j, nn(v as f64 * 0.07 + 0.001));
-                }
-                coo.into_csr(&pt)
-            });
-        (a, b)
-    })
-}
 
 /// The tropical views of the same pattern (the paper's seventh pair
 /// runs on `Tropical`, a different value set, so it gets its own
@@ -63,7 +43,7 @@ fn tropicalize(a: &Csr<NN>) -> Csr<Tropical> {
 
 proptest! {
     #[test]
-    fn seven_paper_pairs_bit_identical_at_all_pool_sizes((a, b) in arb_nn_pair(12, 60)) {
+    fn seven_paper_pairs_bit_identical_at_all_pool_sizes((a, b) in arb_nn_operands(12, 60)) {
         let plus_times = PlusTimes::<NN>::new();
         let max_times = MaxTimes::<NN>::new();
         let min_times = MinTimes::<NN>::new();
@@ -98,7 +78,7 @@ proptest! {
     }
 
     #[test]
-    fn one_shot_parallel_kernel_matches_serial_under_real_pools((a, b) in arb_nn_pair(10, 40)) {
+    fn one_shot_parallel_kernel_matches_serial_under_real_pools((a, b) in arb_nn_operands(10, 40)) {
         // The one-pair row-parallel driver (matmul's dispatch target)
         // under the same pool sizes — float ⊕ again makes fold order
         // observable.

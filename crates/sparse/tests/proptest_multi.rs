@@ -2,51 +2,32 @@
 //! for random operands, every lane of `spgemm_multi` must equal the
 //! corresponding independent `spgemm_with` call — under every
 //! sequential accumulator, both fused slot-lookup strategies, the
-//! row-parallel variant, and a non-associative custom `⊕` (so fold
-//! order is observable, not just the folded multiset).
+//! row-parallel variant, and order-sensitive `⊕`s: float `+` on `NN`
+//! and the non-associative `|−|` (so fold order is observable, not
+//! just the folded multiset). Half the cases are long rows that cross
+//! the kernel's fold-block boundaries (`common::arb_long_rows`).
 
-use aarray_algebra::ops::{AbsDiff, Max, Min, Plus, Times};
-use aarray_algebra::values::nat::Nat;
+mod common;
+
+use aarray_algebra::ops::{AbsDiff, Times};
+use aarray_algebra::pairs::{MaxMin, MinPlus, PlusTimes};
+use aarray_algebra::values::nn::NN;
 use aarray_algebra::{DynOpPair, OpPair};
 use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel, MultiAccumulator};
-use aarray_sparse::{spgemm_with, Accumulator, Coo, Csr};
+use aarray_sparse::{spgemm_with, Accumulator};
+use common::{arb_nn_operands, arb_nn_pair};
 use proptest::prelude::*;
-
-fn pt() -> OpPair<Nat, Plus, Times> {
-    OpPair::new()
-}
-
-/// A conforming pair of matrices for multiplication.
-fn arb_pair(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = (Csr<Nat>, Csr<Nat>)> {
-    (1..=max_dim, 1..=max_dim, 1..=max_dim).prop_flat_map(move |(m, k, n)| {
-        let a = prop::collection::vec((0..m, 0..k, 1u64..20), 0..=max_nnz).prop_map(move |trips| {
-            let mut coo = Coo::new(m, k);
-            for (i, j, v) in trips {
-                coo.push(i, j, Nat(v));
-            }
-            coo.into_csr(&pt())
-        });
-        let b = prop::collection::vec((0..k, 0..n, 1u64..20), 0..=max_nnz).prop_map(move |trips| {
-            let mut coo = Coo::new(k, n);
-            for (i, j, v) in trips {
-                coo.push(i, j, Nat(v));
-            }
-            coo.into_csr(&pt())
-        });
-        (a, b)
-    })
-}
 
 proptest! {
     #[test]
-    fn fused_lanes_match_independent_kernels((a, b) in arb_pair(10, 40)) {
-        let plus_times = pt();
-        let max_min: OpPair<Nat, Max, Min> = OpPair::new();
-        let min_plus: OpPair<Nat, Min, Plus> = OpPair::new();
+    fn fused_lanes_match_independent_kernels((a, b) in arb_nn_operands(10, 40)) {
+        let plus_times = PlusTimes::<NN>::new();
+        let max_min = MaxMin::<NN>::new();
+        let min_plus = MinPlus::<NN>::new();
         // ⊕ = |−| is non-associative and non-commutative in effect:
         // any deviation in fold order changes the value.
-        let abs_diff: OpPair<Nat, AbsDiff, Times> = OpPair::new();
-        let pairs: [&dyn DynOpPair<Nat>; 4] = [&plus_times, &max_min, &min_plus, &abs_diff];
+        let abs_diff: OpPair<NN, AbsDiff, Times> = OpPair::new();
+        let pairs: [&dyn DynOpPair<NN>; 4] = [&plus_times, &max_min, &min_plus, &abs_diff];
 
         for fused_acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
             let fused = spgemm_multi(&a, &b, &pairs, fused_acc);
@@ -61,10 +42,11 @@ proptest! {
     }
 
     #[test]
-    fn parallel_fused_matches_serial_fused((a, b) in arb_pair(10, 40)) {
-        let plus_times = pt();
-        let abs_diff: OpPair<Nat, AbsDiff, Times> = OpPair::new();
-        let pairs: [&dyn DynOpPair<Nat>; 2] = [&plus_times, &abs_diff];
+    fn parallel_fused_matches_serial_fused((a, b) in arb_nn_operands(10, 40)) {
+        let plus_times = PlusTimes::<NN>::new();
+        let max_min = MaxMin::<NN>::new();
+        let abs_diff: OpPair<NN, AbsDiff, Times> = OpPair::new();
+        let pairs: [&dyn DynOpPair<NN>; 3] = [&plus_times, &max_min, &abs_diff];
         for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
             let serial = spgemm_multi(&a, &b, &pairs, acc);
             let parallel = spgemm_multi_parallel(&a, &b, &pairs, acc);
@@ -73,10 +55,10 @@ proptest! {
     }
 
     #[test]
-    fn single_lane_fusion_is_the_identity_case((a, b) in arb_pair(8, 24)) {
+    fn single_lane_fusion_is_the_identity_case((a, b) in arb_nn_pair(8, 24)) {
         // K = 1 degenerates to plain two-phase SpGEMM.
-        let abs_diff: OpPair<Nat, AbsDiff, Times> = OpPair::new();
-        let pairs: [&dyn DynOpPair<Nat>; 1] = [&abs_diff];
+        let abs_diff: OpPair<NN, AbsDiff, Times> = OpPair::new();
+        let pairs: [&dyn DynOpPair<NN>; 1] = [&abs_diff];
         let fused = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Spa);
         prop_assert_eq!(&fused[0], &spgemm_with(&a, &b, &abs_diff, Accumulator::Spa));
     }
