@@ -9,8 +9,9 @@
 //! by a single traversal, tropical executed on its own plan. Both arms
 //! produce bit-identical arrays — asserted before timing.
 //!
-//! Writes `BENCH_pr1.json` at the workspace root with the measured
-//! speedup, so CI can track the fused-execution win.
+//! Writes the measured speedup to `target/bench/fused_vs_sequential.json`
+//! (a build output, never a tracked file), which CI keeps as an
+//! artifact.
 
 use aarray_algebra::pairs::{MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, PlusTimes};
 use aarray_algebra::values::nn::NN;
@@ -133,7 +134,9 @@ fn main() {
         fused_ms,
         speedup
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr1.json");
-    std::fs::write(out, json).expect("write BENCH_pr1.json");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench");
+    std::fs::create_dir_all(dir).expect("create target/bench");
+    let out = format!("{}/fused_vs_sequential.json", dir);
+    std::fs::write(&out, json).expect("write fused_vs_sequential.json");
     println!("wrote {}", out);
 }

@@ -26,8 +26,9 @@
 //!    (gauges, memory-accounting adds, the per-row flop sums computed
 //!    only for histogram recording).
 //!
-//! Asserts the total bound stays ≤ 2% and writes `BENCH_pr2.json` at
-//! the workspace root so CI can track it.
+//! Asserts the total bound stays ≤ 2% and writes the figures to
+//! `target/bench/obs_overhead.json` (a build output, never a tracked
+//! file), which CI keeps as an artifact.
 //!
 //! A second phase repeats the measurement inside a forced 4-thread
 //! pool with the flops gate dropped to zero, so every numeric pass
@@ -419,7 +420,9 @@ fn main() {
         sampler_pct,
         total_with_sampler_pct
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr2.json");
-    std::fs::write(out, json).expect("write BENCH_pr2.json");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench");
+    std::fs::create_dir_all(dir).expect("create target/bench");
+    let out = format!("{}/obs_overhead.json", dir);
+    std::fs::write(&out, json).expect("write obs_overhead.json");
     println!("wrote {}", out);
 }

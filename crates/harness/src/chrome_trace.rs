@@ -2,22 +2,23 @@
 //!
 //! `obsctl trace` exports the journal as Chrome Trace Event Format
 //! JSON ([`aarray_obs::JournalSnapshot::to_chrome_trace`]). Before
-//! writing the file — and again in CI against the written artifact —
-//! the document is validated here with the same hand-rolled [`crate::json`]
-//! parser the observatory uses: the shape Perfetto and
-//! `chrome://tracing` require (`name`/`ph`/`ts`/`pid`/`tid` fields,
-//! known phase letters, per-thread balanced `B`/`E` nesting) is
-//! checked structurally, not by eyeballing a viewer.
+//! writing the file — and again in the tests against the written
+//! artifact — the document is validated here with the hand-rolled
+//! [`crate::json`] parser: the shape Perfetto and `chrome://tracing`
+//! require (`name`/`ph`/`ts`/`pid`/`tid` fields, known phase letters,
+//! per-thread balanced `B`/`E` nesting) is checked structurally, not by
+//! eyeballing a viewer.
 //!
 //! The module also renders the human summaries `obsctl trace` prints:
-//! the per-stage timeline rollup and the decision audit table whose
+//! the per-stage timeline rollup and the decision audit table, whose
 //! tallies are, by construction, the same figures the counter registry
-//! accumulates (asserted end-to-end by the `journal_audit` test in
-//! `aarray-core`).
+//! accumulates ([`DecisionTallies::audit`] pairs them up; the
+//! `journal_audit` test in `aarray-core` asserts the parity).
 
 use crate::json::Value;
+use aarray_obs::counters::COUNTER_NAMES;
 use aarray_obs::journal::{accumulator_name, fallback_reason, STAGE_NAMES};
-use aarray_obs::{Event, EventKind, JournalSnapshot, Stage};
+use aarray_obs::{Counter, Event, EventKind, JournalSnapshot, Snapshot, Stage};
 use std::collections::BTreeMap;
 
 /// Figures extracted while validating a chrome-trace document.
@@ -312,6 +313,29 @@ impl DecisionTallies {
             }
         }
         out
+    }
+
+    /// Pair every audited decision's journal tally with the counter that
+    /// records the same decision, as `(counter name, journal, counter)`.
+    /// Over a window that dropped no journal events the two must agree.
+    pub fn audit(&self, counters: &Snapshot) -> [(&'static str, u64, u64); 11] {
+        [
+            (Counter::KernelSpa, self.kernel[0]),
+            (Counter::KernelHash, self.kernel[1]),
+            (Counter::KernelEsc, self.kernel[2]),
+            (Counter::FusedSpa, self.fused[0]),
+            (Counter::FusedHash, self.fused[1]),
+            (Counter::DispatchSerial, self.dispatch_serial),
+            (Counter::DispatchParallel, self.dispatch_parallel),
+            (Counter::PlanSymbolicHit, self.plan_hits),
+            (Counter::PlanSymbolicMiss, self.plan_misses),
+            (Counter::IncrementalApply, self.delta_lanes),
+            (
+                Counter::IncrementalFallback,
+                self.fallback_lanes.iter().sum(),
+            ),
+        ]
+        .map(|(c, n)| (COUNTER_NAMES[c as usize].1, n, counters.get(c)))
     }
 }
 
@@ -651,5 +675,23 @@ mod tests {
         assert!(table.contains("spa"));
         assert!(table.contains("non-associative"));
         assert!(table.contains("barrier"));
+    }
+
+    #[test]
+    fn audit_pairs_each_tally_with_its_counter() {
+        let t = decision_tallies(&sample_journal().snapshot().events);
+        let zero = aarray_obs::Snapshot::default();
+        let rows = t.audit(&zero);
+        let row = |name: &str| *rows.iter().find(|r| r.0 == name).unwrap();
+        assert_eq!(row("kernel.spa"), ("kernel.spa", 1, 0));
+        assert_eq!(row("fused.spa"), ("fused.spa", 1, 0));
+        assert_eq!(row("dispatch.parallel"), ("dispatch.parallel", 1, 0));
+        assert_eq!(row("plan.symbolic-hit"), ("plan.symbolic-hit", 1, 0));
+        assert_eq!(row("incremental.apply"), ("incremental.apply", 5, 0));
+        // Rebuilt lanes sum over every fallback reason.
+        assert_eq!(row("incremental.fallback"), ("incremental.fallback", 3, 0));
+        // An empty journal agrees with an empty registry on every row.
+        let empty = DecisionTallies::default().audit(&zero);
+        assert!(empty.iter().all(|&(_, j, c)| j == 0 && c == 0));
     }
 }

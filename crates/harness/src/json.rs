@@ -1,10 +1,11 @@
 //! Minimal recursive-descent JSON parser.
 //!
 //! The workspace builds offline against an **empty** `serde_json`
-//! stub, so `obsctl` parses its own bench files by hand. Scope is
-//! exactly what the bench schemas need: objects, arrays, strings
-//! (escape-decoded), numbers (as `f64`), booleans, null. Duplicate
-//! object keys keep the last value, as serde_json does by default.
+//! stub, so `obsctl` parses `BENCHMARK.json`, benchmark reports and
+//! its own exports by hand. Scope is exactly what those need: objects,
+//! arrays, strings (escape-decoded), numbers (as `f64`), booleans,
+//! null. Duplicate object keys keep the last value, as serde_json does
+//! by default.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -327,7 +328,7 @@ mod tests {
 
     #[test]
     fn round_trips_real_bench_files() {
-        // The legacy PR1 format exactly as committed at the repo root.
+        // The shape the fused_vs_sequential bench writes.
         let pr1 = r#"{
   "bench": "fused_vs_sequential",
   "workload": {"tracks": 20000, "pairs": 7, "e1_nnz": 28749, "e2_nnz": 39879},

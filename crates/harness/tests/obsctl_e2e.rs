@@ -1,9 +1,12 @@
-//! End-to-end exercise of the `obsctl` binary: a real (tiny-scale)
-//! observatory run, the regression verdict against healthy / regressed
-//! / malformed baselines, and the `AARRAY_OBS_HISTOGRAMS` env branch.
+//! End-to-end exercise of the `obsctl` binary: `trace` and its counter
+//! audit, `ops`, `watch`'s terminal view and its env-knob behaviour
+//! over `/report.json`, bad invocations, and `gate` driven by a canned
+//! benchmark command.
 
+use aarray_harness::json::{parse, Value};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 fn obsctl() -> Command {
     Command::new(env!("CARGO_BIN_EXE_obsctl"))
@@ -11,324 +14,28 @@ fn obsctl() -> Command {
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("obsctl-e2e-{}-{}", tag, std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
 }
 
-fn run_observatory(dir: &Path) -> PathBuf {
-    let out = dir.join("BENCH_pr3.json");
-    let o = obsctl()
-        .args(["run", "--scales", "400", "--reps", "2", "--out"])
-        .arg(&out)
-        .output()
-        .unwrap();
-    assert!(
-        o.status.success(),
-        "obsctl run failed:\n{}{}",
-        String::from_utf8_lossy(&o.stdout),
-        String::from_utf8_lossy(&o.stderr)
-    );
-    out
-}
-
-fn check(current: &Path, against: &Path) -> Output {
-    obsctl()
-        .args(["check", "--current"])
-        .arg(current)
-        .arg("--against")
-        .arg(against)
-        .output()
-        .unwrap()
-}
-
-#[test]
-fn run_produces_schema_valid_observatory_file() {
-    let dir = tmpdir("run");
-    let out = run_observatory(&dir);
-    let text = std::fs::read_to_string(&out).unwrap();
-    let doc = aarray_harness::json::parse(&text).expect("BENCH_pr3.json must parse");
-    assert_eq!(
-        aarray_harness::schema::classify(&doc).unwrap(),
-        aarray_harness::schema::BenchKind::V3
-    );
-
-    // ≥ 4 distinct non-empty histograms (row shapes + dispatch flops).
-    let hists = doc
-        .path(&["report", "histograms"])
-        .unwrap()
-        .as_obj()
-        .unwrap();
-    let live: Vec<&String> = hists
-        .iter()
-        .filter(|(_, h)| h.get("count").unwrap().as_u64().unwrap() > 0)
-        .map(|(k, _)| k)
-        .collect();
-    assert!(live.len() >= 4, "live histograms: {:?}", live);
-
-    // Peak-memory figures are present and non-zero somewhere.
-    let mem = doc.path(&["report", "mem"]).unwrap().as_obj().unwrap();
-    assert!(mem
-        .values()
-        .any(|e| e.get("peak").unwrap().as_u64().unwrap() > 0));
-
-    // Counters recorded the fused traversals of fig3 + fig5 runs.
-    let fused = doc
-        .path(&["report", "counters", "fused.traversals"])
-        .unwrap()
-        .as_u64()
-        .unwrap();
-    assert!(fused >= 2, "fused.traversals = {}", fused);
-
-    // Self-comparison is a clean pass (identical numbers, 0% growth).
-    let o = check(&out, &out);
-    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stdout));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn check_flags_synthetic_regression_and_rejects_bad_schema() {
-    let dir = tmpdir("check");
-    let current = run_observatory(&dir);
-    let text = std::fs::read_to_string(&current).unwrap();
-
-    // Baseline whose wall median is far below the current run's: the
-    // current run regresses against it. Halving every median (they are
-    // emitted as "median_ns": N) guarantees > 15% apparent growth for
-    // every stage above the noise floor; the wall stage of a real run
-    // is always above 50 µs in a debug binary.
-    let mut regressed = String::with_capacity(text.len());
-    for piece in text.split("\"median_ns\": ") {
-        if regressed.is_empty() {
-            regressed.push_str(piece);
-            continue;
-        }
-        regressed.push_str("\"median_ns\": ");
-        let digits: String = piece.chars().take_while(char::is_ascii_digit).collect();
-        let rest = &piece[digits.len()..];
-        let halved: u64 = digits.parse::<u64>().unwrap() / 2;
-        regressed.push_str(&halved.to_string());
-        regressed.push_str(rest);
-    }
-    let baseline = dir.join("BENCH_fast_baseline.json");
-    std::fs::write(&baseline, &regressed).unwrap();
-    let o = check(&current, &baseline);
-    assert_eq!(
-        o.status.code(),
-        Some(1),
-        "halved baseline must trip the 15% gate:\n{}",
-        String::from_utf8_lossy(&o.stdout)
-    );
-    assert!(String::from_utf8_lossy(&o.stdout).contains("REGRESSED"));
-
-    // Legacy-format regressed baseline: tiny fused_ms at our scale.
-    let legacy = dir.join("BENCH_legacy_fast.json");
-    std::fs::write(
-        &legacy,
-        r#"{"bench":"fused_vs_sequential","workload":{"tracks":400},"fused_ms":0.051,"reps":1}"#,
-    )
-    .unwrap();
-    let o = check(&current, &legacy);
-    // Either the gate trips (debug totals are well above 0.051 ms) or —
-    // never — it passes; pin the regression.
-    assert_eq!(
-        o.status.code(),
-        Some(1),
-        "{}",
-        String::from_utf8_lossy(&o.stdout)
-    );
-
-    // Schema-invalid baseline: exit 2, not a silent pass.
-    let bad = dir.join("BENCH_bad.json");
-    std::fs::write(&bad, r#"{"schema_version": 42, "bench": "??"}"#).unwrap();
-    let o = check(&current, &bad);
-    assert_eq!(
-        o.status.code(),
-        Some(2),
-        "{}",
-        String::from_utf8_lossy(&o.stderr)
-    );
-    assert!(String::from_utf8_lossy(&o.stderr).contains("schema_version"));
-
-    // Unparseable baseline: also exit 2.
-    let garbage = dir.join("BENCH_garbage.json");
-    std::fs::write(&garbage, "{ not json").unwrap();
-    let o = check(&current, &garbage);
-    assert_eq!(o.status.code(), Some(2));
-
-    // Missing current file: exit 2.
-    let o = check(&dir.join("nope.json"), &baseline);
-    assert_eq!(o.status.code(), Some(2));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn histogram_env_knob_controls_capture() {
-    let dir = tmpdir("env");
-
-    // Disabled: the run still succeeds (with a warning), the file is
-    // schema-valid, and every histogram is empty.
-    let off = dir.join("BENCH_off.json");
-    let o = obsctl()
-        .args(["run", "--scales", "300", "--reps", "1", "--out"])
-        .arg(&off)
-        .env(aarray_obs::HISTOGRAMS_ENV, "0")
-        .output()
-        .unwrap();
-    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
-    assert!(
-        String::from_utf8_lossy(&o.stderr).contains("histograms will be empty"),
-        "{}",
-        String::from_utf8_lossy(&o.stderr)
-    );
-    let doc = aarray_harness::json::parse(&std::fs::read_to_string(&off).unwrap()).unwrap();
-    assert_eq!(
-        aarray_harness::schema::classify(&doc).unwrap(),
-        aarray_harness::schema::BenchKind::V3
-    );
-    assert_eq!(
-        doc.get("histograms_enabled"),
-        Some(&aarray_harness::json::Value::Bool(false))
-    );
-    let hists = doc
-        .path(&["report", "histograms"])
-        .unwrap()
-        .as_obj()
-        .unwrap();
-    assert!(
-        hists
-            .values()
-            .all(|h| h.get("count").unwrap().as_u64() == Some(0)),
-        "histograms must be empty with {}=0",
-        aarray_obs::HISTOGRAMS_ENV
-    );
-    // Counters and memory accounting stay on regardless of the knob.
-    assert!(
-        doc.path(&["report", "counters", "fused.traversals"])
-            .unwrap()
-            .as_u64()
-            .unwrap()
-            >= 2
-    );
-
-    // Enabled (any other value): histograms fill in.
-    let on = dir.join("BENCH_on.json");
-    let o = obsctl()
-        .args(["run", "--scales", "300", "--reps", "1", "--out"])
-        .arg(&on)
-        .env(aarray_obs::HISTOGRAMS_ENV, "1")
-        .output()
-        .unwrap();
-    assert!(o.status.success());
-    let doc = aarray_harness::json::parse(&std::fs::read_to_string(&on).unwrap()).unwrap();
-    let hists = doc
-        .path(&["report", "histograms"])
-        .unwrap()
-        .as_obj()
-        .unwrap();
-    let live = hists
-        .values()
-        .filter(|h| h.get("count").unwrap().as_u64().unwrap() > 0)
-        .count();
-    assert!(live >= 4, "expected ≥4 live histograms, got {}", live);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn streaming_workload_emits_bench_pr4() {
-    let dir = tmpdir("stream");
-    let out = dir.join("BENCH_pr4.json");
-    let o = obsctl()
-        .args(["stream", "--scales", "400", "--reps", "2", "--out"])
-        .arg(&out)
-        .output()
-        .unwrap();
-    assert!(
-        o.status.success(),
-        "obsctl stream failed:\n{}{}",
-        String::from_utf8_lossy(&o.stdout),
-        String::from_utf8_lossy(&o.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&o.stdout).contains("% of rebuild)"),
-        "{}",
-        String::from_utf8_lossy(&o.stdout)
-    );
-
-    let doc = aarray_harness::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    assert_eq!(
-        aarray_harness::schema::classify(&doc).unwrap(),
-        aarray_harness::schema::BenchKind::V3
-    );
-    let names: Vec<&str> = doc
-        .get("workloads")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .map(|w| w.get("name").unwrap().as_str().unwrap())
-        .collect();
-    assert_eq!(names, vec!["stream-incr", "stream-rebuild"]);
-
-    // The incremental layer's counters are live in the embedded report:
-    // batches were appended and the delta kernel traversed them.
-    for counter in [
-        "incremental.batches",
-        "incremental.apply",
-        "delta.traversals",
-    ] {
-        let v = doc
-            .path(&["report", "counters", counter])
-            .and_then(aarray_harness::json::Value::as_u64)
-            .unwrap_or(0);
-        assert!(v >= 1, "counter {} must be live, got {}", counter, v);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn check_reports_new_metrics_with_own_exit_code() {
-    let dir = tmpdir("newmetric");
-    let current = run_observatory(&dir);
-    let text = std::fs::read_to_string(&current).unwrap();
-
-    // Baseline that has never seen the fig3 workload: every fig3 stage
-    // above the noise floor in the current run is a *new metric* — not
-    // a silent 0%-growth pass (the zero-baseline bug this pins down).
-    assert!(text.contains("\"name\": \"fig3\""), "emitter shape changed");
-    let baseline = dir.join("BENCH_no_fig3.json");
-    std::fs::write(
-        &baseline,
-        text.replace("\"name\": \"fig3\"", "\"name\": \"zzz3\""),
-    )
-    .unwrap();
-
-    let o = check(&current, &baseline);
-    let stdout = String::from_utf8_lossy(&o.stdout);
-    assert_eq!(o.status.code(), Some(3), "{}", stdout);
-    assert!(stdout.contains("NEW"), "{}", stdout);
-    assert!(stdout.contains("new metric"), "{}", stdout);
-    assert!(!stdout.contains("REGRESSED"), "{}", stdout);
-
-    // Same comparison with --allow-new: informational, exit 0.
-    let o = obsctl()
-        .args(["check", "--allow-new", "--current"])
-        .arg(&current)
-        .arg("--against")
-        .arg(&baseline)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&o.stdout);
-    assert_eq!(o.status.code(), Some(0), "{}", stdout);
-    assert!(stdout.contains("accepted via --allow-new"), "{}", stdout);
-    std::fs::remove_dir_all(&dir).ok();
+/// `(journal, counter)` from the `obsctl trace` counter-audit row `name`.
+fn audit_row(stdout: &str, name: &str) -> (u64, u64) {
+    let line = stdout
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some(name))
+        .unwrap_or_else(|| panic!("no audit row {:?} in:\n{}", name, stdout));
+    let f: Vec<&str> = line.split_whitespace().collect();
+    assert_eq!(f[2], "/", "{}", line);
+    (f[1].parse().unwrap(), f[3].parse().unwrap())
 }
 
 #[test]
 fn unparsable_env_knobs_warn_once_and_fall_back() {
     let dir = tmpdir("envwarn");
-    let out = dir.join("BENCH_envwarn.json");
+    let out = dir.join("fig3.trace.json");
     let o = obsctl()
-        .args(["run", "--scales", "300", "--reps", "2", "--out"])
+        .args(["trace", "fig3", "--rows", "300", "--reps", "2", "--out"])
         .arg(&out)
         .env(aarray_obs::HISTOGRAMS_ENV, "yes")
         .env(aarray_core::PAR_FLOPS_THRESHOLD_ENV, "128k")
@@ -357,34 +64,123 @@ fn unparsable_env_knobs_warn_once_and_fall_back() {
         );
     }
 
-    // Fallbacks hold: histograms default to enabled, and the run
-    // completes as a valid capture.
-    let doc = aarray_harness::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    assert_eq!(
-        doc.get("histograms_enabled"),
-        Some(&aarray_harness::json::Value::Bool(true))
-    );
-    assert_eq!(
-        aarray_harness::schema::classify(&doc).unwrap(),
-        aarray_harness::schema::BenchKind::V3
-    );
+    // Fallbacks hold: histograms default to enabled, so the gated
+    // per-row shape events reach the journal, and the trace is whole.
+    let text = std::fs::read_to_string(&out).unwrap();
+    assert!(text.contains("\"row-shape\""), "no row-shape events");
+    let doc = parse(&text).unwrap();
+    aarray_harness::chrome_trace::validate(&doc).expect("trace must validate");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Run `obsctl watch fig3 --listen` in a fresh process with
+/// `AARRAY_OBS_HISTOGRAMS=knob` and return the first `/report.json` in
+/// which the workload has made at least three fused traversals.
+fn watched_report(knob: &str) -> Value {
+    let dir = tmpdir(&format!("hist-{}", knob));
+    let port_file = dir.join("watch.addr");
+    let mut child = obsctl()
+        .args([
+            "watch",
+            "fig3",
+            "--rows",
+            "300",
+            "--reps",
+            "100000",
+            "--interval-ms",
+            "20",
+            "--listen",
+            "127.0.0.1:0",
+            "--port-file",
+        ])
+        .arg(&port_file)
+        .env(aarray_obs::HISTOGRAMS_ENV, knob)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut report = None;
+    while report.is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        let Ok(addr) = std::fs::read_to_string(&port_file) else {
+            continue;
+        };
+        let got =
+            aarray_harness::httpd::http_get(addr.trim(), "/report.json", Duration::from_secs(5));
+        if let Ok((200, body)) = got {
+            let doc = parse(&body).expect("/report.json must be JSON");
+            let traversals = doc
+                .path(&["counters", "fused.traversals"])
+                .and_then(Value::as_u64)
+                .unwrap_or(0);
+            if traversals >= 3 {
+                report = Some(doc);
+            }
+        }
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    std::fs::remove_dir_all(&dir).ok();
+    report.expect("watch never served a report covering three fused traversals")
+}
+
+fn live_histograms(doc: &Value) -> usize {
+    doc.get("histograms")
+        .and_then(Value::as_obj)
+        .expect("report has histograms")
+        .values()
+        .filter(|h| h.get("count").and_then(Value::as_u64).unwrap() > 0)
+        .count()
+}
+
+#[test]
+fn histogram_env_knob_controls_capture() {
+    // Disabled: every histogram stays empty, while the counters stay
+    // live (each report was taken once three fused traversals counted).
+    let off = watched_report("0");
+    assert_eq!(
+        live_histograms(&off),
+        0,
+        "histograms must be empty with {}=0",
+        aarray_obs::HISTOGRAMS_ENV
+    );
+    // Enabled: histograms fill in.
+    let on = watched_report("1");
+    let live = live_histograms(&on);
+    assert!(live >= 4, "expected ≥4 live histograms, got {}", live);
 }
 
 #[test]
 fn cli_rejects_bad_invocations() {
     for args in [
         &["frobnicate"][..],
-        &["run", "--scales", "abc"][..],
-        &["run", "--reps"][..],
-        &["check", "--lat-tol", "much"][..],
+        &[][..],
+        &["trace", "--rows", "abc"][..],
+        &["ops", "--reps"][..],
+        &["watch", "--interval-ms", "much"][..],
+        &["watch", "--port-file", "x"][..],
+        &["fetch"][..],
+        &["gate"][..],
+        &["gate", "only-one"][..],
+        &["gate", "a", "b", "c"][..],
     ] {
         let o = obsctl().args(args).output().unwrap();
         assert_eq!(o.status.code(), Some(2), "args {:?}", args);
     }
+    // The lineage subcommands are gone, not hidden.
+    for removed in [
+        "run", "stream", "parbench", "check", "--check", "diff", "history", "top",
+    ] {
+        let o = obsctl().arg(removed).output().unwrap();
+        assert_eq!(o.status.code(), Some(2), "{} still runs", removed);
+    }
     let o = obsctl().arg("--help").output().unwrap();
     assert!(o.status.success());
-    assert!(String::from_utf8_lossy(&o.stdout).contains("obsctl run"));
+    let usage = String::from_utf8_lossy(&o.stdout);
+    for sub in ["trace", "ops", "watch", "fetch", "gate"] {
+        assert!(usage.contains(&format!("obsctl {}", sub)), "{}", usage);
+    }
 }
 
 #[test]
@@ -403,12 +199,28 @@ fn trace_writes_a_validated_chrome_trace() {
     assert!(stdout.contains("stage timeline"), "{}", stdout);
     assert!(stdout.contains("decision audit"), "{}", stdout);
     assert!(stdout.contains("dropped by wraparound"), "{}", stdout);
-    // No counter-parity warnings: the journal reproduced the registry.
-    assert!(
-        !stderr.contains("but the counter says"),
-        "audit mismatch:\n{}",
-        stderr
-    );
+    // The counter audit covers every decision the workload makes, and
+    // the journal reproduced the registry on each row.
+    assert!(stdout.contains("counter audit"), "{}", stdout);
+    assert!(!stdout.contains("MISMATCH"), "{}", stdout);
+    let fused = audit_row(&stdout, "fused.spa");
+    assert!(fused.0 > 0 && fused.0 == fused.1, "{:?}\n{}", fused, stdout);
+    for row in [
+        "kernel.spa",
+        "kernel.hash",
+        "kernel.esc",
+        "fused.hash",
+        "dispatch.serial",
+        "dispatch.parallel",
+        "plan.symbolic-hit",
+        "plan.symbolic-miss",
+        "incremental.apply",
+        "incremental.fallback",
+    ] {
+        let (journal, counter) = audit_row(&stdout, row);
+        assert_eq!(journal, counter, "{}\n{}", row, stdout);
+    }
+    assert!(stderr.is_empty(), "{}", stderr);
 
     // The artifact parses with the workspace's own JSON parser and
     // passes the structural chrome-trace validator: required fields,
@@ -450,6 +262,17 @@ fn trace_covers_the_streaming_workload_too() {
     // delta-apply spans and the audit shows delta-applied lanes.
     assert!(stdout.contains("delta-apply"), "{}", stdout);
     assert!(stdout.contains("delta-applied lanes"), "{}", stdout);
+    // The audit counts those lanes on both sides, and no lane of these
+    // associative lanes fell back to a rebuild.
+    let applied = audit_row(&stdout, "incremental.apply");
+    assert!(
+        applied.0 > 0 && applied.0 == applied.1,
+        "{:?}\n{}",
+        applied,
+        stdout
+    );
+    assert_eq!(audit_row(&stdout, "incremental.fallback"), (0, 0));
+    assert!(!stdout.contains("MISMATCH"), "{}", stdout);
     let doc = aarray_harness::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
     aarray_harness::chrome_trace::validate(&doc).expect("stream trace must validate");
     std::fs::remove_dir_all(&dir).ok();
@@ -463,128 +286,6 @@ fn trace_covers_the_streaming_workload_too() {
         let o = obsctl().args(args).output().unwrap();
         assert_eq!(o.status.code(), Some(2), "args {:?}", args);
     }
-}
-
-#[test]
-fn check_json_emits_schema_versioned_verdicts() {
-    let dir = tmpdir("check-json");
-    let current = run_observatory(&dir);
-    let text = std::fs::read_to_string(&current).unwrap();
-
-    // Passing verdict: self-comparison, exit 0, every finding "ok".
-    let verdict_path = dir.join("verdict-pass.json");
-    let o = obsctl()
-        .args(["check", "--current"])
-        .arg(&current)
-        .arg("--against")
-        .arg(&current)
-        .arg("--json")
-        .arg(&verdict_path)
-        .output()
-        .unwrap();
-    assert!(o.status.success());
-    let doc = aarray_harness::json::parse(&std::fs::read_to_string(&verdict_path).unwrap())
-        .expect("verdict must be valid JSON");
-    assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(1));
-    assert_eq!(doc.get("tool").unwrap().as_str(), Some("obsctl-check"));
-    assert_eq!(doc.get("exit_code").unwrap().as_u64(), Some(0));
-    // A clean run carries its drop accounting into the verdict.
-    assert_eq!(doc.get("journal_dropped").unwrap().as_u64(), Some(0));
-    let comps = doc.get("comparisons").unwrap().as_arr().unwrap();
-    assert_eq!(comps.len(), 1);
-    let findings = comps[0].get("findings").unwrap().as_arr().unwrap();
-    assert!(!findings.is_empty());
-    for f in findings {
-        assert_eq!(f.get("status").unwrap().as_str(), Some("ok"), "{:?}", f);
-        assert!(f.get("metric").unwrap().as_str().is_some());
-        assert!(f.get("pct").unwrap().as_f64().is_some());
-    }
-
-    // Regressed verdict: halve every baseline median, exit 1, at least
-    // one finding flagged "regressed".
-    let mut regressed = String::with_capacity(text.len());
-    for piece in text.split("\"median_ns\": ") {
-        if regressed.is_empty() {
-            regressed.push_str(piece);
-            continue;
-        }
-        regressed.push_str("\"median_ns\": ");
-        let digits: String = piece.chars().take_while(char::is_ascii_digit).collect();
-        let rest = &piece[digits.len()..];
-        let halved: u64 = digits.parse::<u64>().unwrap() / 2;
-        regressed.push_str(&halved.to_string());
-        regressed.push_str(rest);
-    }
-    let baseline = dir.join("halved.json");
-    std::fs::write(&baseline, &regressed).unwrap();
-    let verdict_path = dir.join("verdict-regressed.json");
-    let o = obsctl()
-        .args(["check", "--current"])
-        .arg(&current)
-        .arg("--against")
-        .arg(&baseline)
-        .arg("--json")
-        .arg(&verdict_path)
-        .output()
-        .unwrap();
-    assert_eq!(o.status.code(), Some(1));
-    let doc =
-        aarray_harness::json::parse(&std::fs::read_to_string(&verdict_path).unwrap()).unwrap();
-    assert_eq!(doc.get("exit_code").unwrap().as_u64(), Some(1));
-    let comps = doc.get("comparisons").unwrap().as_arr().unwrap();
-    assert!(comps[0].get("regressions").unwrap().as_u64().unwrap() >= 1);
-    let findings = comps[0].get("findings").unwrap().as_arr().unwrap();
-    assert!(findings
-        .iter()
-        .any(|f| f.get("status").unwrap().as_str() == Some("regressed")));
-
-    // New-metric verdict: rename fig3 so the current run has workloads
-    // the baseline lacks — exit 3 and "new" findings; --allow-new
-    // downgrades to exit 0 while the findings stay marked "new".
-    let renamed = text.replace("\"name\": \"fig3\"", "\"name\": \"zzz3\"");
-    let baseline = dir.join("renamed.json");
-    std::fs::write(&baseline, &renamed).unwrap();
-    let verdict_path = dir.join("verdict-new.json");
-    let o = obsctl()
-        .args(["check", "--current"])
-        .arg(&current)
-        .arg("--against")
-        .arg(&baseline)
-        .arg("--json")
-        .arg(&verdict_path)
-        .output()
-        .unwrap();
-    assert_eq!(o.status.code(), Some(3));
-    let doc =
-        aarray_harness::json::parse(&std::fs::read_to_string(&verdict_path).unwrap()).unwrap();
-    assert_eq!(doc.get("exit_code").unwrap().as_u64(), Some(3));
-    let comps = doc.get("comparisons").unwrap().as_arr().unwrap();
-    assert!(comps[0].get("new_metrics").unwrap().as_u64().unwrap() >= 1);
-    let findings = comps[0].get("findings").unwrap().as_arr().unwrap();
-    assert!(findings
-        .iter()
-        .any(|f| f.get("status").unwrap().as_str() == Some("new")));
-
-    let verdict_path = dir.join("verdict-allow-new.json");
-    let o = obsctl()
-        .args(["check", "--current"])
-        .arg(&current)
-        .arg("--against")
-        .arg(&baseline)
-        .arg("--allow-new")
-        .arg("--json")
-        .arg(&verdict_path)
-        .output()
-        .unwrap();
-    assert!(o.status.success());
-    let doc =
-        aarray_harness::json::parse(&std::fs::read_to_string(&verdict_path).unwrap()).unwrap();
-    assert_eq!(doc.get("exit_code").unwrap().as_u64(), Some(0));
-    assert_eq!(
-        doc.get("allow_new"),
-        Some(&aarray_harness::json::Value::Bool(true))
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -673,10 +374,10 @@ fn ops_shows_tails_and_writes_a_per_op_trace() {
 }
 
 #[test]
-fn top_ticks_while_the_workload_runs_and_prints_a_final_table() {
+fn watch_ticks_while_the_workload_runs_and_prints_a_final_table() {
     let o = obsctl()
         .args([
-            "top",
+            "watch",
             "fig3",
             "--rows",
             "600",
@@ -690,7 +391,12 @@ fn top_ticks_while_the_workload_runs_and_prints_a_final_table() {
     let stdout = String::from_utf8_lossy(&o.stdout);
     let stderr = String::from_utf8_lossy(&o.stderr);
     assert!(o.status.success(), "{}{}", stdout, stderr);
-    assert!(stdout.contains("tick"), "{}", stdout);
+    // One line per sampled frame, derived from frame pairs.
+    assert!(
+        stdout.lines().any(|l| l.starts_with("frame ")),
+        "{}",
+        stdout
+    );
     assert!(stdout.contains("workload finished"), "{}", stdout);
     // Final table aggregates the whole run per kind.
     for needle in ["p50_ns", "p95_ns", "p99_ns", "plan-execute"] {
@@ -703,301 +409,214 @@ fn top_ticks_while_the_workload_runs_and_prints_a_final_table() {
     }
 
     let o = obsctl()
-        .args(["top", "--interval-ms", "0"])
+        .args(["watch", "--interval-ms", "0"])
         .output()
         .unwrap();
     assert_eq!(o.status.code(), Some(2));
 }
 
-/// Hand-crafted v3 document whose four component stages sum exactly to
-/// its wall figure, so diff attribution over it is deterministic.
-fn synthetic_v3(dir: &Path, file: &str, numeric_ns: u64, serial: u64, parallel: u64) -> PathBuf {
-    let wall = 100_000 + 300_000 + 600_000 + numeric_ns;
-    let doc = format!(
-        r#"{{
-          "schema_version": 3, "bench": "perf-observatory", "reps": 3,
-          "histograms_enabled": false,
-          "workloads": [{{"name":"fig3","rows":20000,"product_nnz":7,"stages":{{
-            "align":{{"median_ns":100000}},"transpose":{{"median_ns":300000}},
-            "symbolic":{{"median_ns":600000}},"numeric":{{"median_ns":{numeric}}},
-            "total":{{"median_ns":{wall}}},"wall":{{"median_ns":{wall}}}}}}}],
-          "report": {{"schema_version": 3,
-            "counters": {{"dispatch.serial": {serial}, "dispatch.parallel": {parallel}}},
-            "histograms": {{}},
-            "mem": {{"spa-scratch":{{"current":0,"peak":2097152}}}}}}
-        }}"#,
-        numeric = numeric_ns,
-        wall = wall,
-        serial = serial,
-        parallel = parallel,
-    );
-    let path = dir.join(file);
-    std::fs::write(&path, doc).unwrap();
-    path
+/// A report line as the benchmark prints it.
+fn report(correct: bool, failed: u64, edges_per_s: u64, op_p50_ms: f64) -> String {
+    format!(
+        "{{\"correct\": {}, \"attempted\": 10, \"failed\": {}, \"metrics\": {{\
+         \"edges_per_s\": {{\"value\": {}, \"unit\": \"1/s\"}}, \
+         \"op_p50_ms\": {{\"value\": {}, \"unit\": \"ms\"}}}}}}",
+        correct, failed, edges_per_s, op_p50_ms
+    )
 }
 
-#[test]
-fn diff_attributes_synthetic_regression_above_ninety_percent() {
-    let dir = tmpdir("diff");
-    // B's numeric doubles (+2 ms on a 3 ms wall) and its dispatch goes
-    // all-serial → all-parallel; every other stage is flat.
-    let a = synthetic_v3(&dir, "a.json", 2_000_000, 12, 0);
-    let b = synthetic_v3(&dir, "b.json", 4_000_000, 0, 12);
-    let verdict = dir.join("diff.json");
-
-    let o = obsctl()
-        .arg("diff")
-        .arg(&a)
-        .arg(&b)
-        .arg("--json")
-        .arg(&verdict)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&o.stdout);
-    assert!(
-        o.status.success(),
-        "{}{}",
-        stdout,
-        String::from_utf8_lossy(&o.stderr)
+/// A checkout whose benchmark is `sh bench.sh`: it logs its side,
+/// arguments and inherited `CARGO_TARGET_DIR` to `../calls.log`, then
+/// runs `body`, which sees the appended arguments as `$1`..`$8`
+/// (`--workload W --seed S --seconds T --trace 0`).
+fn checkout(root: &Path, side: &str, body: &str) -> PathBuf {
+    let dir = root.join(side);
+    std::fs::create_dir_all(&dir).unwrap();
+    let script = format!(
+        "echo \"{} $* target=${{CARGO_TARGET_DIR-unset}}\" >> ../calls.log\n\
+         echo 'compiling aabench' >&2\n{}\n",
+        side, body
     );
-    assert!(stdout.contains("wall delta"), "{}", stdout);
-    assert!(stdout.contains("fig3@20000/numeric"), "{}", stdout);
-    assert!(stdout.contains("dispatch serial↔parallel"), "{}", stdout);
-
-    let doc = aarray_harness::json::parse(&std::fs::read_to_string(&verdict).unwrap())
-        .expect("diff verdict must parse");
-    assert_eq!(doc.get("tool").unwrap().as_str(), Some("obsctl-diff"));
-    assert_eq!(doc.get("wall_delta_ns").unwrap().as_u64(), Some(2_000_000));
-    // The attribution acceptance bar: ≥ 90% of the delta explained.
-    let explained = doc.get("explained_pct").unwrap().as_f64().unwrap();
-    assert!(explained >= 90.0, "explained only {:.1}%", explained);
-    let contributors = doc.get("contributors").unwrap().as_arr().unwrap();
-    let top = &contributors[0];
-    assert_eq!(
-        top.get("metric").unwrap().as_str(),
-        Some("fig3@20000/numeric")
-    );
-    assert_eq!(
-        top.get("included").unwrap(),
-        &aarray_harness::json::Value::Bool(true)
-    );
-    let flips = doc.get("flips").unwrap().as_arr().unwrap();
-    assert_eq!(flips.len(), 1, "one dispatch flip expected");
-    assert_eq!(flips[0].get("stage").unwrap().as_str(), Some("numeric"));
-
-    // Identical inputs: zero delta, nothing included, clean exit.
-    let o = obsctl().arg("diff").arg(&a).arg(&a).output().unwrap();
-    assert!(o.status.success());
-    assert!(
-        String::from_utf8_lossy(&o.stdout).contains("wall delta +0 ns"),
-        "{}",
-        String::from_utf8_lossy(&o.stdout)
-    );
-
-    // Bad invocations exit 2: wrong arity, unreadable file.
-    let o = obsctl().arg("diff").arg(&a).output().unwrap();
-    assert_eq!(o.status.code(), Some(2));
-    let o = obsctl()
-        .args(["diff", "no-such-a.json", "no-such-b.json"])
-        .output()
-        .unwrap();
-    assert_eq!(o.status.code(), Some(2));
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::write(dir.join("bench.sh"), script).unwrap();
+    dir
 }
 
-#[test]
-fn history_ingests_every_committed_baseline_lineage() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut files: Vec<PathBuf> = (1..=6)
-        .map(|i| root.join(format!("BENCH_pr{}.json", i)))
+fn declare(change: &Path, workloads: &[&str]) {
+    let names: Vec<String> = workloads
+        .iter()
+        .map(|w| format!("{{\"name\": \"{}\", \"why\": \"test\"}}", w))
         .collect();
-    files.retain(|f| f.exists());
-    assert!(
-        files.len() >= 6,
-        "expected the six committed baselines, found {:?}",
-        files
+    let doc = format!(
+        "{{\"command\": [\"sh\", \"bench.sh\"], \"paths\": [\"bench.sh\"], \
+         \"run_seconds\": 0.5, \"workloads\": [{}], \"end_to_end\": [\
+         {{\"name\": \"edges_per_s\", \"unit\": \"1/s\", \"better\": \"higher\", \"bound\": 0.25}}, \
+         {{\"name\": \"op_p50_ms\", \"unit\": \"ms\", \"better\": \"lower\", \"bound\": 0.25}}]}}",
+        names.join(", ")
     );
+    std::fs::write(change.join("BENCHMARK.json"), doc).unwrap();
+}
 
-    let dir = tmpdir("history");
-    let out = dir.join("history.json");
-    let mut cmd = obsctl();
-    cmd.arg("history");
-    for f in &files {
-        cmd.arg(f);
-    }
-    let o = cmd.arg("--out").arg(&out).output().unwrap();
+fn gate(parent: &Path, change: &Path) -> Output {
+    obsctl()
+        .arg("gate")
+        .arg(parent)
+        .arg(change)
+        .env("CARGO_TARGET_DIR", "/shared/target")
+        .output()
+        .unwrap()
+}
+
+/// The verdict printed for `workload` / `metric` in the gate's table.
+fn verdict<'a>(stdout: &'a str, workload: &str, metric: &str) -> &'a str {
+    stdout
+        .lines()
+        .find_map(|l| {
+            let f: Vec<&str> = l.split_whitespace().collect();
+            if f.len() == 7 && f[0] == workload && f[1] == metric {
+                Some(f[6])
+            } else {
+                None
+            }
+        })
+        .unwrap_or_else(|| panic!("no row {} {} in:\n{}", workload, metric, stdout))
+}
+
+#[test]
+fn gate_passes_alternating_pairs_without_a_shared_target_dir() {
+    let root = tmpdir("gate-pass");
+    let same = format!("echo '{}'", report(true, 0, 1000, 2.0));
+    let parent = checkout(&root, "parent", &same);
+    let change = checkout(&root, "change", &same);
+    declare(&change, &["w"]);
+    let o = gate(&parent, &change);
     let stdout = String::from_utf8_lossy(&o.stdout);
-    assert!(
-        o.status.success(),
-        "{}{}",
-        stdout,
-        String::from_utf8_lossy(&o.stderr)
-    );
-    // Every lineage shape lands in one table: the legacy fused figure,
-    // the v3/v4 stage medians, and the parbench 1-thread cells share
-    // the fig3@20000 / stream-incr metric space.
-    assert!(stdout.contains("fig3@20000/total"), "{}", stdout);
-    assert!(stdout.contains("stream-incr@"), "{}", stdout);
-    assert!(stdout.contains("slope"), "{}", stdout);
+    assert_eq!(o.status.code(), Some(0), "{}", stdout);
+    assert_eq!(verdict(&stdout, "w", "edges_per_s"), "ok");
+    assert_eq!(verdict(&stdout, "w", "op_p50_ms"), "ok");
+    assert!(stdout.contains("gate: pass"), "{}", stdout);
 
-    // The machine document round-trips through the hand-rolled parser.
-    let doc = aarray_harness::json::parse(&std::fs::read_to_string(&out).unwrap())
-        .expect("history output must round-trip");
-    assert_eq!(doc.get("tool").unwrap().as_str(), Some("obsctl-history"));
-    let listed = doc.get("files").unwrap().as_arr().unwrap();
-    assert_eq!(listed.len(), files.len());
-    let trends = doc.get("trends").unwrap().as_arr().unwrap();
-    assert!(!trends.is_empty());
-    // fig3@20000/total spans the PR1 legacy figure and the PR3
-    // observatory file: at least two present points in its row.
-    let fig3_total = trends
-        .iter()
-        .find(|t| t.get("metric").unwrap().as_str() == Some("fig3@20000/total"))
-        .expect("fig3@20000/total must be trended");
-    let present = fig3_total
-        .get("values")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .filter(|v| v.as_u64().is_some())
-        .count();
-    assert!(present >= 2, "fig3@20000/total spans {} file(s)", present);
-
-    // A malformed file poisons the run with exit 2, never silence.
-    let junk = dir.join("junk.json");
-    std::fs::write(&junk, "{\"bench\": \"mystery\"}").unwrap();
-    let o = obsctl().arg("history").arg(&junk).output().unwrap();
-    assert_eq!(o.status.code(), Some(2));
-    std::fs::remove_dir_all(&dir).ok();
+    // Three pairs with seeds 1-3, the side that goes first alternating,
+    // each run given the declared arguments and no CARGO_TARGET_DIR.
+    let calls = std::fs::read_to_string(root.join("calls.log")).unwrap();
+    let expected: Vec<String> = [
+        ("parent", 1),
+        ("change", 1),
+        ("change", 2),
+        ("parent", 2),
+        ("parent", 3),
+        ("change", 3),
+    ]
+    .iter()
+    .map(|(side, seed)| {
+        format!(
+            "{} --workload w --seed {} --seconds 0.5 --trace 0 target=unset",
+            side, seed
+        )
+    })
+    .collect();
+    assert_eq!(calls.lines().collect::<Vec<_>>(), expected);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
-fn profile_out_captures_decisions_and_diffs_against_bench_files() {
-    let dir = tmpdir("profile");
-    let bench = dir.join("BENCH_pr3.json");
-    let profile = dir.join("profile.json");
-    let o = obsctl()
-        .args(["run", "--scales", "400", "--reps", "2", "--out"])
-        .arg(&bench)
-        .arg("--profile-out")
-        .arg(&profile)
-        .output()
-        .unwrap();
-    assert!(
-        o.status.success(),
-        "{}{}",
-        String::from_utf8_lossy(&o.stdout),
-        String::from_utf8_lossy(&o.stderr)
+fn gate_flags_a_separated_regression_and_leaves_overlap_unresolved() {
+    let root = tmpdir("gate-regress");
+    let parent = checkout(
+        &root,
+        "parent",
+        &format!("echo '{}'", report(true, 0, 1000, 2.0)),
+    );
+    // Workload `slow`: every change run loses half its throughput.
+    // Workload `noisy`: the median loses half, but seed 3 beats the
+    // parent, so the runs overlap.
+    let change = checkout(
+        &root,
+        "change",
+        &format!(
+            "case \"$2/$4\" in\n  noisy/3) echo '{}' ;;\n  *) echo '{}' ;;\nesac",
+            report(true, 0, 1500, 2.0),
+            report(true, 0, 500, 2.0)
+        ),
     );
 
-    let doc = aarray_harness::json::parse(&std::fs::read_to_string(&profile).unwrap())
-        .expect("profile must parse");
-    assert_eq!(doc.get("tool").unwrap().as_str(), Some("obsctl-profile"));
-    // The run's decisions are tallied with their stage assignment, the
-    // pool section reflects the host, and the op-kind stage totals
-    // cover the plan executions the workloads performed.
-    let serial = doc
-        .path(&["decisions", "dispatch.serial", "count"])
-        .unwrap()
-        .as_u64()
-        .unwrap();
-    let parallel = doc
-        .path(&["decisions", "dispatch.parallel", "count"])
-        .unwrap()
-        .as_u64()
-        .unwrap();
-    assert!(serial + parallel >= 1, "no dispatch decisions recorded");
-    assert!(doc.get("pool").is_some());
-    let kinds = doc.get("op_kinds").unwrap().as_obj().unwrap();
-    assert!(
-        kinds.contains_key("plan-execute"),
-        "op kinds: {:?}",
-        kinds.keys().collect::<Vec<_>>()
-    );
+    declare(&change, &["noisy"]);
+    let o = gate(&parent, &change);
+    let stdout = String::from_utf8_lossy(&o.stdout);
+    assert_eq!(o.status.code(), Some(0), "{}", stdout);
+    assert_eq!(verdict(&stdout, "noisy", "edges_per_s"), "unresolved");
+    assert_eq!(verdict(&stdout, "noisy", "op_p50_ms"), "ok");
 
-    // A profile diffs cleanly against itself and against the bench
-    // file written by the same run (both normalize to the same stage
-    // space; identical numbers → zero delta for the self-pair).
-    let o = obsctl()
-        .arg("diff")
-        .arg(&profile)
-        .arg(&profile)
-        .output()
-        .unwrap();
-    assert!(o.status.success());
-    assert!(
-        String::from_utf8_lossy(&o.stdout).contains("wall delta +0 ns"),
-        "{}",
-        String::from_utf8_lossy(&o.stdout)
-    );
-    let o = obsctl()
-        .arg("diff")
-        .arg(&profile)
-        .arg(&bench)
-        .output()
-        .unwrap();
-    assert!(
-        o.status.success(),
-        "{}{}",
-        String::from_utf8_lossy(&o.stdout),
-        String::from_utf8_lossy(&o.stderr)
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    declare(&change, &["slow", "noisy"]);
+    let o = gate(&parent, &change);
+    let stdout = String::from_utf8_lossy(&o.stdout);
+    assert_eq!(o.status.code(), Some(1), "{}", stdout);
+    assert_eq!(verdict(&stdout, "slow", "edges_per_s"), "REGRESSED");
+    assert_eq!(verdict(&stdout, "slow", "op_p50_ms"), "ok");
+    assert_eq!(verdict(&stdout, "noisy", "edges_per_s"), "unresolved");
+    assert!(stdout.contains("gate: FAIL: 1 regressed"), "{}", stdout);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
-fn check_json_attribution_names_stage_contributors() {
-    let dir = tmpdir("check-attr");
-    // A synthetic pair in the same stage space: the "current" run's
-    // numeric stage doubled against the baseline, so checking current
-    // against baseline regresses and the attribution must say why.
-    let baseline = synthetic_v3(&dir, "baseline.json", 2_000_000, 6, 6);
-    let current = synthetic_v3(&dir, "current.json", 4_000_000, 6, 6);
-    let verdict = dir.join("check.json");
-
-    let o = obsctl()
-        .args(["check", "--current"])
-        .arg(&current)
-        .arg("--against")
-        .arg(&baseline)
-        .arg("--json")
-        .arg(&verdict)
-        .output()
-        .unwrap();
-    assert_eq!(
-        o.status.code(),
-        Some(1),
-        "doubled numeric must regress:\n{}",
-        String::from_utf8_lossy(&o.stdout)
+fn gate_fails_on_an_incorrect_run() {
+    let root = tmpdir("gate-incorrect");
+    let parent = checkout(
+        &root,
+        "parent",
+        &format!("echo '{}'", report(true, 0, 1000, 2.0)),
     );
+    // Same numbers, but one seed's outputs miss their oracle.
+    let change = checkout(
+        &root,
+        "change",
+        &format!(
+            "if [ \"$4\" = 2 ]; then echo '{}'; exit 1; fi\necho '{}'",
+            report(false, 2, 1000, 2.0),
+            report(true, 0, 1000, 2.0)
+        ),
+    );
+    declare(&change, &["w"]);
+    let o = gate(&parent, &change);
+    let stdout = String::from_utf8_lossy(&o.stdout);
+    assert_eq!(o.status.code(), Some(1), "{}", stdout);
+    assert_eq!(verdict(&stdout, "w", "edges_per_s"), "ok");
+    assert!(stdout.contains("FAILED"), "{}", stdout);
+    assert!(stdout.contains("1 failed run(s)"), "{}", stdout);
+    std::fs::remove_dir_all(&root).ok();
+}
 
-    let doc = aarray_harness::json::parse(&std::fs::read_to_string(&verdict).unwrap())
-        .expect("check verdict must parse");
-    let comparisons = doc.get("comparisons").unwrap().as_arr().unwrap();
-    let attribution = comparisons[0]
-        .get("attribution")
-        .expect("attribution field must exist")
-        .as_obj()
-        .unwrap();
-    assert!(!attribution.is_empty(), "no attribution for regressions");
-    for (metric, top) in attribution {
-        let top = top.as_arr().unwrap();
-        assert!(
-            top.len() <= 3,
-            "{}: top-3 cap violated ({} entries)",
-            metric,
-            top.len()
-        );
-        assert!(!top.is_empty(), "{}: empty attribution", metric);
-        // The dominant contributor to every regressed fig3 metric is
-        // the numeric stage — that is where the synthetic delta lives.
+#[test]
+fn gate_rejects_missing_or_malformed_input() {
+    let root = tmpdir("gate-bad");
+    let good = format!("echo '{}'", report(true, 0, 1000, 2.0));
+    let parent = checkout(&root, "parent", &good);
+    let change = checkout(&root, "change", &good);
+
+    // No BENCHMARK.json in the change checkout.
+    assert_eq!(gate(&parent, &change).status.code(), Some(2));
+    // A checkout that does not exist.
+    declare(&change, &["w"]);
+    assert_eq!(gate(&root.join("missing"), &change).status.code(), Some(2));
+    // A declaration that is not JSON.
+    std::fs::write(change.join("BENCHMARK.json"), "{\"command\": [").unwrap();
+    assert_eq!(gate(&parent, &change).status.code(), Some(2));
+
+    // Runs whose output holds no readable report, or one without a
+    // declared metric.
+    declare(&change, &["w"]);
+    for body in [
+        "echo 'thread main panicked'; exit 101".to_string(),
+        "echo '{\"correct\": true, \"failed\": 0, \"metrics\": {}}'".to_string(),
+    ] {
+        checkout(&root, "change", &body);
+        let o = gate(&parent, &change);
         assert_eq!(
-            top[0].get("metric").unwrap().as_str(),
-            Some("fig3@20000/numeric"),
-            "{}",
-            metric
+            o.status.code(),
+            Some(2),
+            "{}{}",
+            String::from_utf8_lossy(&o.stdout),
+            String::from_utf8_lossy(&o.stderr)
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&root).ok();
 }

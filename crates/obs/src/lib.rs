@@ -93,9 +93,9 @@ pub use journal::{
 };
 pub use memstats::{memstats, MemRegion, MemReservation, MemSnapshot, MemStats};
 pub use oplog::{
-    current_op, enter_op, intern_label, oplog, workload_label, KindStageTotals, OpId, OpKind,
-    OpLog, OpLogSnapshot, OpLogStats, OpRecord, OpToken, OpsReport, RecordsLost,
-    DEFAULT_OP_RECORDS, OPS_ENV, OP_KIND_NAMES,
+    current_op, enter_op, intern_label, oplog, workload_label, OpId, OpKind, OpLog, OpLogSnapshot,
+    OpLogStats, OpRecord, OpToken, OpsReport, RecordsLost, DEFAULT_OP_RECORDS, OPS_ENV,
+    OP_KIND_NAMES,
 };
 pub use profile::StageReport;
 pub use report::{ObsReport, REPORT_SCHEMA_VERSION};

@@ -792,54 +792,6 @@ impl OpLogSnapshot {
     pub fn label_name(&self, id: u64) -> &str {
         self.labels.get(id as usize).map_or("", String::as_str)
     }
-
-    /// Per-kind totals of the union-of-interval stage slots across the
-    /// records at or after `cursor`, in [`OP_KIND_NAMES`] order. This
-    /// is the export differential profiling consumes: each kind's
-    /// summed align/transpose/symbolic/numeric/delta ns plus wall and
-    /// count, derived from the same journal spans the exemplar
-    /// breakdowns show.
-    pub fn stage_totals(&self, cursor: u64) -> [KindStageTotals; N_OP_KINDS] {
-        let mut totals = [KindStageTotals::default(); N_OP_KINDS];
-        for r in self.since(cursor) {
-            let t = &mut totals[r.kind as usize];
-            t.count += 1;
-            t.align_ns += r.align_ns;
-            t.transpose_ns += r.transpose_ns;
-            t.symbolic_ns += r.symbolic_ns;
-            t.numeric_ns += r.numeric_ns;
-            t.delta_ns += r.delta_ns;
-            t.wall_ns += r.wall_ns;
-        }
-        totals
-    }
-}
-
-/// Summed stage attribution for one op kind in an
-/// [`OpLogSnapshot::stage_totals`] export.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KindStageTotals {
-    /// Records of this kind in the window.
-    pub count: u64,
-    /// Summed key-alignment ns.
-    pub align_ns: u64,
-    /// Summed transpose ns.
-    pub transpose_ns: u64,
-    /// Summed symbolic ns.
-    pub symbolic_ns: u64,
-    /// Summed numeric ns (union of spans, delta-apply excluded).
-    pub numeric_ns: u64,
-    /// Summed delta-apply ns.
-    pub delta_ns: u64,
-    /// Summed wall ns.
-    pub wall_ns: u64,
-}
-
-impl KindStageTotals {
-    /// Sum of the five stage slots.
-    pub fn stage_sum_ns(&self) -> u64 {
-        self.align_ns + self.transpose_ns + self.symbolic_ns + self.numeric_ns + self.delta_ns
-    }
 }
 
 /// Ledger section of [`crate::ObsReport`]: summary figures, per-kind

@@ -7,7 +7,7 @@
 //! a thread opened under its workload label within a ledger window:
 //! `Display` renders the per-stage table
 //! `repro --profile` prints, and [`StageReport::to_json`] the object
-//! `repro --profile-json` and the `obsctl` harness consume.
+//! `repro --profile-json` writes.
 //!
 //! ```
 //! use aarray_obs::{oplog, workload_label, OpKind, OpToken, StageReport};

@@ -5,9 +5,8 @@
 //! with two textual exporters:
 //!
 //! * [`ObsReport::to_json`] — a stable, diffable JSON object (keys
-//!   sorted by metric name, zero-count histogram buckets elided) that
-//!   the `obsctl` harness embeds in schema-versioned `BENCH_*.json`
-//!   files;
+//!   sorted by metric name, zero-count histogram buckets elided),
+//!   served as `obsctl watch`'s `/report.json`;
 //! * [`ObsReport::to_prometheus`] — Prometheus text exposition format
 //!   (`# TYPE` comments, cumulative `_bucket{le=...}` histogram
 //!   series), ready to serve from a `/metrics` endpoint or scrape via

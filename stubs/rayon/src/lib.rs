@@ -958,8 +958,14 @@ mod tests {
         );
     }
 
+    /// `take_task_stats` drains process-wide tallies, so the two tests
+    /// that read them take turns: otherwise one test's opening drain can
+    /// swallow the chunks the other just ran.
+    static TASK_STATS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn task_stats_account_every_chunk() {
+        let _turn = TASK_STATS.lock().unwrap_or_else(|e| e.into_inner());
         let _ = super::take_task_stats();
         let p = pool(4);
         let v: Vec<usize> = p.install(|| (0..100usize).into_par_iter().map(|x| x).collect());
@@ -972,6 +978,7 @@ mod tests {
 
     #[test]
     fn task_stats_count_inline_chunks_separately() {
+        let _turn = TASK_STATS.lock().unwrap_or_else(|e| e.into_inner());
         let _ = super::take_task_stats();
         let p = pool(1);
         let v: Vec<usize> = p.install(|| (0..10usize).into_par_iter().map(|x| x).collect());
