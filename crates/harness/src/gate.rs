@@ -15,6 +15,11 @@
 //! `setup_s` has moved 32.5% between two sets of runs on one host
 //! (`aabench/README.md`), so three runs a side cannot tell a move of
 //! that size from a regression unless the runs separate.
+//!
+//! A run that crashes before it prints its report is a failed run, like
+//! one whose outputs miss their oracle: the change broke the benchmark.
+//! Only a command that cannot be started, or a report that lacks a
+//! declared metric, is bad input ([`RunError`]).
 
 use crate::json::{parse, Value};
 use std::path::Path;
@@ -120,30 +125,50 @@ impl Run {
     }
 }
 
+/// Why a run gave the gate no values.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RunError {
+    /// The run started but left no readable report: it crashed, or
+    /// printed something else. It counts as a failed run.
+    NoReport(String),
+    /// The command cannot be started, or the report lacks a metric the
+    /// declaration names: the input is bad, not the change.
+    BadInput(String),
+}
+
 /// Read a run report (`{"correct", "failed", "metrics": {name: {"value"}}}`)
 /// from the last non-empty line of `stdout`.
-pub fn read_report(bench: &Bench, stdout: &str, exited_ok: bool) -> Result<Run, String> {
+pub fn read_report(bench: &Bench, stdout: &str, exited_ok: bool) -> Result<Run, RunError> {
     let line = stdout
         .lines()
         .rev()
         .find(|l| !l.trim().is_empty())
-        .ok_or("no report on standard output")?;
-    let doc = parse(line).map_err(|e| format!("report is not JSON: {}", e))?;
+        .ok_or_else(|| RunError::NoReport("no report on standard output".into()))?;
+    let doc = parse(line).map_err(|e| RunError::NoReport(format!("report is not JSON: {}", e)))?;
     let correct = match doc.get("correct") {
         Some(Value::Bool(b)) => *b,
-        _ => return Err("report has no boolean \"correct\"".into()),
+        _ => {
+            return Err(RunError::NoReport(
+                "report has no boolean \"correct\"".into(),
+            ))
+        }
     };
     let failed = doc
         .get("failed")
         .and_then(Value::as_u64)
-        .ok_or("report has no count \"failed\"")?;
+        .ok_or_else(|| RunError::NoReport("report has no count \"failed\"".into()))?;
     let values = bench
         .metrics
         .iter()
         .map(|m| {
             doc.path(&["metrics", m.name.as_str(), "value"])
                 .and_then(Value::as_f64)
-                .ok_or_else(|| format!("report has no metric {:?}", m.name))
+                .ok_or_else(|| {
+                    RunError::BadInput(format!(
+                        "the report has no metric {:?}, which the declaration names",
+                        m.name
+                    ))
+                })
         })
         .collect::<Result<_, _>>()?;
     Ok(Run {
@@ -157,9 +182,15 @@ pub fn read_report(bench: &Bench, stdout: &str, exited_ok: bool) -> Result<Run, 
 /// Run the benchmark command once with `checkout` as the working
 /// directory. The child inherits no `CARGO_TARGET_DIR`, so each
 /// checkout builds into its own target directory instead of both
-/// rebuilding a shared one before every run. `Err` means the run left
-/// no readable report (it could not start, or crashed before printing).
-pub fn run_once(bench: &Bench, checkout: &Path, workload: &str, seed: u64) -> Result<Run, String> {
+/// rebuilding a shared one before every run. A run that left no
+/// readable report comes back as [`RunError::NoReport`] with its exit
+/// status and the tail of its standard error.
+pub fn run_once(
+    bench: &Bench,
+    checkout: &Path,
+    workload: &str,
+    seed: u64,
+) -> Result<Run, RunError> {
     let mut cmd = Command::new(&bench.command[0]);
     cmd.args(&bench.command[1..])
         .args(["--workload", workload, "--seed"])
@@ -171,17 +202,20 @@ pub fn run_once(bench: &Bench, checkout: &Path, workload: &str, seed: u64) -> Re
         .env_remove("CARGO_TARGET_DIR");
     let out = cmd
         .output()
-        .map_err(|e| format!("cannot run {:?}: {}", bench.command[0], e))?;
+        .map_err(|e| RunError::BadInput(format!("cannot run {:?}: {}", bench.command[0], e)))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
-    read_report(bench, &stdout, out.status.success()).map_err(|e| {
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        let tail: Vec<&str> = stderr.lines().rev().take(10).collect();
-        format!(
-            "{} ({}); stderr ends:\n{}",
-            e,
-            out.status,
-            tail.into_iter().rev().collect::<Vec<_>>().join("\n")
-        )
+    read_report(bench, &stdout, out.status.success()).map_err(|e| match e {
+        RunError::NoReport(why) => {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let tail: Vec<&str> = stderr.lines().rev().take(10).collect();
+            RunError::NoReport(format!(
+                "{} ({}); stderr ends:\n{}",
+                why,
+                out.status,
+                tail.into_iter().rev().collect::<Vec<_>>().join("\n")
+            ))
+        }
+        bad => bad,
     })
 }
 
@@ -378,13 +412,30 @@ mod tests {
         let run = read_report(&bench, incorrect, false).unwrap();
         assert!(!run.passed() && run.failed == 3);
 
-        for bad in [
+        // No readable report: the run failed.
+        for crashed in [
             "",
-            "not json",
-            "{\"correct\": true, \"failed\": 0, \"metrics\": {}}",
+            "thread 'main' panicked",
             "{\"failed\": 0, \"metrics\": {\"m\": {\"value\": 1}}}",
         ] {
-            assert!(read_report(&bench, bad, true).is_err(), "{:?}", bad);
+            assert!(
+                matches!(
+                    read_report(&bench, crashed, false),
+                    Err(RunError::NoReport(_))
+                ),
+                "{:?}",
+                crashed
+            );
         }
+        // A readable report without a declared metric: the declaration
+        // does not fit the benchmark.
+        assert!(matches!(
+            read_report(
+                &bench,
+                "{\"correct\": true, \"failed\": 0, \"metrics\": {}}",
+                true
+            ),
+            Err(RunError::BadInput(_))
+        ));
     }
 }

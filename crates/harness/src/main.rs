@@ -37,13 +37,14 @@
 //! `gate` is the paired benchmark gate ([`aarray_harness::gate`]): it
 //! runs `BENCHMARK.json`'s command in both checkouts, three alternating
 //! pairs per workload, and prints each end-to-end metric's medians and
-//! verdict. It exits 0 on a pass, 1 on any REGRESSED metric or any run
-//! that failed its checks, and 2 on missing or malformed input.
+//! verdict. It exits 0 on a pass; 1 on any REGRESSED metric or any run
+//! that failed its checks or crashed before its report; and 2 on
+//! missing or malformed input.
 //!
 //! Every subcommand exits 2 on a bad invocation.
 
 use aarray_harness::chrome_trace;
-use aarray_harness::gate::{self, Bench, Verdict};
+use aarray_harness::gate::{self, Bench, RunError, Verdict};
 use aarray_harness::httpd::{http_get, telemetry_handler, Httpd};
 use aarray_harness::json::parse;
 use aarray_harness::workloads::{run_streaming, run_workload, Figure, WorkloadRun};
@@ -709,7 +710,7 @@ fn cmd_gate(args: &[String]) -> ExitCode {
 
     let mut failed_runs = 0;
     let mut table = Vec::new();
-    for workload in &bench.workloads {
+    'workloads: for workload in &bench.workloads {
         // values[side][run][metric]
         let mut values: [Vec<Vec<f64>>; 2] = Default::default();
         for seed in 1..=gate::PAIRS {
@@ -720,7 +721,14 @@ fn cmd_gate(args: &[String]) -> ExitCode {
                 let (name, dir) = sides[side];
                 let run = match gate::run_once(&bench, dir, workload, seed) {
                     Ok(run) => run,
-                    Err(e) => {
+                    // A crashed run fails the gate and leaves nothing to
+                    // compare, so the workload's other runs are skipped.
+                    Err(RunError::NoReport(e)) => {
+                        println!("  {:<14} seed {} {}  FAILED: {}", workload, seed, name, e);
+                        failed_runs += 1;
+                        continue 'workloads;
+                    }
+                    Err(RunError::BadInput(e)) => {
                         eprintln!("obsctl gate: {} {} seed {}: {}", name, workload, seed, e);
                         return ExitCode::from(2);
                     }

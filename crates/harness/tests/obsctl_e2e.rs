@@ -558,7 +558,7 @@ fn gate_flags_a_separated_regression_and_leaves_overlap_unresolved() {
 }
 
 #[test]
-fn gate_fails_on_an_incorrect_run() {
+fn gate_fails_on_an_incorrect_or_crashed_run() {
     let root = tmpdir("gate-incorrect");
     let parent = checkout(
         &root,
@@ -582,6 +582,40 @@ fn gate_fails_on_an_incorrect_run() {
     assert_eq!(verdict(&stdout, "w", "edges_per_s"), "ok");
     assert!(stdout.contains("FAILED"), "{}", stdout);
     assert!(stdout.contains("1 failed run(s)"), "{}", stdout);
+
+    // A run that panics before it prints its report is a failed run
+    // too, not bad input. Its stderr tail is shown, the workload's
+    // other runs are skipped, and the next workload is still judged.
+    checkout(
+        &root,
+        "change",
+        &format!(
+            "if [ \"$2\" = crash ]; then echo 'thread main panicked at the oracle' >&2; exit 101; fi\n\
+             echo '{}'",
+            report(true, 0, 1000, 2.0)
+        ),
+    );
+    declare(&change, &["crash", "w"]);
+    std::fs::remove_file(root.join("calls.log")).unwrap();
+    let o = gate(&parent, &change);
+    let stdout = String::from_utf8_lossy(&o.stdout);
+    assert_eq!(o.status.code(), Some(1), "{}", stdout);
+    assert!(
+        stdout.contains("FAILED: no report on standard output"),
+        "{}",
+        stdout
+    );
+    assert!(stdout.contains("panicked at the oracle"), "{}", stdout);
+    assert!(stdout.contains("1 failed run(s)"), "{}", stdout);
+    assert!(
+        !stdout.lines().any(|l| l.starts_with("crash ")),
+        "{}",
+        stdout
+    );
+    assert_eq!(verdict(&stdout, "w", "edges_per_s"), "ok");
+    let calls = std::fs::read_to_string(root.join("calls.log")).unwrap();
+    let crash_runs = calls.lines().filter(|l| l.contains("--workload crash"));
+    assert_eq!(crash_runs.count(), 2, "{}", calls);
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -601,22 +635,27 @@ fn gate_rejects_missing_or_malformed_input() {
     std::fs::write(change.join("BENCHMARK.json"), "{\"command\": [").unwrap();
     assert_eq!(gate(&parent, &change).status.code(), Some(2));
 
-    // Runs whose output holds no readable report, or one without a
-    // declared metric.
+    // A command that cannot be started.
     declare(&change, &["w"]);
-    for body in [
-        "echo 'thread main panicked'; exit 101".to_string(),
-        "echo '{\"correct\": true, \"failed\": 0, \"metrics\": {}}'".to_string(),
-    ] {
-        checkout(&root, "change", &body);
-        let o = gate(&parent, &change);
-        assert_eq!(
-            o.status.code(),
-            Some(2),
-            "{}{}",
-            String::from_utf8_lossy(&o.stdout),
-            String::from_utf8_lossy(&o.stderr)
-        );
-    }
+    let decl = std::fs::read_to_string(change.join("BENCHMARK.json")).unwrap();
+    let missing = decl.replace("[\"sh\", \"bench.sh\"]", "[\"no-such-benchmark\"]");
+    assert_ne!(missing, decl);
+    std::fs::write(change.join("BENCHMARK.json"), missing).unwrap();
+    assert_eq!(gate(&parent, &change).status.code(), Some(2));
+    // A report without a metric the declaration names.
+    declare(&change, &["w"]);
+    checkout(
+        &root,
+        "change",
+        "echo '{\"correct\": true, \"failed\": 0, \"metrics\": {}}'",
+    );
+    let o = gate(&parent, &change);
+    assert_eq!(
+        o.status.code(),
+        Some(2),
+        "{}{}",
+        String::from_utf8_lossy(&o.stdout),
+        String::from_utf8_lossy(&o.stderr)
+    );
     std::fs::remove_dir_all(&root).ok();
 }
