@@ -221,6 +221,12 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_arrives_as_positive_zero() {
+        let z: NN = serde_json::from_str("-0.0").unwrap();
+        assert_eq!(z.get().to_bits(), 0);
+    }
+
+    #[test]
     fn zn_renormalizes() {
         let z: Zn<6> = serde_json::from_str("13").unwrap();
         assert_eq!(z, Zn::<6>::new(1));

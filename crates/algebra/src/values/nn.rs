@@ -47,12 +47,15 @@ impl NN {
     /// The top element `+∞` (the zero of `min`-pairs).
     pub const INF: NN = NN(f64::INFINITY);
 
-    /// Checked constructor: `None` for negatives and `NaN`.
+    /// Checked constructor: `None` for negatives and `NaN`. `-0.0`
+    /// becomes `+0.0`, so equal values are equal bit for bit and
+    /// `max`/`min` cannot pick a zero's sign by argument order.
     pub fn new(x: f64) -> Option<NN> {
-        if x.is_nan() || x < 0.0 {
-            None
+        if x >= 0.0 {
+            // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+            Some(NN(x + 0.0))
         } else {
-            Some(NN(x))
+            None
         }
     }
 
@@ -159,7 +162,14 @@ impl BinaryOp<NN> for Max {
     const NAME: &'static str = "max";
     const ASSOCIATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
-        *a.max(b)
+        // `Ord::max` (ties give `b`) written as one float compare. This
+        // form always compiles to a branch-free `max`; through
+        // `Ord::max` that depended on how this crate was inlined.
+        if a.0 > b.0 {
+            *a
+        } else {
+            *b
+        }
     }
     fn identity(&self) -> NN {
         NN::ZERO
@@ -170,7 +180,12 @@ impl BinaryOp<NN> for Min {
     const NAME: &'static str = "min";
     const ASSOCIATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
-        *a.min(b)
+        // `Ord::min` (ties give `a`) as one float compare, as for `Max`.
+        if b.0 < a.0 {
+            *b
+        } else {
+            *a
+        }
     }
     fn identity(&self) -> NN {
         NN::INF
@@ -230,6 +245,14 @@ mod tests {
         assert!(NN::new(f64::NAN).is_none());
         assert!(NN::new(0.0).is_some());
         assert!(NN::new(f64::INFINITY).is_some());
+    }
+
+    #[test]
+    fn negative_zero_folds_into_positive_zero() {
+        let neg = NN::new(-0.0).unwrap();
+        assert_eq!(neg.get().to_bits(), 0);
+        assert_eq!(Max.apply(&NN::ZERO, &neg).get().to_bits(), 0);
+        assert_eq!(Max.apply(&neg, &NN::ZERO).get().to_bits(), 0);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 
 use crate::keys::KeySet;
 use aarray_algebra::{BinaryOp, OpPair, Value};
-use aarray_sparse::{Coo, Csr};
+use aarray_sparse::Csr;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// An associative array `A : K1 × K2 → V` with sparse storage.
 ///
@@ -18,11 +20,71 @@ pub struct AArray<V: Value> {
     data: Csr<V>,
 }
 
+/// Dense local ids for the distinct keys of a triple stream, in
+/// first-seen order, each distinct key stored once.
+///
+/// While keys arrive in ascending order (repeats allowed), as the rows
+/// of generated triples do, each costs one comparison. The first key
+/// out of order moves the keys seen so far into a hash map, and every
+/// later key costs one hash probe.
+#[derive(Default)]
+struct LocalIds {
+    /// The distinct keys, while they have arrived in ascending order.
+    ascending: Vec<String>,
+    /// Key → local id, once a key has arrived out of order.
+    index: Option<HashMap<String, u32>>,
+}
+
+impl LocalIds {
+    fn id(&mut self, key: String) -> u32 {
+        if let Some(index) = &mut self.index {
+            let next = index.len() as u32;
+            return *index.entry(key).or_insert(next);
+        }
+        match self.ascending.last().map(|last| last.cmp(&key)) {
+            Some(Ordering::Equal) => {}
+            Some(Ordering::Greater) => {
+                let seen = std::mem::take(&mut self.ascending);
+                self.index = Some(seen.into_iter().zip(0..).collect());
+                return self.id(key);
+            }
+            _ => self.ascending.push(key),
+        }
+        (self.ascending.len() - 1) as u32
+    }
+
+    /// The distinct keys, local id `i` at index `i`.
+    fn into_keys(self) -> Vec<String> {
+        let Some(index) = self.index else {
+            return self.ascending;
+        };
+        let mut keys = vec![String::new(); index.len()];
+        for (key, id) in index {
+            keys[id as usize] = key;
+        }
+        keys
+    }
+}
+
+/// Key → position map for probing string triples against a key set.
+fn position_map(keys: &KeySet) -> HashMap<&str, u32> {
+    keys.keys()
+        .iter()
+        .enumerate()
+        .map(|(i, k)| (k.as_str(), i as u32))
+        .collect()
+}
+
 impl<V: Value> AArray<V> {
     /// Build from `(row_key, col_key, value)` triples. Keys are
     /// collected, sorted, and deduplicated; duplicate coordinates are
     /// combined with the pair's `⊕` in insertion order; values equal to
     /// the pair's zero are dropped.
+    ///
+    /// One pass gives each distinct key a local id, with one hash probe
+    /// per key (or one comparison, while keys arrive in ascending
+    /// order). Only the distinct keys are sorted and interned, and the
+    /// entries reach [`AArray::from_positions`] as positions.
     pub fn from_triples<A, M, I, R, C>(pair: &OpPair<V, A, M>, triples: I) -> Self
     where
         A: BinaryOp<V>,
@@ -31,39 +93,17 @@ impl<V: Value> AArray<V> {
         R: Into<String>,
         C: Into<String>,
     {
-        let triples: Vec<(String, String, V)> = triples
+        let (mut rows, mut cols) = (LocalIds::default(), LocalIds::default());
+        let entries: Vec<(u32, u32, V)> = triples
             .into_iter()
-            .map(|(r, c, v)| (r.into(), c.into(), v))
+            .map(|(r, c, v)| (rows.id(r.into()), cols.id(c.into()), v))
             .collect();
-        let row_keys = KeySet::from_iter(triples.iter().map(|(r, _, _)| r.clone()));
-        let col_keys = KeySet::from_iter(triples.iter().map(|(_, c, _)| c.clone()));
-        // Precomputed position maps: one hash probe per entry instead
-        // of a per-entry binary search over the key sets.
-        let rpos: std::collections::HashMap<&str, usize> = row_keys
-            .keys()
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.as_str(), i))
-            .collect();
-        let cpos: std::collections::HashMap<&str, usize> = col_keys
-            .keys()
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.as_str(), i))
-            .collect();
-        let mut coo = Coo::with_capacity(row_keys.len(), col_keys.len(), triples.len());
-        for (r, c, v) in triples {
-            let ri = *rpos.get(r.as_str()).expect("row key interned");
-            let ci = *cpos.get(c.as_str()).expect("col key interned");
-            coo.push(ri, ci, v);
-        }
-        drop(rpos);
-        drop(cpos);
-        AArray {
-            row_keys,
-            col_keys,
-            data: coo.into_csr(pair),
-        }
+        let (row_keys, row_pos) = KeySet::with_positions(rows.into_keys());
+        let (col_keys, col_pos) = KeySet::with_positions(cols.into_keys());
+        let entries = entries
+            .into_iter()
+            .map(|(r, c, v)| (row_pos[r as usize], col_pos[c as usize], v));
+        AArray::from_positions(pair, row_keys, col_keys, entries)
     }
 
     /// Build from explicit key sets and triples (keys not present in
@@ -79,35 +119,128 @@ impl<V: Value> AArray<V> {
         A: BinaryOp<V>,
         M: BinaryOp<V>,
     {
-        // Precomputed position maps instead of per-entry binary search.
-        let rpos: std::collections::HashMap<&str, usize> = row_keys
-            .keys()
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.as_str(), i))
+        let entries: Vec<(u32, u32, V)> = {
+            let (rpos, cpos) = (position_map(&row_keys), position_map(&col_keys));
+            triples
+                .into_iter()
+                .map(|(r, c, v)| {
+                    let ri = *rpos
+                        .get(r.as_str())
+                        .unwrap_or_else(|| panic!("unknown row key {:?}", r));
+                    let ci = *cpos
+                        .get(c.as_str())
+                        .unwrap_or_else(|| panic!("unknown col key {:?}", c));
+                    (ri, ci, v)
+                })
+                .collect()
+        };
+        AArray::from_positions(pair, row_keys, col_keys, entries)
+    }
+
+    /// Build from `(row position, column position, value)` entries over
+    /// the given key sets. [`AArray::from_triples`],
+    /// [`AArray::from_triples_with_keys`] and D4M's explode build
+    /// through it.
+    ///
+    /// Entries are bucketed by row with a stable counting sort, then
+    /// each row is stably sorted by column. Duplicate coordinates
+    /// combine with the pair's `⊕`, left-associated in insertion order,
+    /// and values equal to the pair's zero are dropped after the fold —
+    /// the rule `aarray_sparse::Coo::into_csr` applies. Input already in
+    /// row order skips the counting sort, and rows already in column
+    /// order skip their sort. Panics on a position outside the key sets.
+    pub fn from_positions<A, M>(
+        pair: &OpPair<V, A, M>,
+        row_keys: KeySet,
+        col_keys: KeySet,
+        entries: impl IntoIterator<Item = (u32, u32, V)>,
+    ) -> Self
+    where
+        A: BinaryOp<V>,
+        M: BinaryOp<V>,
+    {
+        let (nrows, ncols) = (row_keys.len(), col_keys.len());
+        // Row counts shifted by one, so the prefix sum gives row starts.
+        let mut start = vec![0usize; nrows + 1];
+        let (mut in_row_order, mut last_row) = (true, 0u32);
+        let mut entries: Vec<(u32, u32, V)> = entries
+            .into_iter()
+            .inspect(|&(r, c, _)| {
+                assert!(
+                    (r as usize) < nrows && (c as usize) < ncols,
+                    "entry ({}, {}) outside a {}×{} array",
+                    r,
+                    c,
+                    nrows,
+                    ncols
+                );
+                start[r as usize + 1] += 1;
+                in_row_order &= r >= last_row;
+                last_row = r;
+            })
             .collect();
-        let cpos: std::collections::HashMap<&str, usize> = col_keys
-            .keys()
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.as_str(), i))
-            .collect();
-        let mut coo = Coo::new(row_keys.len(), col_keys.len());
-        for (r, c, v) in triples {
-            let ri = *rpos
-                .get(r.as_str())
-                .unwrap_or_else(|| panic!("unknown row key {:?}", r));
-            let ci = *cpos
-                .get(c.as_str())
-                .unwrap_or_else(|| panic!("unknown col key {:?}", c));
-            coo.push(ri, ci, v);
+        for r in 0..nrows {
+            start[r + 1] += start[r];
         }
-        drop(rpos);
-        drop(cpos);
+        if !in_row_order {
+            // Each entry goes to the next free slot of its row, which
+            // keeps insertion order within the row; the permutation is
+            // applied in place by following its cycles.
+            let mut next = start.clone();
+            let mut dest: Vec<usize> = entries
+                .iter()
+                .map(|&(r, _, _)| {
+                    next[r as usize] += 1;
+                    next[r as usize] - 1
+                })
+                .collect();
+            for i in 0..entries.len() {
+                while dest[i] != i {
+                    let d = dest[i];
+                    entries.swap(i, d);
+                    dest.swap(i, d);
+                }
+            }
+        }
+        for r in 0..nrows {
+            let row = &mut entries[start[r]..start[r + 1]];
+            if !row.windows(2).all(|w| w[0].1 <= w[1].1) {
+                row.sort_by_key(|&(_, c, _)| c);
+            }
+        }
+
+        let mut indptr = vec![0usize; nrows + 1];
+        let mut indices = Vec::with_capacity(entries.len());
+        let mut values = Vec::with_capacity(entries.len());
+        let mut emit = |(r, c, v): (u32, u32, V)| {
+            if !pair.is_zero(&v) {
+                indptr[r as usize + 1] += 1;
+                indices.push(c);
+                values.push(v);
+            }
+        };
+        let mut run: Option<(u32, u32, V)> = None;
+        for (r, c, v) in entries {
+            if let Some((rr, rc, acc)) = &mut run {
+                if (*rr, *rc) == (r, c) {
+                    *acc = pair.plus(acc, &v);
+                    continue;
+                }
+            }
+            if let Some(done) = run.replace((r, c, v)) {
+                emit(done);
+            }
+        }
+        if let Some(done) = run {
+            emit(done);
+        }
+        for r in 0..nrows {
+            indptr[r + 1] += indptr[r];
+        }
         AArray {
+            data: Csr::from_parts(nrows, ncols, indptr, indices, values),
             row_keys,
             col_keys,
-            data: coo.into_csr(pair),
         }
     }
 
@@ -249,11 +382,12 @@ impl<V: Value> AArray<V> {
         A: BinaryOp<V>,
         M: BinaryOp<V>,
     {
-        let triples: Vec<(String, String, V)> = self
+        let (rk, ck) = (&self.row_keys, &self.col_keys);
+        let entries = self
+            .data
             .iter()
-            .map(|(r, c, v)| (r.to_string(), c.to_string(), f(r, c, v)))
-            .collect();
-        AArray::from_triples_with_keys(pair, self.row_keys.clone(), self.col_keys.clone(), triples)
+            .map(|(r, c, v)| (r as u32, c as u32, f(rk.key(r), ck.key(c), v)));
+        AArray::from_positions(pair, rk.clone(), ck.clone(), entries)
     }
 }
 

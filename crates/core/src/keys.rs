@@ -355,6 +355,44 @@ impl KeySet {
         KeySet::from_vec(KeyDict::global().clone(), keys)
     }
 
+    /// Build from keys in any order, duplicates allowed, and return
+    /// with the set every input key's position in it.
+    ///
+    /// Input that is already sorted and unique takes the identity map
+    /// after one linear check. Otherwise only a permutation of indices
+    /// is sorted, and each distinct key is kept once.
+    ///
+    /// ```
+    /// use aarray_core::KeySet;
+    /// let (set, pos) = KeySet::with_positions(vec!["b".into(), "a".into(), "b".into()]);
+    /// assert_eq!(set.keys(), &["a", "b"]);
+    /// assert_eq!(pos, vec![1, 0, 1]);
+    /// ```
+    pub fn with_positions(mut keys: Vec<String>) -> (Self, Vec<u32>) {
+        let n = u32::try_from(keys.len()).expect("key count exceeds u32 index space");
+        if keys.windows(2).all(|w| w[0] < w[1]) {
+            return (
+                KeySet::from_vec(KeyDict::global().clone(), keys),
+                (0..n).collect(),
+            );
+        }
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+        let mut positions = vec![0u32; keys.len()];
+        let mut sorted: Vec<String> = Vec::new();
+        for i in order {
+            let key = std::mem::take(&mut keys[i as usize]);
+            if sorted.last() != Some(&key) {
+                sorted.push(key);
+            }
+            positions[i as usize] = (sorted.len() - 1) as u32;
+        }
+        (
+            KeySet::from_vec(KeyDict::global().clone(), sorted),
+            positions,
+        )
+    }
+
     /// The empty key set.
     pub fn empty() -> Self {
         // Zero heap payload: nothing to intern or report.

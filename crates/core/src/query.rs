@@ -79,17 +79,13 @@ impl<V: Value> AArray<V> {
         A: aarray_algebra::BinaryOp<V>,
         M: aarray_algebra::BinaryOp<V>,
     {
-        let triples: Vec<(String, String, V)> = self
+        let (rk, ck) = (self.row_keys(), self.col_keys());
+        let entries = self
+            .csr()
             .iter()
-            .filter(|(r, c, v)| pred(r, c, v))
-            .map(|(r, c, v)| (r.to_string(), c.to_string(), v.clone()))
-            .collect();
-        AArray::from_triples_with_keys(
-            pair,
-            self.row_keys().clone(),
-            self.col_keys().clone(),
-            triples,
-        )
+            .filter(|&(r, c, v)| pred(rk.key(r), ck.key(c), v))
+            .map(|(r, c, v)| (r as u32, c as u32, v.clone()));
+        AArray::from_positions(pair, rk.clone(), ck.clone(), entries)
     }
 
     /// All entries matching a predicate, as keyed triples.

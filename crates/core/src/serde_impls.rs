@@ -80,18 +80,7 @@ impl<V: Value> ArrayData<V> {
         }
         let rows = KeySet::from_sorted_unique(self.row_keys);
         let cols = KeySet::from_sorted_unique(self.col_keys);
-        let triples = self
-            .entries
-            .into_iter()
-            .map(|(r, c, v)| {
-                (
-                    rows.key(r as usize).to_string(),
-                    cols.key(c as usize).to_string(),
-                    v,
-                )
-            })
-            .collect::<Vec<_>>();
-        Ok(AArray::from_triples_with_keys(pair, rows, cols, triples))
+        Ok(AArray::from_positions(pair, rows, cols, self.entries))
     }
 }
 

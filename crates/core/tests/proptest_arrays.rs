@@ -1,10 +1,13 @@
 //! Property-based tests for associative arrays: key handling,
 //! selection, transpose, multiplication, concatenation, and I/O.
 
+use aarray_algebra::ops::{AbsDiff, Times};
 use aarray_algebra::pairs::{MaxMin, PlusTimes};
 use aarray_algebra::values::nat::Nat;
+use aarray_algebra::{BinaryOp, OpPair};
 use aarray_core::io::{read_keyed_triples, write_keyed_triples};
-use aarray_core::{AArray, KeySelect};
+use aarray_core::{AArray, KeySelect, KeySet};
+use aarray_sparse::Coo;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -24,7 +27,97 @@ fn arb_triples(
     })
 }
 
+/// Triples over few coordinates, so duplicates are common, with values
+/// `0..4`, so explicit zeros are too.
+fn arb_dup_triples() -> impl Strategy<Value = Vec<(String, String, Nat)>> {
+    prop::collection::vec((0..5usize, 0..5usize, 0u64..4), 0..40).prop_map(|v| {
+        v.into_iter()
+            .map(|(r, c, w)| (key("r", r), key("c", c), Nat(w)))
+            .collect()
+    })
+}
+
+/// The reference construction: positions found by key lookup, then
+/// `Coo::into_csr` folds duplicates and drops zeros.
+fn coo_reference<A, M>(
+    pair: &OpPair<Nat, A, M>,
+    rows: KeySet,
+    cols: KeySet,
+    triples: &[(String, String, Nat)],
+) -> AArray<Nat>
+where
+    A: BinaryOp<Nat>,
+    M: BinaryOp<Nat>,
+{
+    let mut coo = Coo::new(rows.len(), cols.len());
+    for (r, c, v) in triples {
+        coo.push(rows.index_of(r).unwrap(), cols.index_of(c).unwrap(), *v);
+    }
+    AArray::from_parts(rows, cols, coo.into_csr(pair))
+}
+
+/// `from_triples`, `from_triples_with_keys` (over key sets with extra
+/// keys) and `from_positions` all equal the `Coo` reference.
+fn assert_constructors_match_coo<A, M>(pair: &OpPair<Nat, A, M>, triples: &[(String, String, Nat)])
+where
+    A: BinaryOp<Nat>,
+    M: BinaryOp<Nat>,
+{
+    let rows = KeySet::from_iter(triples.iter().map(|t| t.0.clone()));
+    let cols = KeySet::from_iter(triples.iter().map(|t| t.1.clone()));
+    let expected = coo_reference(pair, rows.clone(), cols.clone(), triples);
+    assert_eq!(AArray::from_triples(pair, triples.to_vec()), expected);
+
+    let wide_rows = KeySet::from_iter((0..6).map(|i| key("r", i)));
+    let wide_cols = KeySet::from_iter((0..6).map(|i| key("c", i)));
+    assert_eq!(
+        AArray::from_triples_with_keys(
+            pair,
+            wide_rows.clone(),
+            wide_cols.clone(),
+            triples.to_vec()
+        ),
+        coo_reference(pair, wide_rows, wide_cols, triples)
+    );
+
+    let entries = triples.iter().map(|(r, c, v)| {
+        (
+            rows.index_of(r).unwrap() as u32,
+            cols.index_of(c).unwrap() as u32,
+            *v,
+        )
+    });
+    assert_eq!(
+        AArray::from_positions(pair, rows.clone(), cols.clone(), entries),
+        expected
+    );
+}
+
 proptest! {
+    #[test]
+    fn constructors_match_coo_reference(triples in arb_dup_triples()) {
+        // `|−|` is not associative: three duplicates of one coordinate
+        // folded in another order give another value.
+        let abs_diff: OpPair<Nat, AbsDiff, Times> = OpPair::new();
+        assert_constructors_match_coo(&PlusTimes::<Nat>::new(), &triples);
+        assert_constructors_match_coo(&abs_diff, &triples);
+        // Row keys in ascending order, each repeated: the path that
+        // needs no hashing until a key arrives out of order.
+        let mut by_row = triples.clone();
+        by_row.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_constructors_match_coo(&abs_diff, &by_row);
+    }
+
+    #[test]
+    fn with_positions_locates_every_key(keys in prop::collection::vec(0..12usize, 0..30)) {
+        let keys: Vec<String> = keys.into_iter().map(|i| key("k", i)).collect();
+        let (set, pos) = KeySet::with_positions(keys.clone());
+        prop_assert_eq!(&set, &KeySet::from_iter(keys.clone()));
+        for (k, p) in keys.iter().zip(pos) {
+            prop_assert_eq!(set.key(p as usize), k.as_str());
+        }
+    }
+
     #[test]
     fn construction_matches_reference_map(triples in arb_triples(8, 8, 40)) {
         // Reference semantics: left-fold duplicates with + in insertion

@@ -8,6 +8,7 @@ use crate::table::Table;
 use aarray_algebra::values::nn::{nn, NN};
 use aarray_algebra::{BinaryOp, OpPair, Value};
 use aarray_core::{AArray, KeySet};
+use std::collections::HashMap;
 
 /// The separator between field name and value in exploded column keys.
 pub const SEPARATOR: char = '|';
@@ -34,7 +35,14 @@ impl Table {
 
     /// Generalized explode: choose the operator pair (for zero pruning
     /// and duplicate combination) and a value function
-    /// `(row_key, field, value) → V`.
+    /// `(row_key, field, value) → V`, called once per cell value.
+    ///
+    /// Each distinct `field|value` pair gets a local id through a
+    /// per-field map over the table's own strings, so its key is
+    /// formatted once, and only the distinct keys are sorted. Row keys
+    /// map to positions once (the identity when the rows are already
+    /// sorted and unique). Duplicate `(row, column)` cells combine with
+    /// `⊕` in table order.
     pub fn explode_with<V, A, M>(
         &self,
         pair: &OpPair<V, A, M>,
@@ -45,24 +53,29 @@ impl Table {
         A: BinaryOp<V>,
         M: BinaryOp<V>,
     {
-        let row_keys = KeySet::from_iter(self.rows().iter().map(|r| r.key.clone()));
-        let mut col_keys: Vec<String> = Vec::new();
-        let mut triples: Vec<(String, String, V)> = Vec::new();
-        for row in self.rows() {
-            for (fi, field) in self.fields().iter().enumerate() {
-                for value in &row.cells[fi] {
-                    let col = format!("{}{}{}", field, SEPARATOR, value);
-                    triples.push((
-                        row.key.clone(),
-                        col.clone(),
-                        value_fn(&row.key, field, value),
-                    ));
-                    col_keys.push(col);
+        let (row_keys, row_pos) =
+            KeySet::with_positions(self.rows().iter().map(|r| r.key.clone()).collect());
+        let mut local: Vec<HashMap<&str, u32>> = vec![HashMap::new(); self.fields().len()];
+        let mut col_names: Vec<String> = Vec::new();
+        let mut entries: Vec<(u32, u32, V)> = Vec::with_capacity(self.incidence_count());
+        for (row, &r) in self.rows().iter().zip(&row_pos) {
+            for ((field, cell), ids) in self.fields().iter().zip(&row.cells).zip(&mut local) {
+                for value in cell {
+                    let c = *ids.entry(value.as_str()).or_insert_with(|| {
+                        col_names.push(format!("{}{}{}", field, SEPARATOR, value));
+                        (col_names.len() - 1) as u32
+                    });
+                    entries.push((r, c, value_fn(&row.key, field, value)));
                 }
             }
         }
-        let col_keys = KeySet::from_iter(col_keys);
-        AArray::from_triples_with_keys(pair, row_keys, col_keys, triples)
+        // Two distinct pairs can still name one column ("A|b" + "c" and
+        // "A" + "b|c"); `with_positions` gives them one position.
+        let (col_keys, col_pos) = KeySet::with_positions(col_names);
+        let entries = entries
+            .into_iter()
+            .map(|(r, c, v)| (r, col_pos[c as usize], v));
+        AArray::from_positions(pair, row_keys, col_keys, entries)
     }
 }
 
@@ -117,6 +130,17 @@ mod tests {
         );
         assert_eq!(e.get("t1", "Genre|Pop"), Some(&Nat(3)));
         assert_eq!(e.get("t1", "Writer|Ann"), Some(&Nat(1)));
+    }
+
+    #[test]
+    fn pairs_that_format_alike_share_one_column() {
+        // ("A", "b|c") and ("A|b", "c") both name column "A|b|c".
+        let mut t = Table::new(["A", "A|b"]);
+        t.push_row("r", vec![vec!["b|c".into()], vec!["c".into()]]);
+        let pair = aarray_algebra::pairs::PlusTimes::<Nat>::new();
+        let e = t.explode_with(&pair, |_, _, _| Nat(1));
+        assert_eq!(e.col_keys().keys(), &["A|b|c"]);
+        assert_eq!(e.get("r", "A|b|c"), Some(&Nat(2)));
     }
 
     #[test]

@@ -26,13 +26,6 @@ impl<V: Value> Coo<V> {
         }
     }
 
-    /// New with preallocated capacity for `cap` triplets.
-    pub fn with_capacity(nrows: usize, ncols: usize, cap: usize) -> Self {
-        let mut c = Self::new(nrows, ncols);
-        c.entries.reserve(cap);
-        c
-    }
-
     /// Build directly from a triplet vector.
     pub fn from_triplets(nrows: usize, ncols: usize, triplets: Vec<(u32, u32, V)>) -> Self {
         let mut c = Self::new(nrows, ncols);

@@ -155,6 +155,17 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_is_read_as_positive_zero() {
+        // Under min.+ a zero weight is stored (the pair's zero is ∞).
+        let pair: OpPair<NN, aarray_algebra::ops::Min, Plus> = OpPair::new();
+        let a = read_triples("%aarray 1 1\n0\t0\t-0.0\n", &pair, |s| {
+            s.parse::<f64>().ok().and_then(NN::new)
+        })
+        .expect("parses");
+        assert_eq!(a.get(0, 0).map(|v| v.get().to_bits()), Some(0));
+    }
+
+    #[test]
     fn errors() {
         let pair = pt();
         let p = |s: &str| s.parse().ok().map(Nat);
