@@ -79,7 +79,13 @@ impl BinaryOp<Tropical> for Max {
     const NAME: &'static str = "max";
     const ASSOCIATIVE: bool = true;
     fn apply(&self, a: &Tropical, b: &Tropical) -> Tropical {
-        *a.max(b)
+        // `Ord::max` (ties give `b`) as one float compare, as NN's `Max`:
+        // it compiles to a branch-free `max` with no NaN-panic path.
+        if a.0 > b.0 {
+            *a
+        } else {
+            *b
+        }
     }
     fn identity(&self) -> Tropical {
         Tropical::NEG_INF
@@ -100,7 +106,12 @@ impl BinaryOp<Tropical> for Plus {
 impl BinaryOp<Tropical> for Min {
     const NAME: &'static str = "min";
     fn apply(&self, a: &Tropical, b: &Tropical) -> Tropical {
-        *a.min(b)
+        // `Ord::min` (ties give `a`) as one float compare.
+        if b.0 < a.0 {
+            *b
+        } else {
+            *a
+        }
     }
     // `min` over ℝ∪{-∞} has no identity inside the domain; we expose it
     // only for completeness of experiments that stay on finite data.
@@ -141,6 +152,24 @@ mod tests {
     fn max_identity_is_neg_inf() {
         let m = Max;
         assert_eq!(m.apply(&Tropical::NEG_INF, &trop(-7.0)), trop(-7.0));
+    }
+
+    #[test]
+    fn max_and_min_keep_ord_tie_rule_bit_for_bit() {
+        // Ties give `b` for max and `a` for min, as `Ord` does. The
+        // signed zeros tie in value, not in bits, so they show which
+        // operand came back; `-∞` ties with itself.
+        let neg_zero = Tropical::new(-0.0).unwrap();
+        let vals = [Tropical::ZERO, neg_zero, Tropical::NEG_INF, trop(2.0)];
+        for (a, b) in vals.iter().flat_map(|a| vals.iter().map(move |b| (a, b))) {
+            assert_eq!(Max.apply(a, b).0.to_bits(), a.max(b).0.to_bits());
+            assert_eq!(Min.apply(a, b).0.to_bits(), a.min(b).0.to_bits());
+        }
+        assert_eq!(
+            Max.apply(&Tropical::ZERO, &neg_zero).0.to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(Min.apply(&Tropical::ZERO, &neg_zero).0.to_bits(), 0);
     }
 
     #[test]

@@ -77,7 +77,13 @@ impl BinaryOp<Unit> for Max {
     const NAME: &'static str = "max";
     const ASSOCIATIVE: bool = true;
     fn apply(&self, a: &Unit, b: &Unit) -> Unit {
-        *a.max(b)
+        // `Ord::max` (ties give `b`) as one float compare, as NN's `Max`:
+        // it compiles to a branch-free `max` with no NaN-panic path.
+        if a.0 > b.0 {
+            *a
+        } else {
+            *b
+        }
     }
     fn identity(&self) -> Unit {
         Unit::ZERO
@@ -88,7 +94,12 @@ impl BinaryOp<Unit> for Min {
     const NAME: &'static str = "min";
     const ASSOCIATIVE: bool = true;
     fn apply(&self, a: &Unit, b: &Unit) -> Unit {
-        *a.min(b)
+        // `Ord::min` (ties give `a`) as one float compare.
+        if b.0 < a.0 {
+            *b
+        } else {
+            *a
+        }
     }
     fn identity(&self) -> Unit {
         Unit::ONE
@@ -160,6 +171,23 @@ mod tests {
         assert_eq!(Max.apply(&unit(0.2), &unit(0.9)), unit(0.9));
         assert_eq!(Times.apply(&unit(0.5), &unit(0.5)), unit(0.25));
         assert_eq!(BinaryOp::<Unit>::identity(&Times), Unit::ONE);
+    }
+
+    #[test]
+    fn max_and_min_keep_ord_tie_rule_bit_for_bit() {
+        // Ties give `b` for max and `a` for min, as `Ord` does.
+        // `Unit::new` accepts `-0.0`, which ties with `0.0` in other bits.
+        let neg_zero = Unit::new(-0.0).unwrap();
+        let vals = [Unit::ZERO, neg_zero, Unit::ONE, unit(0.25)];
+        for (a, b) in vals.iter().flat_map(|a| vals.iter().map(move |b| (a, b))) {
+            assert_eq!(Max.apply(a, b).0.to_bits(), a.max(b).0.to_bits());
+            assert_eq!(Min.apply(a, b).0.to_bits(), a.min(b).0.to_bits());
+        }
+        assert_eq!(
+            Max.apply(&Unit::ZERO, &neg_zero).0.to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(Min.apply(&Unit::ZERO, &neg_zero).0.to_bits(), 0);
     }
 
     #[test]

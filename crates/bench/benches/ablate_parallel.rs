@@ -5,7 +5,7 @@
 use aarray_algebra::pairs::PlusTimes;
 use aarray_algebra::values::nat::Nat;
 use aarray_graph::generators::erdos_renyi;
-use aarray_sparse::{spgemm_parallel, spgemm_with, Accumulator};
+use aarray_sparse::{spgemm, spgemm_parallel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_parallel(c: &mut Criterion) {
@@ -26,12 +26,12 @@ fn bench_parallel(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("serial_spa", format!("n{}_m{}", n, m)),
             &(&a, &b),
-            |bch, (a, b)| bch.iter(|| spgemm_with(a, b, &pair, Accumulator::Spa)),
+            |bch, (a, b)| bch.iter(|| spgemm(a, b, &pair)),
         );
         group.bench_with_input(
             BenchmarkId::new("parallel_spa", format!("n{}_m{}", n, m)),
             &(&a, &b),
-            |bch, (a, b)| bch.iter(|| spgemm_parallel(a, b, &pair, Accumulator::Spa)),
+            |bch, (a, b)| bch.iter(|| spgemm_parallel(a, b, &pair)),
         );
     }
     group.finish();
@@ -40,8 +40,8 @@ fn bench_parallel(c: &mut Criterion) {
     let g = erdos_renyi(2_000, 16_000, 3);
     let (eout, ein) = g.incidence_arrays(&pair);
     let a = eout.csr().transpose();
-    let serial = spgemm_with(&a, ein.csr(), &pair, Accumulator::Spa);
-    let parallel = spgemm_parallel(&a, ein.csr(), &pair, Accumulator::Spa);
+    let serial = spgemm(&a, ein.csr(), &pair);
+    let parallel = spgemm_parallel(&a, ein.csr(), &pair);
     assert_eq!(serial, parallel, "parallel kernel must be bit-identical");
 }
 

@@ -1,14 +1,29 @@
 //! Ablation: one-phase SpGEMM vs two-phase (symbolic + numeric), and
 //! the Figure 3 reuse scenario — one symbolic pass amortized over all
-//! seven numeric multiplies.
+//! seven numeric multiplies. The two-phase numeric pass is the fused
+//! kernel with one lane.
 
 use aarray_algebra::pairs::{MaxMin, MaxTimes, MinMax, MinPlus, MinTimes, PlusTimes};
 use aarray_algebra::values::nat::Nat;
 use aarray_algebra::values::nn::NN;
+use aarray_algebra::{DynOpPair, Value};
 use aarray_graph::generators::erdos_renyi;
-use aarray_sparse::symbolic::{spgemm_numeric, spgemm_symbolic};
+use aarray_sparse::spgemm_multi::spgemm_multi_numeric;
+use aarray_sparse::symbolic::{spgemm_symbolic, SymbolicProduct};
 use aarray_sparse::{spgemm, Csr};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+
+/// The serial numeric pass under one pair.
+fn numeric_one_lane<V: Value>(
+    sym: &SymbolicProduct,
+    a: &Csr<V>,
+    b: &Csr<V>,
+    pair: &dyn DynOpPair<V>,
+) -> Csr<V> {
+    spgemm_multi_numeric(sym, a, b, &[pair], false)
+        .pop()
+        .expect("one lane")
+}
 
 fn nn_pairs_inputs(tracks: usize) -> (Csr<NN>, Csr<NN>) {
     let (e1, e2) = aarray_bench::synthetic_e1_e2(tracks, 8, 100, 3);
@@ -38,7 +53,7 @@ fn bench_two_phase(c: &mut Criterion) {
             |bch, (a, b)| {
                 bch.iter(|| {
                     let sym = spgemm_symbolic(a, b);
-                    spgemm_numeric(&sym, a, b, &pair)
+                    numeric_one_lane(&sym, a, b, &pair)
                 })
             },
         );
@@ -46,7 +61,7 @@ fn bench_two_phase(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("numeric_only", format!("n{}_m{}", n, m)),
             &(&a, &b),
-            |bch, (a, b)| bch.iter(|| spgemm_numeric(&sym, a, b, &pair)),
+            |bch, (a, b)| bch.iter(|| numeric_one_lane(&sym, a, b, &pair)),
         );
     }
 
@@ -69,13 +84,13 @@ fn bench_two_phase(c: &mut Criterion) {
         b.iter(|| {
             let sym = spgemm_symbolic(&e1t, &e2);
             let mut total = 0usize;
-            total += spgemm_numeric(&sym, &e1t, &e2, &PlusTimes::<NN>::new()).nnz();
-            total += spgemm_numeric(&sym, &e1t, &e2, &MaxTimes::<NN>::new()).nnz();
-            total += spgemm_numeric(&sym, &e1t, &e2, &MinTimes::<NN>::new()).nnz();
-            total += spgemm_numeric(&sym, &e1t, &e2, &MinPlus::<NN>::new()).nnz();
-            total += spgemm_numeric(&sym, &e1t, &e2, &MaxMin::<NN>::new()).nnz();
-            total += spgemm_numeric(&sym, &e1t, &e2, &MinMax::<NN>::new()).nnz();
-            total += spgemm_numeric(&sym, &e1t, &e2, &PlusTimes::<NN>::new()).nnz();
+            total += numeric_one_lane(&sym, &e1t, &e2, &PlusTimes::<NN>::new()).nnz();
+            total += numeric_one_lane(&sym, &e1t, &e2, &MaxTimes::<NN>::new()).nnz();
+            total += numeric_one_lane(&sym, &e1t, &e2, &MinTimes::<NN>::new()).nnz();
+            total += numeric_one_lane(&sym, &e1t, &e2, &MinPlus::<NN>::new()).nnz();
+            total += numeric_one_lane(&sym, &e1t, &e2, &MaxMin::<NN>::new()).nnz();
+            total += numeric_one_lane(&sym, &e1t, &e2, &MinMax::<NN>::new()).nnz();
+            total += numeric_one_lane(&sym, &e1t, &e2, &PlusTimes::<NN>::new()).nnz();
             total
         })
     });

@@ -25,7 +25,7 @@ fn bench_baseline(c: &mut Criterion) {
             |b, (eout, ein)| b.iter(|| adjacency_array(eout, ein, &pair)),
         );
         group.bench_with_input(
-            BenchmarkId::new("spgemm_with_incidence_build", format!("er_n{}_m{}", n, m)),
+            BenchmarkId::new("spgemm_and_incidence_build", format!("er_n{}_m{}", n, m)),
             &g,
             |b, g| {
                 b.iter(|| {

@@ -61,7 +61,6 @@ use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
 use aarray_obs::{counters, histograms, journal, Counter, EventKind, Hist, OpKind, OpToken, Stage};
 use aarray_sparse::spgemm_delta::spgemm_delta;
-use aarray_sparse::spgemm_multi::MultiAccumulator;
 use aarray_sparse::Csr;
 use std::fmt;
 use std::sync::OnceLock;
@@ -387,7 +386,6 @@ pub struct AdjacencyView<'p, V: Value> {
     lanes: Vec<AArray<V>>,
     /// Builder generation the cached lanes reflect.
     generation: u64,
-    acc: MultiAccumulator,
 }
 
 impl<'p, V: Value> AdjacencyView<'p, V> {
@@ -395,22 +393,11 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     /// [`crate::plan::MatmulPlan`] traversal, stamped with the
     /// builder's current generation.
     pub fn new(builder: &IncidenceBuilder<V>, pairs: Vec<&'p dyn DynOpPair<V>>) -> Self {
-        Self::with_accumulator(builder, pairs, MultiAccumulator::Spa)
-    }
-
-    /// [`AdjacencyView::new`] with an explicit fused-kernel accumulator
-    /// strategy, reused for every later rebuild and delta traversal.
-    pub fn with_accumulator(
-        builder: &IncidenceBuilder<V>,
-        pairs: Vec<&'p dyn DynOpPair<V>>,
-        acc: MultiAccumulator,
-    ) -> Self {
-        let lanes = rebuild_lanes(builder, &pairs, acc);
+        let lanes = rebuild_lanes(builder, &pairs);
         AdjacencyView {
             pairs,
             lanes,
             generation: builder.generation(),
-            acc,
         }
     }
 
@@ -475,8 +462,7 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
                 let parallel =
                     would_parallelize(delta_flops(d_out.csr(), d_in.csr()), threshold, threads);
                 any_parallel |= parallel;
-                let delta_csrs =
-                    spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, self.acc, parallel);
+                let delta_csrs = spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, parallel);
                 for (&lane, delta_csr) in inc_idx.iter().zip(delta_csrs) {
                     let delta = AArray::from_parts(
                         d_out.col_keys().clone(),
@@ -521,7 +507,7 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             journal().record(EventKind::IncrementalFallback, reb_idx.len() as u64, reason);
             let reb_pairs: Vec<&dyn DynOpPair<V>> =
                 reb_idx.iter().map(|&i| self.pairs[i]).collect();
-            let rebuilt = rebuild_lanes(builder, &reb_pairs, self.acc);
+            let rebuilt = rebuild_lanes(builder, &reb_pairs);
             for (&lane, array) in reb_idx.iter().zip(rebuilt) {
                 self.lanes[lane] = array;
             }
@@ -555,7 +541,6 @@ fn delta_flops<V: Value>(d_out: &Csr<V>, d_in: &Csr<V>) -> u64 {
 fn rebuild_lanes<V: Value>(
     builder: &IncidenceBuilder<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
 ) -> Vec<AArray<V>> {
     journal().begin(Stage::Rebuild, pairs.len() as u64);
     let plan = adjacency_plan(builder.eout(), builder.ein()).with_generation(builder.generation());
@@ -563,7 +548,7 @@ fn rebuild_lanes<V: Value>(
         !plan.is_stale(builder.generation()),
         "plan stamped at build must match the builder generation"
     );
-    let lanes = plan.execute_all_with(pairs, acc);
+    let lanes = plan.execute_all(pairs);
     journal().end(Stage::Rebuild, pairs.len() as u64);
     lanes
 }
@@ -845,7 +830,7 @@ mod tests {
         let mm = MaxMin::<Nat>::new();
         let (e0, i0) = chain_batch(0, 5);
         let mut b = IncidenceBuilder::new(e0, i0).unwrap();
-        let mut view = AdjacencyView::with_accumulator(&b, vec![&ptn, &mm], MultiAccumulator::Hash);
+        let mut view = AdjacencyView::new(&b, vec![&ptn, &mm]);
         let (d_out, d_in) = chain_batch(5, 9);
         b.append_batch(d_out, d_in).unwrap();
         let report = view.refresh(&b);

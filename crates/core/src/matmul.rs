@@ -14,7 +14,7 @@ use aarray_algebra::{BinaryOp, OpPair, Value};
 use aarray_obs::{
     counters, histograms, journal, Counter, EventKind, Gauge, Hist, OpKind, OpToken, Stage,
 };
-use aarray_sparse::{spgemm_flops, spgemm_parallel, spgemm_with, Accumulator};
+use aarray_sparse::{spgemm, spgemm_flops, spgemm_parallel};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How much multiply-add work a product must involve before the
@@ -145,7 +145,7 @@ pub fn publish_pool_stats() {
     record_pool_stats();
 }
 
-/// Shared parallel-dispatch decision for [`AArray::matmul_with`] and
+/// Shared parallel-dispatch decision for [`AArray::matmul`] and
 /// [`crate::plan::MatmulPlan`]. Takes the flops estimate lazily so the
 /// `O(nnz)` estimate is never computed on single-threaded hosts, where
 /// the answer is always "serial". Every decision is recorded in the
@@ -198,21 +198,6 @@ impl<V: Value> AArray<V> {
         A: BinaryOp<V>,
         M: BinaryOp<V>,
     {
-        self.matmul_with(other, pair, None)
-    }
-
-    /// [`AArray::matmul`] with an explicit accumulator strategy
-    /// (`None` = automatic: SPA, parallel for large operands).
-    pub fn matmul_with<A, M>(
-        &self,
-        other: &AArray<V>,
-        pair: &OpPair<V, A, M>,
-        acc: Option<Accumulator>,
-    ) -> AArray<V>
-    where
-        A: BinaryOp<V>,
-        M: BinaryOp<V>,
-    {
         let mut op = OpToken::begin_if_root(OpKind::Matmul);
         // Fast path: identical inner key sets need no realignment.
         let (lhs, rhs);
@@ -230,14 +215,13 @@ impl<V: Value> AArray<V> {
             rhs = &aligned.1;
         }
 
-        let acc = acc.unwrap_or(Accumulator::Spa);
         let big = should_parallelize(|| spgemm_flops(lhs, rhs));
         let rows = lhs.nrows() as u64;
         journal().begin(Stage::Numeric, rows);
         let data = if big {
-            spgemm_parallel(lhs, rhs, pair, acc)
+            spgemm_parallel(lhs, rhs, pair)
         } else {
-            spgemm_with(lhs, rhs, pair, acc)
+            spgemm(lhs, rhs, pair)
         };
         journal().end(Stage::Numeric, rows);
         record_pool_stats();
@@ -332,7 +316,9 @@ mod tests {
         // Force a 2-worker rayon pool (works even on single-core hosts)
         // and a product heavy enough to cross PARALLEL_FLOPS_THRESHOLD,
         // so the automatic parallel branch actually executes; the result
-        // must equal the serial kernel's bit-for-bit.
+        // must equal the serial kernel's bit-for-bit. The serial side
+        // runs in a 1-worker pool, where dispatch always picks the
+        // serial kernel whatever the threshold.
         let pair = pt();
         let n = 200usize;
         let per_row = 100usize;
@@ -372,12 +358,14 @@ mod tests {
             "must cross the dispatch threshold"
         );
 
-        let serial = a.matmul_with(&b, &pair, Some(aarray_sparse::Accumulator::Spa));
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        let parallel = pool.install(|| a.matmul(&b, &pair));
+        let pool = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+        };
+        let serial = pool(1).install(|| a.matmul(&b, &pair));
+        let parallel = pool(2).install(|| a.matmul(&b, &pair));
         assert_eq!(serial, parallel);
     }
 
@@ -502,33 +490,5 @@ mod tests {
             Ok(u64::MAX),
             "u64::MAX is a legitimate, pinnable threshold"
         );
-    }
-
-    #[test]
-    fn accumulators_all_agree_via_matmul_with() {
-        use aarray_sparse::Accumulator;
-        let pair = pt();
-        let a = AArray::from_triples(
-            &pair,
-            [
-                ("r1", "k1", Nat(1)),
-                ("r1", "k2", Nat(2)),
-                ("r2", "k2", Nat(3)),
-            ],
-        );
-        let b = AArray::from_triples(
-            &pair,
-            [
-                ("k1", "c1", Nat(4)),
-                ("k2", "c1", Nat(5)),
-                ("k2", "c2", Nat(6)),
-            ],
-        );
-        let c0 = a.matmul_with(&b, &pair, Some(Accumulator::Spa));
-        let c1 = a.matmul_with(&b, &pair, Some(Accumulator::Hash));
-        let c2 = a.matmul_with(&b, &pair, Some(Accumulator::Esc));
-        assert_eq!(c0, c1);
-        assert_eq!(c0, c2);
-        assert_eq!(c0.get("r1", "c1"), Some(&Nat(14)));
     }
 }

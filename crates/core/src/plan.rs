@@ -52,7 +52,7 @@ use aarray_obs::{
     counters, histograms, journal, memstats, Counter, EventKind, Hist, MemRegion, MemReservation,
     OpKind, OpToken, Stage,
 };
-use aarray_sparse::spgemm_multi::{spgemm_multi_numeric, MultiAccumulator};
+use aarray_sparse::spgemm_multi::spgemm_multi_numeric;
 use aarray_sparse::symbolic::{spgemm_symbolic_with, SymbolicProduct};
 use aarray_sparse::{spgemm_flops, Csr};
 use std::sync::OnceLock;
@@ -237,21 +237,11 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
     }
 
     /// Execute the plan under `K` heterogeneous pairs with **one**
-    /// fused numeric traversal of the operands (SPA accumulator;
-    /// row-parallel when the flops estimate warrants it). Output `p`
-    /// is bit-identical to `execute(pairs[p])` — and to the equivalent
-    /// [`AArray::matmul`] — for arbitrary operations.
+    /// fused numeric traversal of the operands (row-parallel when the
+    /// flops estimate warrants it). Output `p` is bit-identical to
+    /// `execute(pairs[p])` — and to the equivalent [`AArray::matmul`] —
+    /// for arbitrary operations.
     pub fn execute_all(&self, pairs: &[&dyn DynOpPair<V>]) -> Vec<AArray<V>> {
-        self.execute_all_with(pairs, MultiAccumulator::Spa)
-    }
-
-    /// [`MatmulPlan::execute_all`] with an explicit slot-lookup
-    /// strategy for the fused kernel.
-    pub fn execute_all_with(
-        &self,
-        pairs: &[&dyn DynOpPair<V>],
-        acc: MultiAccumulator,
-    ) -> Vec<AArray<V>> {
         // Open the ledger op before the symbolic pass so a cold plan's
         // symbolic span lands inside the op's journal window.
         let mut op = OpToken::begin_if_root(OpKind::PlanExecute);
@@ -263,7 +253,7 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
             c.incr(Counter::PlanTransposeReused);
         }
         journal().begin(Stage::Numeric, self.flops);
-        let data = spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, acc, parallel);
+        let data = spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, parallel);
         journal().end(Stage::Numeric, self.flops);
         crate::matmul::record_pool_stats();
         if let Some(t) = op.as_mut() {
@@ -521,7 +511,7 @@ mod tests {
 
         let _ = plan.execute(&pair);
         let p2 = MaxMin::<Nat>::new();
-        let _ = plan.execute_all_with(&[&pair as &dyn DynOpPair<Nat>, &p2], MultiAccumulator::Hash);
+        let _ = plan.execute_all(&[&pair as &dyn DynOpPair<Nat>, &p2]);
         let ran = ops_since(start);
         let execs = &ran[1..];
         assert_eq!(execs.len(), 2);

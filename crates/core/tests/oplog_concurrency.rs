@@ -20,7 +20,7 @@ use aarray_algebra::values::nat::Nat;
 use aarray_algebra::DynOpPair;
 use aarray_core::{adjacency_plan, set_parallel_flops_threshold, AArray};
 use aarray_obs::{oplog, ObsReport, OpKind, OpToken};
-use aarray_sparse::spgemm_multi::{spgemm_multi_parallel, MultiAccumulator};
+use aarray_sparse::spgemm_multi::spgemm_multi_parallel;
 use aarray_sparse::Coo;
 
 const THREADS: usize = 4;
@@ -55,7 +55,7 @@ fn hammer(seed: usize) {
     let a = c.into_csr(&pair);
     let lanes: [&dyn DynOpPair<Nat>; 2] = [&pair, &mt];
     for _ in 0..KERNEL_CALLS {
-        let outs = spgemm_multi_parallel(&a, &a, &lanes, MultiAccumulator::Spa);
+        let outs = spgemm_multi_parallel(&a, &a, &lanes);
         assert_eq!(outs.len(), 2);
     }
 

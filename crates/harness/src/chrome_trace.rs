@@ -17,7 +17,7 @@
 
 use crate::json::Value;
 use aarray_obs::counters::COUNTER_NAMES;
-use aarray_obs::journal::{accumulator_name, fallback_reason, STAGE_NAMES};
+use aarray_obs::journal::{fallback_reason, STAGE_NAMES};
 use aarray_obs::{Counter, Event, EventKind, JournalSnapshot, Snapshot, Stage};
 use std::collections::BTreeMap;
 
@@ -212,10 +212,10 @@ impl TimelineSummary {
 /// that covers the same window must agree exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecisionTallies {
-    /// One-pair kernels by accumulator: `[spa, hash, esc]`.
-    pub kernel: [u64; 3],
-    /// Fused traversals by accumulator: `[spa, hash]`.
-    pub fused: [u64; 2],
+    /// One-pair kernel runs.
+    pub kernel: u64,
+    /// Fused traversals.
+    pub fused: u64,
     /// Serial dispatch verdicts.
     pub dispatch_serial: u64,
     /// Parallel dispatch verdicts.
@@ -237,16 +237,8 @@ pub fn decision_tallies(events: &[Event]) -> DecisionTallies {
     let mut t = DecisionTallies::default();
     for e in events {
         match e.kind {
-            EventKind::KernelChoice => {
-                if let Some(k) = t.kernel.get_mut(e.a as usize) {
-                    *k += 1;
-                }
-            }
-            EventKind::FusedChoice => {
-                if let Some(f) = t.fused.get_mut(e.a as usize) {
-                    *f += 1;
-                }
-            }
+            EventKind::KernelChoice => t.kernel += 1,
+            EventKind::FusedChoice => t.fused += 1,
             EventKind::DispatchSerial => t.dispatch_serial += 1,
             EventKind::DispatchParallel => t.dispatch_parallel += 1,
             EventKind::PlanCacheHit => t.plan_hits += 1,
@@ -271,22 +263,12 @@ impl DecisionTallies {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("decision audit (explain events):\n");
-        for (code, &n) in self.kernel.iter().enumerate() {
+        for (label, n) in [
+            ("one-pair kernel runs", self.kernel),
+            ("fused traversals", self.fused),
+        ] {
             if n > 0 {
-                out.push_str(&format!(
-                    "  kernel accumulator {:<24} {:>8}\n",
-                    accumulator_name(code as u64),
-                    n
-                ));
-            }
-        }
-        for (code, &n) in self.fused.iter().enumerate() {
-            if n > 0 {
-                out.push_str(&format!(
-                    "  fused accumulator {:<25} {:>8}\n",
-                    accumulator_name(code as u64),
-                    n
-                ));
+                out.push_str(&format!("  {:<36}{:>8}\n", label, n));
             }
         }
         out.push_str(&format!(
@@ -318,13 +300,10 @@ impl DecisionTallies {
     /// Pair every audited decision's journal tally with the counter that
     /// records the same decision, as `(counter name, journal, counter)`.
     /// Over a window that dropped no journal events the two must agree.
-    pub fn audit(&self, counters: &Snapshot) -> [(&'static str, u64, u64); 11] {
+    pub fn audit(&self, counters: &Snapshot) -> [(&'static str, u64, u64); 8] {
         [
-            (Counter::KernelSpa, self.kernel[0]),
-            (Counter::KernelHash, self.kernel[1]),
-            (Counter::KernelEsc, self.kernel[2]),
-            (Counter::FusedSpa, self.fused[0]),
-            (Counter::FusedHash, self.fused[1]),
+            (Counter::KernelSpa, self.kernel),
+            (Counter::FusedTraversals, self.fused),
             (Counter::DispatchSerial, self.dispatch_serial),
             (Counter::DispatchParallel, self.dispatch_parallel),
             (Counter::PlanSymbolicHit, self.plan_hits),
@@ -665,14 +644,14 @@ mod tests {
         let j = sample_journal();
         let snap = j.snapshot();
         let t = decision_tallies(&snap.events);
-        assert_eq!(t.kernel, [1, 0, 0]);
-        assert_eq!(t.fused, [1, 0]);
+        assert_eq!((t.kernel, t.fused), (1, 1));
         assert_eq!((t.dispatch_serial, t.dispatch_parallel), (1, 1));
         assert_eq!((t.plan_hits, t.plan_misses), (1, 1));
         assert_eq!((t.delta_lanes, t.delta_batches), (5, 2));
         assert_eq!(t.fallback_lanes, [1, 2]);
         let table = t.render();
-        assert!(table.contains("spa"));
+        assert!(table.contains("one-pair kernel runs"));
+        assert!(table.contains("fused traversals"));
         assert!(table.contains("non-associative"));
         assert!(table.contains("barrier"));
     }
@@ -684,7 +663,7 @@ mod tests {
         let rows = t.audit(&zero);
         let row = |name: &str| *rows.iter().find(|r| r.0 == name).unwrap();
         assert_eq!(row("kernel.spa"), ("kernel.spa", 1, 0));
-        assert_eq!(row("fused.spa"), ("fused.spa", 1, 0));
+        assert_eq!(row("fused.traversals"), ("fused.traversals", 1, 0));
         assert_eq!(row("dispatch.parallel"), ("dispatch.parallel", 1, 0));
         assert_eq!(row("plan.symbolic-hit"), ("plan.symbolic-hit", 1, 0));
         assert_eq!(row("incremental.apply"), ("incremental.apply", 5, 0));

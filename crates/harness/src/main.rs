@@ -32,7 +32,10 @@
 //! `std::net` HTTP/1.0 server serves `GET /metrics` (Prometheus
 //! exposition from the latest frame), `/report.json`, `/series.json`
 //! (the ring as sparkline columns) and `/healthz` (sampler liveness +
-//! drop counts). `fetch` is the matching dependency-free HTTP client.
+//! drop counts); when the workload ends it prints the final table and
+//! keeps serving, sampler running, until the process is killed, so a
+//! client never races the workload's end. A workload panic exits 2 at
+//! once. `fetch` is the matching dependency-free HTTP client.
 //!
 //! `gate` is the paired benchmark gate ([`aarray_harness::gate`]): it
 //! runs `BENCHMARK.json`'s command in both checkouts, three alternating
@@ -576,11 +579,11 @@ fn cmd_watch(args: &[String]) -> ExitCode {
     // One last frame so the series covers the workload's end.
     ring.sample_now();
     let stats = ring.stats();
-    if let Some(s) = server {
-        s.stop();
-    }
-    collector.stop();
     if panicked {
+        if let Some(s) = server {
+            s.stop();
+        }
+        collector.stop();
         eprintln!("obsctl watch: workload thread panicked");
         return ExitCode::from(2);
     }
@@ -593,6 +596,15 @@ fn cmd_watch(args: &[String]) -> ExitCode {
         tick, stats.recorded, stats.dropped, stats.capacity, total.ops.recorded
     );
     print!("{}", ops_table(&total.ops));
+    if server.is_some() {
+        println!("obsctl watch: still serving until killed");
+        let _ = std::io::Write::flush(&mut std::io::stdout());
+        loop {
+            // The server and sampler threads do the serving.
+            std::thread::park();
+        }
+    }
+    collector.stop();
     ExitCode::SUCCESS
 }
 

@@ -203,13 +203,10 @@ fn trace_writes_a_validated_chrome_trace() {
     // the journal reproduced the registry on each row.
     assert!(stdout.contains("counter audit"), "{}", stdout);
     assert!(!stdout.contains("MISMATCH"), "{}", stdout);
-    let fused = audit_row(&stdout, "fused.spa");
+    let fused = audit_row(&stdout, "fused.traversals");
     assert!(fused.0 > 0 && fused.0 == fused.1, "{:?}\n{}", fused, stdout);
     for row in [
         "kernel.spa",
-        "kernel.hash",
-        "kernel.esc",
-        "fused.hash",
         "dispatch.serial",
         "dispatch.parallel",
         "plan.symbolic-hit",
@@ -236,7 +233,7 @@ fn trace_writes_a_validated_chrome_trace() {
     // Explain payloads are decoded into args, and the drop accounting
     // rides along in otherData.
     assert!(text.contains("\"verdict\": \"serial\"") || text.contains("\"verdict\": \"parallel\""));
-    assert!(text.contains("\"accumulator\""));
+    assert!(text.contains("\"lanes\""));
     assert!(doc.path(&["otherData", "recorded"]).is_some());
     assert!(doc.path(&["otherData", "dropped"]).is_some());
     std::fs::remove_dir_all(&dir).ok();

@@ -3,13 +3,13 @@
 //! wires them, polled with raw `TcpStream` clients while a real
 //! (tiny-scale) workload runs — plus a binary-level run of
 //! `obsctl watch --listen 127.0.0.1:0 --port-file` fetched through
-//! the harness HTTP client.
+//! the harness HTTP client after its workload has finished.
 
 use aarray_harness::httpd::{http_get, telemetry_handler, Httpd};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -140,34 +140,52 @@ fn watch_stack_serves_all_endpoints_while_workload_runs() {
     collector.stop();
 }
 
+/// Kills the child when the test ends, passing or panicking: a watch
+/// with `--listen` serves until it is killed.
+struct KillOnDrop(Child);
+
+impl KillOnDrop {
+    fn exited(&mut self) -> Option<ExitStatus> {
+        self.0.try_wait().unwrap()
+    }
+}
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Binary-level smoke: `obsctl watch --listen 127.0.0.1:0 --port-file`
-/// publishes its real address, serves while the workload runs, and
-/// exits zero.
+/// publishes its real address, prints its final table when the
+/// workload ends, and still serves after that, until it is killed.
 #[test]
 fn obsctl_watch_listen_serves_via_port_file() {
     let dir = tmpdir("watch");
     let port_file = dir.join("watch.addr");
     let _ = std::fs::remove_file(&port_file);
 
-    let mut child = obsctl()
-        .args([
-            "watch",
-            "fig3",
-            "--rows",
-            "400",
-            "--reps",
-            "8",
-            "--interval-ms",
-            "25",
-            "--listen",
-            "127.0.0.1:0",
-            "--port-file",
-        ])
-        .arg(&port_file)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut child = KillOnDrop(
+        obsctl()
+            .args([
+                "watch",
+                "fig3",
+                "--rows",
+                "400",
+                "--reps",
+                "8",
+                "--interval-ms",
+                "25",
+                "--listen",
+                "127.0.0.1:0",
+                "--port-file",
+            ])
+            .arg(&port_file)
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
 
     // Poll for the published address.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -178,37 +196,38 @@ fn obsctl_watch_listen_serves_via_port_file() {
                 break s;
             }
         }
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            panic!("watch never published its address");
-        }
+        assert!(Instant::now() < deadline, "watch never published");
         std::thread::sleep(Duration::from_millis(10));
     };
     assert!(addr.starts_with("127.0.0.1:"), "odd address: {}", addr);
     assert!(!addr.ends_with(":0"), "port 0 was not resolved: {}", addr);
 
-    // Fetch the endpoints while (or shortly after) the workload runs;
-    // the server lives until the workload thread finishes, so with 8
-    // reps there is ample overlap — but even the tail end must serve.
-    let mut saw_metrics = false;
-    for _ in 0..50 {
-        match http_get(&addr, "/metrics", Duration::from_secs(2)) {
-            Ok((200, body)) if body.contains("aarray_events_total") => {
-                saw_metrics = true;
-                break;
-            }
-            _ => std::thread::sleep(Duration::from_millis(10)),
+    // Read stdout up to the final table: the workload has ended. The
+    // reader stays open, so the child never writes to a closed pipe.
+    let mut lines = BufReader::new(child.0.stdout.take().unwrap()).lines();
+    let mut out = String::new();
+    for line in lines.by_ref().map_while(Result::ok) {
+        out.push_str(&line);
+        out.push('\n');
+        if line.contains("still serving") {
+            break;
         }
     }
-    let out = child.wait_with_output().unwrap();
     assert!(
-        saw_metrics,
-        "never got a good /metrics from the child:\n{}",
-        String::from_utf8_lossy(&out.stderr)
+        out.contains("still serving"),
+        "stdout closed early:\n{}",
+        out
     );
-    assert!(
-        out.status.success(),
-        "watch exited nonzero:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.contains("workload finished"), "{}", out);
+    assert!(out.contains("plan-execute"), "{}", out);
+
+    // The workload is over and the server still serves.
+    let (status, metrics) = http_get(&addr, "/metrics", Duration::from_secs(5)).unwrap();
+    assert_eq!(status, 200);
+    assert!(metrics.contains("aarray_events_total"), "{}", metrics);
+    let (status, health) = http_get(&addr, "/healthz", Duration::from_secs(5)).unwrap();
+    assert_eq!(status, 200);
+    assert!(health.contains("\"status\": \"ok\""), "{}", health);
+    assert_eq!(child.exited(), None, "watch exited by itself");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -53,22 +53,14 @@ pub enum Counter {
     DispatchSerial,
     /// Row-parallel kernel chosen by the flops-based dispatch.
     DispatchParallel,
-    /// One-pair SpGEMM ran with the SPA accumulator.
+    /// One-pair SpGEMM runs (the one-pass SPA kernel).
     KernelSpa,
-    /// One-pair SpGEMM ran with the hash accumulator.
-    KernelHash,
-    /// One-pair SpGEMM ran with the expand-sort-compress accumulator.
-    KernelEsc,
     /// One-pair SpGEMM ran row-parallel.
     KernelParallel,
     /// Fused multi-semiring numeric traversals executed.
     FusedTraversals,
     /// Total accumulator lanes across fused traversals.
     FusedLanes,
-    /// Fused traversals using the SPA slot lookup.
-    FusedSpa,
-    /// Fused traversals using the hash slot lookup.
-    FusedHash,
     /// Fused traversals that ran row-parallel.
     FusedParallel,
     /// Cumulative `⊗`-term count of executed products (where the
@@ -151,13 +143,9 @@ pub const COUNTER_NAMES: [(Counter, &str); N_COUNTERS] = [
     (Counter::DispatchSerial, "dispatch.serial"),
     (Counter::DispatchParallel, "dispatch.parallel"),
     (Counter::KernelSpa, "kernel.spa"),
-    (Counter::KernelHash, "kernel.hash"),
-    (Counter::KernelEsc, "kernel.esc"),
     (Counter::KernelParallel, "kernel.parallel"),
     (Counter::FusedTraversals, "fused.traversals"),
     (Counter::FusedLanes, "fused.lanes"),
-    (Counter::FusedSpa, "fused.spa"),
-    (Counter::FusedHash, "fused.hash"),
     (Counter::FusedParallel, "fused.parallel"),
     (Counter::FlopsTotal, "flops.total"),
     (Counter::EnvParseError, "env.parse-error"),
@@ -470,8 +458,8 @@ mod tests {
         // Pin a counter this test binary never touches: with a
         // process-quiet registry its delta is zero and must be elided.
         let d = after.since(&before);
-        if d.get(Counter::KernelEsc) == 0 {
-            assert!(!compact.contains("kernel.esc"), "{}", compact);
+        if d.get(Counter::DeltaTraversals) == 0 {
+            assert!(!compact.contains("delta.traversals"), "{}", compact);
         }
         let full = after.diff(&before, true).to_string();
         for (_, name) in COUNTER_NAMES {

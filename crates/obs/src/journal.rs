@@ -108,11 +108,10 @@ pub enum EventKind {
     StageBegin,
     /// A stage ended. Payloads mirror the begin record.
     StageEnd,
-    /// One-pair kernel accumulator choice. `a` = accumulator code
-    /// (0 = spa, 1 = hash, 2 = esc), `b` = 1 if row-parallel.
+    /// One-pair kernel run. `a` = 0, `b` = 1 if row-parallel.
     KernelChoice,
-    /// Fused multi-lane kernel accumulator choice. `a` = accumulator
-    /// code (0 = spa, 1 = hash), `b` = `lanes << 1 | parallel`.
+    /// Fused multi-lane kernel run. `a` = 0, `b` =
+    /// `lanes << 1 | parallel`.
     FusedChoice,
     /// Dispatch verdict: serial. `a` = flops estimate (0 when the
     /// single-thread fast path skipped the estimate), `b` = threshold.
@@ -162,17 +161,6 @@ impl EventKind {
 
     fn from_u32(v: u32) -> Option<EventKind> {
         EVENT_KIND_NAMES.get(v as usize).map(|&(k, _)| k)
-    }
-}
-
-/// Accumulator code carried in [`EventKind::KernelChoice`] /
-/// [`EventKind::FusedChoice`] payloads.
-pub fn accumulator_name(code: u64) -> &'static str {
-    match code {
-        0 => "spa",
-        1 => "hash",
-        2 => "esc",
-        _ => "unknown",
     }
 }
 
@@ -690,17 +678,10 @@ impl JournalSnapshot {
 
 fn explain_args(e: &Event) -> String {
     match e.kind {
-        EventKind::KernelChoice => format!(
-            "\"accumulator\": \"{}\", \"parallel\": {}",
-            accumulator_name(e.a),
-            e.b & 1
-        ),
-        EventKind::FusedChoice => format!(
-            "\"accumulator\": \"{}\", \"lanes\": {}, \"parallel\": {}",
-            accumulator_name(e.a),
-            e.b >> 1,
-            e.b & 1
-        ),
+        EventKind::KernelChoice => format!("\"parallel\": {}", e.b & 1),
+        EventKind::FusedChoice => {
+            format!("\"lanes\": {}, \"parallel\": {}", e.b >> 1, e.b & 1)
+        }
         EventKind::DispatchSerial | EventKind::DispatchParallel => {
             let verdict = if e.kind == EventKind::DispatchSerial {
                 "serial"
@@ -815,7 +796,7 @@ mod tests {
         j.begin(Stage::Align, 3);
         j.end(Stage::Align, 3);
         j.begin(Stage::Numeric, 7);
-        j.record(EventKind::KernelChoice, 1, 0);
+        j.record(EventKind::KernelChoice, 0, 1);
         j.record(EventKind::DispatchSerial, 37, 131072);
         j.end(Stage::Numeric, 7);
         // An end whose begin was "lost": must not unbalance the export.
@@ -825,7 +806,7 @@ mod tests {
         assert_eq!(trace.matches("\"ph\": \"E\"").count(), 2);
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("\"verdict\": \"serial\""));
-        assert!(trace.contains("\"accumulator\": \"hash\""));
+        assert!(trace.contains("\"parallel\": 1"));
         assert!(trace.contains("\"truncated_spans\": 1"));
         assert_eq!(trace.matches('{').count(), trace.matches('}').count());
         assert_eq!(trace.matches('[').count(), trace.matches(']').count());

@@ -8,16 +8,15 @@
 //!   be disabled at runtime with `AARRAY_OBS_HISTOGRAMS=0`;
 //!
 //! * a **memory accounting layer** ([`mod@memstats`]) — current/peak bytes
-//!   per working-set region (SPA and hash accumulators, fused
-//!   accumulator blocks, plan-owned transposes and symbolic patterns,
-//!   interned key sets), fed by explicit instrumentation at the
-//!   allocation sites;
+//!   per working-set region (SPA scratchpads, fused accumulator
+//!   blocks, plan-owned transposes and symbolic patterns, interned key
+//!   sets), fed by explicit instrumentation at the allocation sites;
 //!
 //! * an **always-on flight recorder** ([`mod@journal`]) — a lock-free,
 //!   bounded ring-buffer journal of fixed-size structured events
 //!   (monotonic timestamp, thread id, kind, two payload slots) that
 //!   overwrites oldest entries when full and counts the drops. Hot
-//!   decision points append *explain events* (accumulator choice,
+//!   decision points append *explain events* (kernel runs,
 //!   dispatch verdicts, plan-cache hits, incremental fallbacks) and
 //!   stage boundaries append begin/end pairs, so a drained journal
 //!   exports as a Chrome-trace/Perfetto timeline

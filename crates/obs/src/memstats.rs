@@ -17,8 +17,8 @@
 //! high-water mark that concurrent allocations actually reached
 //! (`peak ≥ max(concurrent currents)`; pinned by a multi-thread stress
 //! test below). Peak is monotone per region and never decreases except
-//! via [`MemStats::reset`]. Use it to answer "how much memory does this
-//! workload's accumulator strategy need", not to balance books.
+//! via [`MemStats::reset`]. Use it to answer "how much memory do this
+//! workload's kernels need", not to balance books.
 //!
 //! The RAII guard [`MemReservation`] frees its bytes on drop, so
 //! scratch owners stay exception-safe without explicit free calls:
@@ -41,9 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum MemRegion {
     /// Dense SPA scratchpads of the one-pair kernels (slots + touched).
     SpaScratch,
-    /// Transient per-row hash accumulators (one-pair and fused hash
-    /// modes).
-    HashScratch,
     /// Fused kernel scratch: the column→slot map plus the K-lane
     /// structure-of-arrays accumulator block (high-water capacity).
     FusedAccumulator,
@@ -63,7 +60,6 @@ const N_REGIONS: usize = MemRegion::DeltaScratch as usize + 1;
 /// Every region with its report label, in enum order.
 pub const MEM_REGION_NAMES: [(MemRegion, &str); N_REGIONS] = [
     (MemRegion::SpaScratch, "mem.spa-scratch"),
-    (MemRegion::HashScratch, "mem.hash-scratch"),
     (MemRegion::FusedAccumulator, "mem.fused-accumulator"),
     (MemRegion::PlanTranspose, "mem.plan-transpose"),
     (MemRegion::PlanSymbolic, "mem.plan-symbolic"),
@@ -114,15 +110,6 @@ impl MemStats {
             Ordering::Relaxed,
             |cur| Some(cur.saturating_sub(bytes)),
         );
-    }
-
-    /// Record a short-lived allocation: bumps the peak watermark as if
-    /// the bytes were live, then immediately releases them. For per-row
-    /// scratch (hash maps) whose lifetime is too fine to guard.
-    #[inline]
-    pub fn record_transient(&self, region: MemRegion, bytes: u64) {
-        self.alloc(region, bytes);
-        self.free(region, bytes);
     }
 
     /// Allocate `bytes` and return an RAII guard that frees them on
@@ -272,15 +259,6 @@ mod tests {
             assert_eq!(memstats().current(r), base + 128);
         }
         assert_eq!(memstats().current(r), base);
-    }
-
-    #[test]
-    fn transient_peaks_without_residency() {
-        let r = MemRegion::HashScratch;
-        let base = memstats().current(r);
-        memstats().record_transient(r, 4096);
-        assert_eq!(memstats().current(r), base);
-        assert!(memstats().peak(r) >= base + 4096);
     }
 
     #[test]

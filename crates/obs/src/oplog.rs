@@ -864,9 +864,8 @@ impl OpsReport {
 // The call-site token.
 
 /// Scratch regions whose peak growth is attributed to the op.
-const SCRATCH_REGIONS: [MemRegion; 4] = [
+const SCRATCH_REGIONS: [MemRegion; 3] = [
     MemRegion::SpaScratch,
-    MemRegion::HashScratch,
     MemRegion::FusedAccumulator,
     MemRegion::DeltaScratch,
 ];

@@ -68,4 +68,4 @@ pub mod tri;
 
 pub use coo::Coo;
 pub use csr::Csr;
-pub use spgemm::{spgemm, spgemm_flops, spgemm_parallel, spgemm_with, Accumulator};
+pub use spgemm::{spgemm, spgemm_flops, spgemm_parallel};

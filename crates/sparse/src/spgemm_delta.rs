@@ -29,7 +29,7 @@
 //! block still lands in `MemRegion::FusedAccumulator` as usual.
 
 use crate::csr::Csr;
-use crate::spgemm_multi::{spgemm_multi_numeric, MultiAccumulator};
+use crate::spgemm_multi::spgemm_multi_numeric;
 use crate::symbolic::spgemm_symbolic_with;
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
@@ -53,7 +53,6 @@ pub fn spgemm_delta<V: Value>(
     delta_eout: &Csr<V>,
     delta_ein: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
     parallel: bool,
 ) -> Vec<Csr<V>> {
     assert_eq!(
@@ -72,7 +71,7 @@ pub fn spgemm_delta<V: Value>(
     scratch.grow_to(eout_t.heap_bytes() + sym.heap_bytes());
     // No dispatch counters here: the dispatch audit covers the
     // planner's own decisions.
-    let outs = spgemm_multi_numeric(&sym, &eout_t, delta_ein, pairs, acc, parallel);
+    let outs = spgemm_multi_numeric(&sym, &eout_t, delta_ein, pairs, parallel);
     journal().end(Stage::DeltaApply, pairs.len() as u64);
     outs
 }
@@ -81,7 +80,7 @@ pub fn spgemm_delta<V: Value>(
 mod tests {
     use super::*;
     use crate::coo::Coo;
-    use crate::spgemm::{spgemm_with, Accumulator};
+    use crate::spgemm::spgemm;
     use aarray_algebra::pairs::{MaxMin, PlusTimes};
     use aarray_algebra::values::nat::Nat;
 
@@ -113,13 +112,11 @@ mod tests {
             .num_threads(2)
             .build()
             .expect("2-thread pool");
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            for parallel in [false, true] {
-                let deltas = pool.install(|| spgemm_delta(&out, &inn, &pairs, acc, parallel));
-                let eout_t = out.transpose();
-                assert_eq!(deltas[0], spgemm_with(&eout_t, &inn, &pt, Accumulator::Spa));
-                assert_eq!(deltas[1], spgemm_with(&eout_t, &inn, &mm, Accumulator::Spa));
-            }
+        for parallel in [false, true] {
+            let deltas = pool.install(|| spgemm_delta(&out, &inn, &pairs, parallel));
+            let eout_t = out.transpose();
+            assert_eq!(deltas[0], spgemm(&eout_t, &inn, &pt));
+            assert_eq!(deltas[1], spgemm(&eout_t, &inn, &mm));
         }
     }
 
@@ -129,7 +126,7 @@ mod tests {
         let pt = pt();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
         let before = aarray_obs::snapshot();
-        let _ = spgemm_delta(&out, &inn, &pairs, MultiAccumulator::Spa, false);
+        let _ = spgemm_delta(&out, &inn, &pairs, false);
         let delta = aarray_obs::snapshot().since(&before);
         assert!(delta.get(Counter::DeltaTraversals) >= 1);
         assert!(
@@ -145,6 +142,6 @@ mod tests {
         let inn = Csr::<Nat>::empty(5, 4);
         let pt = pt();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let _ = spgemm_delta(&out, &inn, &pairs, MultiAccumulator::Spa, false);
+        let _ = spgemm_delta(&out, &inn, &pairs, false);
     }
 }

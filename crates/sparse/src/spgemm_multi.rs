@@ -3,7 +3,7 @@
 //!
 //! The paper's Figure 3 workload multiplies the *same* incidence
 //! pattern under seven different `⊕.⊗` pairs. Running seven
-//! independent [`crate::spgemm::spgemm_with`] calls re-reads `A`'s and
+//! independent [`crate::spgemm::spgemm`] calls re-reads `A`'s and
 //! `B`'s index structure seven times; the sparsity pattern work is
 //! identical every time and only the value arithmetic differs. This
 //! module hoists that redundancy:
@@ -36,7 +36,7 @@
 //! folded in order — the same canonical order as every other kernel in
 //! this crate. Each lane prunes its own `⊕`-produced zeros with its own
 //! `is_zero`. Output `p` is therefore bit-identical to the sequential
-//! `spgemm_with(a, b, pairs[p], _)` for arbitrary non-associative,
+//! `spgemm(a, b, pairs[p])` for arbitrary non-associative,
 //! non-commutative operations, serial or parallel (property-tested in
 //! `tests/proptest_multi.rs` and `tests/pool_identity.rs`).
 
@@ -50,7 +50,6 @@ use aarray_obs::{
     counters, histograms, histograms_enabled, journal, memstats, Counter, EventKind, Hist,
     MemRegion, MemReservation, OpKind, OpToken, Stage,
 };
-use std::collections::HashMap;
 use std::mem::size_of;
 
 /// Terms gathered per row before every lane folds them: one
@@ -58,36 +57,14 @@ use std::mem::size_of;
 /// terms flushes a full block each time it fills, then the rest.
 pub const FOLD_BLOCK: usize = 256;
 
-/// Per-row slot-lookup strategy for the fused numeric traversal.
-///
-/// Mirrors the SPA/Hash split of [`crate::spgemm::Accumulator`] (there
-/// is no ESC variant: the symbolic pattern already provides exact
-/// sorted slots, which is precisely what expand-sort-compress would
-/// rediscover per row).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MultiAccumulator {
-    /// Dense `O(ncols)` column→slot scratchpad, reset via the touched
-    /// slots only. Best when output rows are dense-ish or `ncols` is
-    /// moderate.
-    Spa,
-    /// Hash map column→slot built per row. Best for very wide, very
-    /// sparse outputs where an `O(ncols)` scratch is wasteful.
-    Hash,
-}
-
 /// Fused `K`-pair product: `[A ⊕_p.⊗_p B for p in pairs]` with one
 /// symbolic pass and one numeric traversal.
 ///
 /// Returns one `Csr` per pair, in order. Each output is bit-identical
-/// to the corresponding sequential [`crate::spgemm::spgemm_with`]
-/// call. Panics if `A.ncols() != B.nrows()`.
-pub fn spgemm_multi<V: Value>(
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
-) -> Vec<Csr<V>> {
-    fused(a, b, pairs, acc, false)
+/// to the corresponding sequential [`crate::spgemm::spgemm`] call.
+/// Panics if `A.ncols() != B.nrows()`.
+pub fn spgemm_multi<V: Value>(a: &Csr<V>, b: &Csr<V>, pairs: &[&dyn DynOpPair<V>]) -> Vec<Csr<V>> {
+    fused(a, b, pairs, false)
 }
 
 /// Row-parallel fused `K`-pair product.
@@ -99,9 +76,8 @@ pub fn spgemm_multi_parallel<V: Value>(
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
 ) -> Vec<Csr<V>> {
-    fused(a, b, pairs, acc, true)
+    fused(a, b, pairs, true)
 }
 
 /// Symbolic then numeric pass, both serial or both row-parallel.
@@ -109,7 +85,6 @@ fn fused<V: Value>(
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
     parallel: bool,
 ) -> Vec<Csr<V>> {
     // Token opens before the symbolic pass so its span lands inside
@@ -126,7 +101,7 @@ fn fused<V: Value>(
         t.set_dispatch(parallel, threads as u64);
     }
     let sym = spgemm_symbolic_with(a, b, parallel);
-    let outs = spgemm_multi_numeric(&sym, a, b, pairs, acc, parallel);
+    let outs = spgemm_multi_numeric(&sym, a, b, pairs, parallel);
     if let Some(mut t) = op {
         t.set_out_nnz(outs.iter().map(|c| c.nnz() as u64).sum());
         t.finish();
@@ -135,17 +110,13 @@ fn fused<V: Value>(
 }
 
 /// Record one fused numeric traversal in the global counter registry:
-/// the traversal itself, how many lanes it fed, the slot-lookup
-/// strategy, and whether the row-parallel driver ran — plus the
-/// matching explain event (payload `b` packs `lanes << 1 | parallel`).
-fn record_fused(nlanes: usize, acc: MultiAccumulator, parallel: bool) {
+/// the traversal itself, how many lanes it fed, and whether the
+/// row-parallel driver ran — plus the matching explain event (payload
+/// `b` packs `lanes << 1 | parallel`).
+fn record_fused(nlanes: usize, parallel: bool) {
     let c = counters();
     c.incr(Counter::FusedTraversals);
     c.add(Counter::FusedLanes, nlanes as u64);
-    c.incr(match acc {
-        MultiAccumulator::Spa => Counter::FusedSpa,
-        MultiAccumulator::Hash => Counter::FusedHash,
-    });
     if parallel {
         c.incr(Counter::FusedParallel);
     } else {
@@ -154,13 +125,9 @@ fn record_fused(nlanes: usize, acc: MultiAccumulator, parallel: bool) {
         // next to a zero `pool.tasks-local`.
         c.incr(Counter::PoolTasksInline);
     }
-    let acc_code = match acc {
-        MultiAccumulator::Spa => 0,
-        MultiAccumulator::Hash => 1,
-    };
     journal().record(
         EventKind::FusedChoice,
-        acc_code,
+        0,
         ((nlanes as u64) << 1) | parallel as u64,
     );
 }
@@ -194,18 +161,17 @@ pub fn spgemm_multi_numeric<V: Value>(
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
     parallel: bool,
 ) -> Vec<Csr<V>> {
     check_dims(sym, a, b);
-    record_fused(pairs.len(), acc, parallel);
+    record_fused(pairs.len(), parallel);
     assemble_rows(
         a.nrows(),
         pairs.len(),
         parallel,
         Some(Stage::Numeric),
         || MultiScratch::new(b.ncols()),
-        |scratch, i, outs| multiply_row_multi(a, b, pairs, acc, i, sym.row(i), scratch, outs),
+        |scratch, i, outs| multiply_row_multi(a, b, pairs, i, sym.row(i), scratch, outs),
     )
     .into_iter()
     .map(|out| out.into_csr(b.ncols()))
@@ -215,7 +181,7 @@ pub fn spgemm_multi_numeric<V: Value>(
 /// One gathered term: accumulator slot, `A(i,k)`, `B(k,j)`.
 type Term<'a, V> = (usize, &'a V, &'a V);
 
-/// Reusable per-chunk scratch: the dense column→slot map (SPA mode),
+/// Reusable per-chunk scratch: the dense column→slot map,
 /// the K-lane structure-of-arrays accumulator block, and the term
 /// block. Reported to [`MemRegion::FusedAccumulator`] at its high-water
 /// capacity (the slot map and term block are fixed-size; the SoA block
@@ -258,7 +224,6 @@ fn multiply_row_multi<'a, V: Value>(
     a: &'a Csr<V>,
     b: &'a Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    acc: MultiAccumulator,
     i: usize,
     srow: &[u32],
     scratch: &mut MultiScratch<'a, V>,
@@ -285,24 +250,12 @@ fn multiply_row_multi<'a, V: Value>(
         ..
     } = scratch;
 
-    match acc {
-        MultiAccumulator::Spa => {
-            for (slot, &j) in srow.iter().enumerate() {
-                slot_of[j as usize] = slot;
-            }
-            fold_row(a, b, pairs, i, nslots, accs, block, |j| slot_of[j as usize]);
-            for &j in srow {
-                slot_of[j as usize] = usize::MAX;
-            }
-        }
-        MultiAccumulator::Hash => {
-            let map: HashMap<u32, usize> = srow.iter().enumerate().map(|(s, &j)| (j, s)).collect();
-            memstats().record_transient(
-                MemRegion::HashScratch,
-                (map.capacity() * (size_of::<(u32, usize)>() + size_of::<u64>())) as u64,
-            );
-            fold_row(a, b, pairs, i, nslots, accs, block, |j| map[&j]);
-        }
+    for (slot, &j) in srow.iter().enumerate() {
+        slot_of[j as usize] = slot;
+    }
+    fold_row(a, b, pairs, i, nslots, accs, block, slot_of);
+    for &j in srow {
+        slot_of[j as usize] = usize::MAX;
     }
 
     // Emit each lane in slot (= ascending column) order, pruning the
@@ -331,8 +284,7 @@ fn multiply_row_multi<'a, V: Value>(
 /// The shared traversal: gather every contributing `(k, j)` term of
 /// row `i`, in ascending `k`, into `block`, and flush the block to all
 /// `K` lanes whenever it fills and once at the end of the row.
-/// `lookup` resolves a column to its slot under the active strategy
-/// (dense scratch or per-row hash map).
+/// `slot_of` maps each of the row's output columns to its slot.
 #[allow(clippy::too_many_arguments)]
 fn fold_row<'a, V: Value>(
     a: &'a Csr<V>,
@@ -342,13 +294,13 @@ fn fold_row<'a, V: Value>(
     nslots: usize,
     accs: &mut [Option<V>],
     block: &mut Vec<Term<'a, V>>,
-    lookup: impl Fn(u32) -> usize,
+    slot_of: &[usize],
 ) {
     let (ks, avs) = a.row(i);
     for (&k, av) in ks.iter().zip(avs.iter()) {
         let (js, bvs) = b.row(k as usize);
         for (&j, bv) in js.iter().zip(bvs.iter()) {
-            let slot = lookup(j);
+            let slot = slot_of[j as usize];
             debug_assert!(slot < nslots, "numeric term outside symbolic pattern");
             block.push((slot, av, bv));
             if block.len() == FOLD_BLOCK {
@@ -380,7 +332,7 @@ fn flush<V: Value>(
 mod tests {
     use super::*;
     use crate::coo::Coo;
-    use crate::spgemm::{spgemm_with, Accumulator};
+    use crate::spgemm::spgemm;
     use crate::symbolic::spgemm_symbolic;
     use aarray_algebra::ops::{AbsDiff, Plus, Times};
     use aarray_algebra::pairs::{MaxMin, MaxPlus, MinPlus, PlusTimes};
@@ -437,14 +389,12 @@ mod tests {
         let mp = MaxPlus::<Nat>::new();
         let np = MinPlus::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm, &mp, &np];
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let fused = spgemm_multi(&a, &b, &pairs, acc);
-            assert_eq!(fused.len(), 4);
-            assert_eq!(fused[0], spgemm_with(&a, &b, &pt, Accumulator::Spa));
-            assert_eq!(fused[1], spgemm_with(&a, &b, &mm, Accumulator::Spa));
-            assert_eq!(fused[2], spgemm_with(&a, &b, &mp, Accumulator::Spa));
-            assert_eq!(fused[3], spgemm_with(&a, &b, &np, Accumulator::Spa));
-        }
+        let fused = spgemm_multi(&a, &b, &pairs);
+        assert_eq!(fused.len(), 4);
+        assert_eq!(fused[0], spgemm(&a, &b, &pt));
+        assert_eq!(fused[1], spgemm(&a, &b, &mm));
+        assert_eq!(fused[2], spgemm(&a, &b, &mp));
+        assert_eq!(fused[3], spgemm(&a, &b, &np));
     }
 
     #[test]
@@ -468,13 +418,11 @@ mod tests {
         }
         let a = ca.into_csr(&pt);
         let b = cb.into_csr(&pt);
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let serial = spgemm_multi(&a, &b, &pairs, acc);
-            let parallel = spgemm_multi_parallel(&a, &b, &pairs, acc);
-            assert_eq!(serial, parallel, "{:?}", acc);
-            assert_eq!(serial[0], spgemm_with(&a, &b, &ad, Accumulator::Esc));
-            assert_eq!(serial[1], spgemm_with(&a, &b, &pt, Accumulator::Esc));
-        }
+        let serial = spgemm_multi(&a, &b, &pairs);
+        let parallel = spgemm_multi_parallel(&a, &b, &pairs);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial[0], spgemm(&a, &b, &ad));
+        assert_eq!(serial[1], spgemm(&a, &b, &pt));
     }
 
     #[test]
@@ -483,7 +431,7 @@ mod tests {
         // wrapped-to-zero entry while a lane with a different zero
         // element (same slot, different algebra) keeps its entry —
         // the implicit-zero invariant is per-lane. Regression test for the fused kernel
-        // and the ESC accumulator agreeing on ⊕-produced zeros.
+        // and the one-pass kernel agreeing on ⊕-produced zeros.
         type Z6 = Zn<6>;
         let pt6 = PlusTimes::<Z6>::new();
         // ×.+ is also closed on Z6 with identity-of-⊕ = 1: a lane
@@ -499,16 +447,12 @@ mod tests {
         let b = cb.into_csr(&pt6);
 
         let pairs: Vec<&dyn DynOpPair<Z6>> = vec![&pt6, &tp6];
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let fused = spgemm_multi(&a, &b, &pairs, acc);
-            assert_eq!(fused[0].nnz(), 0, "wrapped sum must be pruned ({:?})", acc);
-            assert_eq!(fused[1].nnz(), 1, "×.+ lane unaffected ({:?})", acc);
-            // And identically to every sequential accumulator.
-            for seq_acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
-                assert_eq!(fused[0], spgemm_with(&a, &b, &pt6, seq_acc));
-                assert_eq!(fused[1], spgemm_with(&a, &b, &tp6, seq_acc));
-            }
-        }
+        let fused = spgemm_multi(&a, &b, &pairs);
+        assert_eq!(fused[0].nnz(), 0, "wrapped sum must be pruned");
+        assert_eq!(fused[1].nnz(), 1, "×.+ lane unaffected");
+        // And identically to the one-pass kernel.
+        assert_eq!(fused[0], spgemm(&a, &b, &pt6));
+        assert_eq!(fused[1], spgemm(&a, &b, &tp6));
     }
 
     #[test]
@@ -517,37 +461,23 @@ mod tests {
         let sym = spgemm_symbolic(&a, &b);
         let pt = PlusTimes::<Nat>::new();
         let mm = MaxMin::<Nat>::new();
-        let first = spgemm_multi_numeric(
-            &sym,
-            &a,
-            &b,
-            &[&pt as &dyn DynOpPair<Nat>],
-            MultiAccumulator::Spa,
-            false,
-        );
-        let second = spgemm_multi_numeric(
-            &sym,
-            &a,
-            &b,
-            &[&mm as &dyn DynOpPair<Nat>],
-            MultiAccumulator::Spa,
-            true,
-        );
-        assert_eq!(first[0], spgemm_with(&a, &b, &pt, Accumulator::Spa));
-        assert_eq!(second[0], spgemm_with(&a, &b, &mm, Accumulator::Spa));
+        let first = spgemm_multi_numeric(&sym, &a, &b, &[&pt as &dyn DynOpPair<Nat>], false);
+        let second = spgemm_multi_numeric(&sym, &a, &b, &[&mm as &dyn DynOpPair<Nat>], true);
+        assert_eq!(first[0], spgemm(&a, &b, &pt));
+        assert_eq!(second[0], spgemm(&a, &b, &mm));
     }
 
     #[test]
     fn empty_pair_list_and_empty_operands() {
         let (a, b) = operands();
         let none: Vec<&dyn DynOpPair<Nat>> = Vec::new();
-        assert!(spgemm_multi(&a, &b, &none, MultiAccumulator::Spa).is_empty());
+        assert!(spgemm_multi(&a, &b, &none).is_empty());
 
         let ea = Csr::<Nat>::empty(3, 4);
         let eb = Csr::<Nat>::empty(4, 2);
         let pt = PlusTimes::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let out = spgemm_multi(&ea, &eb, &pairs, MultiAccumulator::Hash);
+        let out = spgemm_multi(&ea, &eb, &pairs);
         assert_eq!((out[0].nrows(), out[0].ncols(), out[0].nnz()), (3, 2, 0));
     }
 
@@ -558,7 +488,7 @@ mod tests {
         let b = build(2, 2, &[(0, 0, 1)]);
         let pt = PlusTimes::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Spa);
+        let _ = spgemm_multi(&a, &b, &pairs);
     }
 
     #[test]
@@ -569,15 +499,12 @@ mod tests {
         let mm = MaxMin::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm];
         let before = snapshot();
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Spa);
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Hash);
-        let _ = spgemm_multi_parallel(&a, &b, &pairs, MultiAccumulator::Spa);
+        let _ = spgemm_multi(&a, &b, &pairs);
+        let _ = spgemm_multi_parallel(&a, &b, &pairs);
         let delta = snapshot().since(&before);
         // ≥: the registry is process-global, tests run concurrently.
-        assert!(delta.get(Counter::FusedTraversals) >= 3, "{}", delta);
-        assert!(delta.get(Counter::FusedLanes) >= 6, "{}", delta);
-        assert!(delta.get(Counter::FusedSpa) >= 2, "{}", delta);
-        assert!(delta.get(Counter::FusedHash) >= 1, "{}", delta);
+        assert!(delta.get(Counter::FusedTraversals) >= 2, "{}", delta);
+        assert!(delta.get(Counter::FusedLanes) >= 4, "{}", delta);
         assert!(delta.get(Counter::FusedParallel) >= 1, "{}", delta);
     }
 
@@ -589,23 +516,18 @@ mod tests {
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm];
         let occ_before = histograms().get(Hist::AccOccupancy).snapshot();
         let nnz_before = histograms().get(Hist::RowNnz).snapshot();
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Spa);
-        let _ = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Hash);
+        let _ = spgemm_multi(&a, &b, &pairs);
         // Slot map alone is ncols × 8 bytes; the SoA block adds more.
         assert!(
             memstats().peak(MemRegion::FusedAccumulator) >= (b.ncols() * size_of::<usize>()) as u64
-        );
-        assert!(
-            memstats().peak(MemRegion::HashScratch) >= 1,
-            "hash slot map reported transiently"
         );
         let occ = histograms()
             .get(Hist::AccOccupancy)
             .snapshot()
             .since(&occ_before);
-        // 2 traversals × 4 rows × 2 lanes = 16 lane-rows recorded.
-        assert!(occ.count() >= 16, "per-lane occupancy recorded");
+        // 4 rows × 2 lanes = 8 lane-rows recorded.
+        assert!(occ.count() >= 8, "per-lane occupancy recorded");
         let nnz = histograms().get(Hist::RowNnz).snapshot().since(&nnz_before);
-        assert!(nnz.count() >= 8, "per-row structural nnz recorded");
+        assert!(nnz.count() >= 4, "per-row structural nnz recorded");
     }
 }

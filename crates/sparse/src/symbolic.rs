@@ -1,15 +1,16 @@
-//! Two-phase (symbolic + numeric) SpGEMM.
+//! The symbolic pass of two-phase SpGEMM.
 //!
-//! The single-pass kernels in [`mod@crate::spgemm`] grow output vectors as
-//! they go. The classic HPC alternative runs a **symbolic** pass first
+//! The one-pass kernel in [`mod@crate::spgemm`] grows output vectors as
+//! it goes. The classic HPC alternative runs a **symbolic** pass first
 //! — computing the exact output pattern with no value arithmetic —
 //! then a **numeric** pass that fills preallocated storage. This wins
-//! when values are expensive to compute or clone (set-valued arrays,
-//! strings) and when the symbolic pattern is reused across several
-//! numeric multiplies with different `⊕.⊗` pairs — exactly Figure 3's
+//! when the symbolic pattern is reused across several numeric
+//! multiplies with different `⊕.⊗` pairs — exactly Figure 3's
 //! workload, where the same `E1ᵀ`, `E2` pattern is multiplied under
-//! seven algebras. The `ablate_accumulators` bench compares the
-//! approaches.
+//! seven algebras. The numeric pass is the fused kernel
+//! [`crate::spgemm_multi::spgemm_multi_numeric`], which fills every
+//! lane from one traversal; with one lane it is the plain two-phase
+//! product.
 //!
 //! The symbolic pass runs serially or row-parallel as its caller
 //! decides ([`spgemm_symbolic_with`]; the planner and the delta kernel
@@ -19,12 +20,12 @@
 //!
 //! Caveat: the symbolic pattern is the *structural* product (every
 //! coordinate with at least one contributing term). The numeric pass
-//! can still produce zeros for non-compliant pairs; they are pruned in
-//! a final compaction, so results match the one-phase kernels exactly.
+//! can still produce zeros for non-compliant pairs; it prunes them, so
+//! results match the one-pass kernel exactly.
 
 use crate::chunks::{assemble_rows, RowsBuf};
 use crate::csr::Csr;
-use aarray_algebra::{BinaryOp, OpPair, Value};
+use aarray_algebra::Value;
 
 /// The reusable output pattern of `A ⊕.⊗ B` (structural only).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,82 +125,15 @@ pub fn spgemm_symbolic_with<V: Value, W: Value>(
     }
 }
 
-/// Numeric pass: fill a symbolic pattern with values under a concrete
-/// pair, then prune any zeros the arithmetic produced. The result is
-/// identical to [`crate::spgemm::spgemm`].
-pub fn spgemm_numeric<V, A, M>(
-    sym: &SymbolicProduct,
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pair: &OpPair<V, A, M>,
-) -> Csr<V>
-where
-    V: Value,
-    A: BinaryOp<V>,
-    M: BinaryOp<V>,
-{
-    assert_eq!(
-        sym.nrows,
-        a.nrows(),
-        "symbolic pattern built for different A"
-    );
-    assert_eq!(
-        sym.ncols,
-        b.ncols(),
-        "symbolic pattern built for different B"
-    );
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-
-    // slot_of[j] maps a column to its position within the current row's
-    // symbolic slots.
-    let mut slot_of = vec![usize::MAX; b.ncols()];
-    let mut indptr = vec![0usize; a.nrows() + 1];
-    let mut indices: Vec<u32> = Vec::with_capacity(sym.nnz());
-    let mut values: Vec<V> = Vec::with_capacity(sym.nnz());
-
-    for i in 0..a.nrows() {
-        let srow = &sym.indices[sym.indptr[i]..sym.indptr[i + 1]];
-        for (slot, &j) in srow.iter().enumerate() {
-            slot_of[j as usize] = slot;
-        }
-        let mut acc: Vec<Option<V>> = vec![None; srow.len()];
-
-        let (ks, avs) = a.row(i);
-        for (&k, av) in ks.iter().zip(avs.iter()) {
-            let (js, bvs) = b.row(k as usize);
-            for (&j, bv) in js.iter().zip(bvs.iter()) {
-                let slot = slot_of[j as usize];
-                debug_assert_ne!(slot, usize::MAX, "numeric term outside symbolic pattern");
-                let term = pair.times(av, bv);
-                acc[slot] = Some(match acc[slot].take() {
-                    None => term,
-                    Some(prev) => pair.plus(&prev, &term),
-                });
-            }
-        }
-
-        for (slot, &j) in srow.iter().enumerate() {
-            if let Some(v) = acc[slot].take() {
-                if !pair.is_zero(&v) {
-                    indices.push(j);
-                    values.push(v);
-                }
-            }
-            slot_of[j as usize] = usize::MAX;
-        }
-        indptr[i + 1] = indices.len();
-    }
-
-    Csr::from_parts(a.nrows(), b.ncols(), indptr, indices, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::spgemm::spgemm;
+    use crate::spgemm_multi::spgemm_multi_numeric;
     use aarray_algebra::ops::{Max, Min, Plus, Times};
     use aarray_algebra::values::nat::Nat;
+    use aarray_algebra::OpPair;
 
     fn pt() -> OpPair<Nat, Plus, Times> {
         OpPair::new()
@@ -213,12 +147,14 @@ mod tests {
         coo.into_csr(&pt())
     }
 
+    // The numeric pass is the fused kernel; with one lane it is the
+    // plain two-phase product.
     #[test]
     fn two_phase_matches_one_phase() {
         let a = build(3, 4, &[(0, 0, 1), (0, 3, 2), (1, 1, 3), (2, 2, 5)]);
         let b = build(4, 3, &[(0, 1, 2), (1, 0, 1), (2, 2, 3), (3, 1, 4)]);
         let sym = spgemm_symbolic(&a, &b);
-        let two = spgemm_numeric(&sym, &a, &b, &pt());
+        let two = spgemm_multi_numeric(&sym, &a, &b, &[&pt()], false).remove(0);
         assert_eq!(two, spgemm(&a, &b, &pt()));
         assert_eq!(sym.nnz(), two.nnz()); // compliant pair: no pruning
     }
@@ -230,11 +166,11 @@ mod tests {
         let b = build(3, 2, &[(0, 0, 5), (1, 0, 1), (2, 1, 7)]);
         let sym = spgemm_symbolic(&a, &b);
 
-        let plus_times = spgemm_numeric(&sym, &a, &b, &pt());
+        let plus_times = spgemm_multi_numeric(&sym, &a, &b, &[&pt()], false).remove(0);
         assert_eq!(plus_times, spgemm(&a, &b, &pt()));
 
         let mm: OpPair<Nat, Max, Min> = OpPair::new();
-        let max_min = spgemm_numeric(&sym, &a, &b, &mm);
+        let max_min = spgemm_multi_numeric(&sym, &a, &b, &[&mm], false).remove(0);
         assert_eq!(max_min, spgemm(&a, &b, &mm));
         // Same pattern, different values.
         assert_eq!(plus_times.indices(), max_min.indices());
@@ -254,7 +190,7 @@ mod tests {
         let b = cb.into_csr(&pair);
         let sym = spgemm_symbolic(&a, &b);
         assert_eq!(sym.nnz(), 1); // structurally present
-        let c = spgemm_numeric(&sym, &a, &b, &pair);
+        let c = spgemm_multi_numeric(&sym, &a, &b, &[&pair], false).remove(0);
         assert_eq!(c.nnz(), 0); // numerically cancelled, pruned
     }
 

@@ -11,7 +11,7 @@
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::pairs::{MaxMin, PlusTimes};
 use aarray_algebra::values::nat::Nat;
-use aarray_sparse::spgemm_multi::{spgemm_multi_parallel, MultiAccumulator};
+use aarray_sparse::spgemm_multi::spgemm_multi_parallel;
 use aarray_sparse::{Coo, Csr};
 use std::collections::BTreeMap;
 
@@ -52,7 +52,7 @@ fn parallel_workers_record_cleanly_into_the_global_journal() {
                     .unwrap();
                 pool.install(|| {
                     for _ in 0..REPS {
-                        let outs = spgemm_multi_parallel(&a, &a, &pairs, MultiAccumulator::Spa);
+                        let outs = spgemm_multi_parallel(&a, &a, &pairs);
                         assert_eq!(outs.len(), 2);
                     }
                 });

@@ -22,8 +22,8 @@ use aarray_algebra::pairs::{MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes
 use aarray_algebra::values::nn::NN;
 use aarray_algebra::values::tropical::{trop, Tropical};
 use aarray_algebra::DynOpPair;
-use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel, MultiAccumulator};
-use aarray_sparse::{spgemm_parallel, spgemm_with, Accumulator, Coo, Csr};
+use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel};
+use aarray_sparse::{spgemm, spgemm_parallel, Coo, Csr};
 use common::arb_nn_operands;
 use proptest::prelude::*;
 
@@ -57,23 +57,17 @@ proptest! {
         let trop_pairs: [&dyn DynOpPair<Tropical>; 1] = [&mp];
         let (at, bt) = (tropicalize(&a), tropicalize(&b));
 
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let serial = spgemm_multi(&a, &b, &nn_pairs, acc);
-            let serial_t = spgemm_multi(&at, &bt, &trop_pairs, acc);
-            for threads in POOL_SIZES {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let parallel = pool.install(|| spgemm_multi_parallel(&a, &b, &nn_pairs, acc));
-                prop_assert_eq!(&serial, &parallel, "NN lanes, {} threads, {:?}", threads, acc);
-                let parallel_t =
-                    pool.install(|| spgemm_multi_parallel(&at, &bt, &trop_pairs, acc));
-                prop_assert_eq!(
-                    &serial_t, &parallel_t,
-                    "tropical max.+ lane, {} threads, {:?}", threads, acc
-                );
-            }
+        let serial = spgemm_multi(&a, &b, &nn_pairs);
+        let serial_t = spgemm_multi(&at, &bt, &trop_pairs);
+        for threads in POOL_SIZES {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let parallel = pool.install(|| spgemm_multi_parallel(&a, &b, &nn_pairs));
+            prop_assert_eq!(&serial, &parallel, "NN lanes, {} threads", threads);
+            let parallel_t = pool.install(|| spgemm_multi_parallel(&at, &bt, &trop_pairs));
+            prop_assert_eq!(&serial_t, &parallel_t, "tropical max.+ lane, {} threads", threads);
         }
     }
 
@@ -83,16 +77,14 @@ proptest! {
         // under the same pool sizes — float ⊕ again makes fold order
         // observable.
         let plus_times = PlusTimes::<NN>::new();
-        for acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
-            let serial = spgemm_with(&a, &b, &plus_times, acc);
-            for threads in POOL_SIZES {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let parallel = pool.install(|| spgemm_parallel(&a, &b, &plus_times, acc));
-                prop_assert_eq!(&serial, &parallel, "{} threads, {:?}", threads, acc);
-            }
+        let serial = spgemm(&a, &b, &plus_times);
+        for threads in POOL_SIZES {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let parallel = pool.install(|| spgemm_parallel(&a, &b, &plus_times));
+            prop_assert_eq!(&serial, &parallel, "{} threads", threads);
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Property-based bit-identity of the fused multi-semiring kernel:
 //! for random operands, every lane of `spgemm_multi` must equal the
-//! corresponding independent `spgemm_with` call — under every
-//! sequential accumulator, both fused slot-lookup strategies, the
-//! row-parallel variant, and order-sensitive `⊕`s: float `+` on `NN`
-//! and the non-associative `|−|` (so fold order is observable, not
+//! corresponding independent one-pass `spgemm` call — serially, under
+//! the row-parallel variant, and for order-sensitive `⊕`s: float `+` on
+//! `NN` and the non-associative `|−|` (so fold order is observable, not
 //! just the folded multiset). Half the cases are long rows that cross
 //! the kernel's fold-block boundaries (`common::arb_long_rows`).
 
@@ -13,8 +12,8 @@ use aarray_algebra::ops::{AbsDiff, Times};
 use aarray_algebra::pairs::{MaxMin, MinPlus, PlusTimes};
 use aarray_algebra::values::nn::NN;
 use aarray_algebra::{DynOpPair, OpPair};
-use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel, MultiAccumulator};
-use aarray_sparse::{spgemm_with, Accumulator};
+use aarray_sparse::spgemm;
+use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel};
 use common::{arb_nn_operands, arb_nn_pair};
 use proptest::prelude::*;
 
@@ -29,16 +28,12 @@ proptest! {
         let abs_diff: OpPair<NN, AbsDiff, Times> = OpPair::new();
         let pairs: [&dyn DynOpPair<NN>; 4] = [&plus_times, &max_min, &min_plus, &abs_diff];
 
-        for fused_acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let fused = spgemm_multi(&a, &b, &pairs, fused_acc);
-            prop_assert_eq!(fused.len(), 4);
-            for seq_acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
-                prop_assert_eq!(&fused[0], &spgemm_with(&a, &b, &plus_times, seq_acc));
-                prop_assert_eq!(&fused[1], &spgemm_with(&a, &b, &max_min, seq_acc));
-                prop_assert_eq!(&fused[2], &spgemm_with(&a, &b, &min_plus, seq_acc));
-                prop_assert_eq!(&fused[3], &spgemm_with(&a, &b, &abs_diff, seq_acc));
-            }
-        }
+        let fused = spgemm_multi(&a, &b, &pairs);
+        prop_assert_eq!(fused.len(), 4);
+        prop_assert_eq!(&fused[0], &spgemm(&a, &b, &plus_times));
+        prop_assert_eq!(&fused[1], &spgemm(&a, &b, &max_min));
+        prop_assert_eq!(&fused[2], &spgemm(&a, &b, &min_plus));
+        prop_assert_eq!(&fused[3], &spgemm(&a, &b, &abs_diff));
     }
 
     #[test]
@@ -47,11 +42,9 @@ proptest! {
         let max_min = MaxMin::<NN>::new();
         let abs_diff: OpPair<NN, AbsDiff, Times> = OpPair::new();
         let pairs: [&dyn DynOpPair<NN>; 3] = [&plus_times, &max_min, &abs_diff];
-        for acc in [MultiAccumulator::Spa, MultiAccumulator::Hash] {
-            let serial = spgemm_multi(&a, &b, &pairs, acc);
-            let parallel = spgemm_multi_parallel(&a, &b, &pairs, acc);
-            prop_assert_eq!(serial, parallel);
-        }
+        let serial = spgemm_multi(&a, &b, &pairs);
+        let parallel = spgemm_multi_parallel(&a, &b, &pairs);
+        prop_assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -59,7 +52,7 @@ proptest! {
         // K = 1 degenerates to plain two-phase SpGEMM.
         let abs_diff: OpPair<NN, AbsDiff, Times> = OpPair::new();
         let pairs: [&dyn DynOpPair<NN>; 1] = [&abs_diff];
-        let fused = spgemm_multi(&a, &b, &pairs, MultiAccumulator::Spa);
-        prop_assert_eq!(&fused[0], &spgemm_with(&a, &b, &abs_diff, Accumulator::Spa));
+        let fused = spgemm_multi(&a, &b, &pairs);
+        prop_assert_eq!(&fused[0], &spgemm(&a, &b, &abs_diff));
     }
 }

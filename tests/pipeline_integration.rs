@@ -8,7 +8,7 @@ use aarray_core::{adjacency_array, theorem::pattern_diff};
 use aarray_graph::algorithms::{bfs_levels, out_degrees};
 use aarray_graph::direct_adjacency;
 use aarray_graph::generators::{complete, cycle, erdos_renyi, music_like, path, rmat};
-use aarray_sparse::{spgemm_parallel, spgemm_with, Accumulator};
+use aarray_sparse::{spgemm, spgemm_parallel};
 
 #[test]
 fn random_graphs_construct_exact_patterns() {
@@ -38,28 +38,15 @@ fn rmat_pipeline_with_lattice_pair() {
 }
 
 #[test]
-fn all_accumulators_and_parallel_agree_on_real_workload() {
+fn serial_parallel_and_fused_agree_on_real_workload() {
     let pair = PlusTimes::<Nat>::new();
     let g = erdos_renyi(200, 2_000, 77);
     let (eout, ein) = g.incidence_arrays(&pair);
     let at = eout.csr().transpose();
-    let reference = spgemm_with(&at, ein.csr(), &pair, Accumulator::Spa);
-    for acc in [Accumulator::Hash, Accumulator::Esc] {
-        assert_eq!(
-            spgemm_with(&at, ein.csr(), &pair, acc),
-            reference,
-            "{:?}",
-            acc
-        );
-    }
-    for acc in [Accumulator::Spa, Accumulator::Hash, Accumulator::Esc] {
-        assert_eq!(
-            spgemm_parallel(&at, ein.csr(), &pair, acc),
-            reference,
-            "par {:?}",
-            acc
-        );
-    }
+    let reference = spgemm(&at, ein.csr(), &pair);
+    assert_eq!(spgemm_parallel(&at, ein.csr(), &pair), reference);
+    // The plan path runs the fused two-phase kernel.
+    assert_eq!(adjacency_array(&eout, &ein, &pair).csr(), &reference);
 }
 
 #[test]
