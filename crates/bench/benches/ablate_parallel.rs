@@ -1,6 +1,7 @@
 //! Ablation: serial vs rayon row-parallel SpGEMM across sizes — where
-//! does parallelism start paying? (This calibrates the
-//! `PARALLEL_NNZ_THRESHOLD` in `aarray-core::matmul`.)
+//! does parallelism start paying? (This calibrates
+//! `DEFAULT_PARALLEL_FLOPS_THRESHOLD`, 1 << 17 flops, in
+//! `aarray-core::matmul`, which `AARRAY_PAR_FLOPS_THRESHOLD` overrides.)
 
 use aarray_algebra::pairs::PlusTimes;
 use aarray_algebra::values::nat::Nat;

@@ -1,7 +1,8 @@
 //! Ablation: one-phase SpGEMM vs two-phase (symbolic + numeric), and
 //! the Figure 3 reuse scenario — one symbolic pass amortized over all
 //! seven numeric multiplies. The two-phase numeric pass is the fused
-//! kernel with one lane.
+//! kernel with one lane. Every arm runs serially, symbolic pass
+//! included, so the arms compare like for like on any core count.
 
 use aarray_algebra::pairs::{MaxMin, MaxTimes, MinMax, MinPlus, MinTimes, PlusTimes};
 use aarray_algebra::values::nat::Nat;
@@ -9,7 +10,7 @@ use aarray_algebra::values::nn::NN;
 use aarray_algebra::{DynOpPair, Value};
 use aarray_graph::generators::erdos_renyi;
 use aarray_sparse::spgemm_multi::spgemm_multi_numeric;
-use aarray_sparse::symbolic::{spgemm_symbolic, SymbolicProduct};
+use aarray_sparse::symbolic::{spgemm_symbolic_with, SymbolicProduct};
 use aarray_sparse::{spgemm, Csr};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -52,12 +53,12 @@ fn bench_two_phase(c: &mut Criterion) {
             &(&a, &b),
             |bch, (a, b)| {
                 bch.iter(|| {
-                    let sym = spgemm_symbolic(a, b);
+                    let sym = spgemm_symbolic_with(a, b, false);
                     numeric_one_lane(&sym, a, b, &pair)
                 })
             },
         );
-        let sym = spgemm_symbolic(&a, &b);
+        let sym = spgemm_symbolic_with(&a, &b, false);
         group.bench_with_input(
             BenchmarkId::new("numeric_only", format!("n{}_m{}", n, m)),
             &(&a, &b),
@@ -82,7 +83,7 @@ fn bench_two_phase(c: &mut Criterion) {
     });
     group.bench_function("fig3_seven_pairs_shared_symbolic", |b| {
         b.iter(|| {
-            let sym = spgemm_symbolic(&e1t, &e2);
+            let sym = spgemm_symbolic_with(&e1t, &e2, false);
             let mut total = 0usize;
             total += numeric_one_lane(&sym, &e1t, &e2, &PlusTimes::<NN>::new()).nnz();
             total += numeric_one_lane(&sym, &e1t, &e2, &MaxTimes::<NN>::new()).nnz();

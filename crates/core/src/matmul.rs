@@ -108,13 +108,14 @@ pub fn would_parallelize(flops: u64, threshold: u64, nthreads: usize) -> bool {
 }
 
 /// Fold the thread pool's task accounting into the obs registry: the
-/// pool size visible from this thread ([`Gauge::PoolThreads`]) and the
-/// chunks executed locally vs. stolen vs. inline since the last drain
-/// ([`Counter::PoolTasksLocal`] / [`Counter::PoolTasksStolen`] /
-/// [`Counter::PoolTasksInline`]). The stub's drain is an atomic swap,
-/// so concurrent callers partition the counts exactly — nothing is
-/// double-reported or lost. Called after every numeric pass that may
-/// have fanned out, and exported as
+/// pool size visible from this thread ([`Gauge::PoolThreads`]) and,
+/// since the last drain, the chunks pool workers ran
+/// ([`Counter::PoolTasksLocal`]), the chunks submitters ran on their
+/// own fanned-out stages ([`Counter::PoolTasksStolen`]) and the stages
+/// that ran inline on the caller ([`Counter::PoolTasksInline`]). The
+/// stub's drain is an atomic swap, so concurrent callers partition the
+/// counts exactly — nothing is double-reported or lost. Called after
+/// every numeric pass that may have fanned out, and exported as
 /// [`publish_pool_stats`](crate::publish_pool_stats) so a live sampler
 /// can bridge pending tallies into frames mid-workload: the registry
 /// is cumulative and shared, so publishing early steals nothing from

@@ -82,19 +82,20 @@ pub enum Counter {
     /// Delta SpGEMM traversals executed (one per refresh that took the
     /// incremental path, covering all fused lanes).
     DeltaTraversals,
-    /// Thread-pool chunks executed by the worker owning their deque
-    /// slot (or inline when no fan-out happened).
+    /// Thread-pool chunks run by a pool worker.
     PoolTasksLocal,
-    /// Thread-pool chunks claimed by a different thread than the one
-    /// they were queued for (work-stealing, including the submitter
-    /// helping while it waits).
+    /// Thread-pool chunks run by the submitting thread on the region it
+    /// fanned out. Every chunk is claimed from one shared cursor, so
+    /// this is the submitter's share of a fanned-out stage; the name is
+    /// that of a work-stealing pool, where the submitter steals from
+    /// the one worker deque of a 2-thread pool.
     PoolTasksStolen,
     /// Work executed inline on the submitting thread without the pool:
-    /// parallel regions that degraded to a loop (pool size ≤ 1, nested
-    /// fan-out on a worker) plus serial kernel/fused traversals that
-    /// never consulted the pool at all. Nonzero here is the proof that
-    /// single-thread runs did real work even when `pool.tasks-local`
-    /// stays 0.
+    /// parallel stages that ran as one chunk on the caller (pool size
+    /// ≤ 1, one item, or a stage nested in a chunk) plus serial
+    /// kernel/fused traversals that never consulted the pool at all.
+    /// Nonzero here is the proof that single-thread runs did real work
+    /// even when `pool.tasks-local` stays 0.
     PoolTasksInline,
     /// `KeyDict::intern_sorted` resolved a key already in the
     /// dictionary.

@@ -18,10 +18,11 @@ use std::ops::Range;
 use crate::csr::Csr;
 
 /// Contiguous row ranges for the row-parallel drivers: ~4 chunks per
-/// pool thread (so uneven rows rebalance by stealing), one chunk when
-/// the pool cannot fan out. Each chunk is one unit of work-stealing
-/// *and* one journal span on whichever thread executes it, which is
-/// what makes per-thread overlap visible in the Chrome trace.
+/// pool thread (so uneven rows rebalance: an executor that finishes
+/// early claims another unclaimed range), one chunk when the pool
+/// cannot fan out. Each range is one pool chunk *and* one journal span
+/// on whichever thread executes it, which is what makes per-thread
+/// overlap visible in the Chrome trace.
 pub(crate) fn row_chunks(nrows: usize) -> Vec<Range<usize>> {
     let threads = rayon::current_num_threads();
     let nchunks = if threads <= 1 || nrows <= 1 {

@@ -2,8 +2,8 @@
 //! journal through the row-parallel fused kernel must never surface a
 //! torn record, and drop accounting must stay exact.
 //!
-//! The offline rayon stub now runs a real work-stealing pool, but its
-//! worker count tracks the host; to make contention deterministic this
+//! The offline rayon stub runs a real thread pool, but its worker
+//! count tracks the host; to make contention deterministic this
 //! suite drives the parallel code path from its own `std::thread`
 //! workers, each installing a private pool, so journal writes always
 //! race regardless of how many cores the host exposes.

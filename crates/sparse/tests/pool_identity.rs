@@ -1,6 +1,6 @@
 //! Bit-identity of the row-parallel fused kernel under a **real**
-//! work-stealing pool, across all seven paper op pairs and several
-//! forced pool sizes.
+//! thread pool, across all seven paper op pairs and several forced
+//! pool sizes.
 //!
 //! The paper's Figure 3 workload runs six `⊕.⊗` pairs over non-negative
 //! reals plus `max.+` over the tropical extension; the kernels promise

@@ -56,7 +56,7 @@ pub fn vec<E: Strategy>(element: E, size: impl Into<SizeRange>) -> VecStrategy<E
     }
 }
 
-/// Strategy produced by [`vec`].
+/// Strategy produced by [`vec()`].
 pub struct VecStrategy<E> {
     element: E,
     size: SizeRange,
