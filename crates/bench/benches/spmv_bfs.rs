@@ -6,7 +6,7 @@ use aarray_algebra::values::nat::Nat;
 use aarray_core::adjacency_array;
 use aarray_graph::algorithms::bfs_levels;
 use aarray_graph::generators::rmat;
-use aarray_sparse::spmv::{spmv, spmv_parallel};
+use aarray_sparse::spmv::spmv;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_spmv_bfs(c: &mut Criterion) {
@@ -30,9 +30,6 @@ fn bench_spmv_bfs(c: &mut Criterion) {
         let x: Vec<Option<Nat>> = (0..n).map(|i| (i % 3 == 0).then_some(Nat(1))).collect();
         group.bench_with_input(BenchmarkId::new("spmv_serial", scale), &adj, |b, adj| {
             b.iter(|| spmv(adj.csr(), &x, &pair))
-        });
-        group.bench_with_input(BenchmarkId::new("spmv_parallel", scale), &adj, |b, adj| {
-            b.iter(|| spmv_parallel(adj.csr(), &x, &pair))
         });
 
         let src = adj_bool.row_keys().key(0).to_string();

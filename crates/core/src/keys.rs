@@ -469,6 +469,19 @@ impl KeySet {
     /// / [`Counter::IntersectIdSpace`] / [`Counter::IntersectMerge`]),
     /// so fast-path coverage is observable on real workloads.
     pub fn intersect(&self, other: &KeySet) -> (KeySet, Vec<usize>, Vec<usize>) {
+        let (path, aligned) = self.intersect_path(other);
+        counters().incr(path);
+        aligned
+    }
+
+    /// [`KeySet::intersect`] without the registry update: its result and
+    /// the counter of the path that served it. `intersect` adds that
+    /// counter; a test reads it here, where other threads' intersects
+    /// cannot reach it.
+    pub(crate) fn intersect_path(
+        &self,
+        other: &KeySet,
+    ) -> (Counter, (KeySet, Vec<usize>, Vec<usize>)) {
         let (short, long) = if self.len() <= other.len() {
             (self, other)
         } else {
@@ -479,18 +492,19 @@ impl KeySet {
             // Shared storage: the common keys are exactly the (either)
             // set, and both index maps are the identity.
             if Arc::ptr_eq(&self.ids, &other.ids) {
-                counters().incr(Counter::IntersectArcIdentity);
                 let idx: Vec<usize> = (0..short.len()).collect();
-                return (short.clone(), idx.clone(), idx);
+                return (
+                    Counter::IntersectArcIdentity,
+                    (short.clone(), idx.clone(), idx),
+                );
             }
             // One set a contiguous prefix of the other (subsumes
             // equal-but-distinct storage and the empty set): identity
             // maps. An integer memcmp, so a failed probe costs less
             // than starting the merge walk.
             if short.ids[..] == long.ids[..short.len()] {
-                counters().incr(Counter::IntersectPrefix);
                 let idx: Vec<usize> = (0..short.len()).collect();
-                return (short.clone(), idx.clone(), idx);
+                return (Counter::IntersectPrefix, (short.clone(), idx.clone(), idx));
             }
             let ranks = self.dict.ranks();
             let rank = |id: u32| ranks[id as usize];
@@ -500,11 +514,10 @@ impl KeySet {
             if rank(self.ids[self.len() - 1]) < rank(other.ids[0])
                 || rank(other.ids[other.len() - 1]) < rank(self.ids[0])
             {
-                counters().incr(Counter::IntersectDisjointRange);
-                return (KeySet::empty(), Vec::new(), Vec::new());
+                let none = (KeySet::empty(), Vec::new(), Vec::new());
+                return (Counter::IntersectDisjointRange, none);
             }
             // General case: merge walk on integer ranks.
-            counters().incr(Counter::IntersectIdSpace);
             let mut ids = Vec::new();
             let mut left = Vec::new();
             let mut right = Vec::new();
@@ -523,13 +536,13 @@ impl KeySet {
                     j += 1;
                 }
             }
-            return (KeySet::from_ids(self.dict.clone(), ids), left, right);
+            let common = KeySet::from_ids(self.dict.clone(), ids);
+            return (Counter::IntersectIdSpace, (common, left, right));
         }
 
         // Cross-dictionary: ids are incomparable, fall back to the
         // string merge walk. The result keeps `self`'s dictionary and
         // reuses `self`'s ids for the matched keys.
-        counters().incr(Counter::IntersectMerge);
         let (a, b) = (self.keys(), other.keys());
         let mut ids = Vec::new();
         let mut left = Vec::new();
@@ -548,7 +561,8 @@ impl KeySet {
                 }
             }
         }
-        (KeySet::from_ids(self.dict.clone(), ids), left, right)
+        let common = KeySet::from_ids(self.dict.clone(), ids);
+        (Counter::IntersectMerge, (common, left, right))
     }
 
     /// Union with another key set.
@@ -1048,14 +1062,19 @@ mod tests {
     #[test]
     fn counters_see_id_space_walk_for_interleaved_sets() {
         // Interleaved-but-overlapping, same dictionary: the integer
-        // rank walk serves it — never the string merge.
+        // rank walk serves it — never the string merge. The path comes
+        // back from this call itself: other tests bump the global
+        // merge counter concurrently.
         let odd = KeySet::from_iter(["a", "c", "e"]);
         let mix = KeySet::from_iter(["b", "c", "f"]);
-        let (_, _, _, id_space, merge) = intersect_deltas(|| {
-            let _ = odd.intersect(&mix);
-        });
-        assert!(id_space >= 1, "id-space rank walk must fire");
-        assert_eq!(merge, 0, "same-dict sets must never string-merge");
+        let (path, (common, ia, ib)) = odd.intersect_path(&mix);
+        assert_eq!(
+            path,
+            Counter::IntersectIdSpace,
+            "same-dict sets never string-merge"
+        );
+        assert_eq!(common.keys(), &["c"]);
+        assert_eq!((ia, ib), (vec![1], vec![1]));
     }
 
     #[test]

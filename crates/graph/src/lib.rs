@@ -45,7 +45,6 @@ pub mod metrics;
 pub mod multigraph;
 pub mod pagerank;
 pub mod scc;
-pub mod streaming;
 pub mod structured;
 
 pub use baseline::direct_adjacency;

@@ -71,8 +71,10 @@ pub enum OpKind {
     PlanExecute,
     /// A one-shot `AArray::matmul`-family call outside any plan.
     Matmul,
-    /// A direct one-shot kernel invocation (`spgemm` / `spgemm_multi`)
-    /// not reached through a plan or matmul wrapper.
+    /// A direct one-shot kernel invocation (`spgemm` /
+    /// `spgemm_parallel`) not reached through a plan or matmul wrapper.
+    /// The fused kernel's two passes open no record of their own: they
+    /// run inside a plan execute, delta apply or rebuild.
     Kernel,
     /// Incremental refresh bringing lanes current via delta SpGEMM.
     DeltaApply,

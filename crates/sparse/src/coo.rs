@@ -26,15 +26,6 @@ impl<V: Value> Coo<V> {
         }
     }
 
-    /// Build directly from a triplet vector.
-    pub fn from_triplets(nrows: usize, ncols: usize, triplets: Vec<(u32, u32, V)>) -> Self {
-        let mut c = Self::new(nrows, ncols);
-        for (r, col, v) in triplets {
-            c.push(r as usize, col as usize, v);
-        }
-        c
-    }
-
     /// Append one entry. Panics if out of bounds.
     pub fn push(&mut self, row: usize, col: usize, value: V) {
         assert!(
@@ -143,9 +134,12 @@ mod tests {
     #[test]
     fn build_and_finalize() {
         let mut coo = Coo::new(3, 4);
+        assert!(coo.is_empty());
         coo.push(0, 1, Nat(5));
         coo.push(2, 3, Nat(7));
         coo.push(0, 0, Nat(1));
+        assert_eq!((coo.nrows(), coo.ncols(), coo.len()), (3, 4, 3));
+        assert!(!coo.is_empty());
         let csr = coo.into_csr(&pt());
         assert_eq!(csr.nnz(), 3);
         assert_eq!(csr.get(0, 1), Some(&Nat(5)));
@@ -222,14 +216,5 @@ mod tests {
     fn bounds_checked() {
         let mut coo = Coo::<Nat>::new(2, 2);
         coo.push(2, 0, Nat(1));
-    }
-
-    #[test]
-    fn from_triplets_roundtrip() {
-        let coo = Coo::from_triplets(2, 2, vec![(0, 0, Nat(1)), (1, 1, Nat(2))]);
-        assert_eq!(coo.len(), 2);
-        assert!(!coo.is_empty());
-        assert_eq!(coo.nrows(), 2);
-        assert_eq!(coo.ncols(), 2);
     }
 }

@@ -214,31 +214,6 @@ impl<V: Value> Csr<V> {
         self.map_prune(pair, |v| v.clone())
     }
 
-    /// Select a contiguous column range `[lo, hi)`, keeping all rows
-    /// and renumbering columns to start at zero.
-    pub fn select_col_range(&self, lo: usize, hi: usize) -> Csr<V> {
-        assert!(
-            lo <= hi && hi <= self.ncols,
-            "invalid column range {}..{}",
-            lo,
-            hi
-        );
-        let mut indptr = vec![0usize; self.nrows + 1];
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            let start = cols.partition_point(|&c| (c as usize) < lo);
-            let end = cols.partition_point(|&c| (c as usize) < hi);
-            for i in start..end {
-                indices.push(cols[i] - lo as u32);
-                values.push(vals[i].clone());
-            }
-            indptr[r + 1] = indices.len();
-        }
-        Csr::from_parts(self.nrows, hi - lo, indptr, indices, values)
-    }
-
     /// Select an arbitrary (sorted, deduplicated) set of columns,
     /// renumbering to `0..cols.len()`.
     pub fn select_cols(&self, cols: &[usize]) -> Csr<V> {
@@ -364,16 +339,6 @@ mod tests {
         assert_eq!(g.nnz(), 2);
         assert_eq!(g.get(0, 0), None);
         assert_eq!(g.get(2, 0), Some(&Nat(3)));
-    }
-
-    #[test]
-    fn select_col_range_renumbers() {
-        let m = sample();
-        let s = m.select_col_range(1, 3);
-        assert_eq!((s.nrows(), s.ncols()), (3, 2));
-        assert_eq!(s.get(0, 1), Some(&Nat(2))); // old col 2
-        assert_eq!(s.get(2, 0), Some(&Nat(4))); // old col 1
-        assert_eq!(s.nnz(), 2);
     }
 
     #[test]

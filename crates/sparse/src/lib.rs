@@ -16,9 +16,9 @@
 //!    **left-associated in ascending inner-key order**. The row-parallel
 //!    kernels partition by output row and keep the same per-row fold
 //!    order, so they are bit-identical to the serial kernels for *any*
-//!    operations. Only whole-array tree reductions require the
-//!    [`aarray_algebra::AssociativeOp`] + [`aarray_algebra::CommutativeOp`]
-//!    marker bounds.
+//!    operations. No kernel here requires the
+//!    [`aarray_algebra::AssociativeOp`] or
+//!    [`aarray_algebra::CommutativeOp`] marker bounds.
 //!
 //! A further subtlety, documented once here: sparse multiplication only
 //! folds terms where **both** operands are stored. This equals the
@@ -54,17 +54,11 @@ pub mod csr;
 pub mod dcsr;
 pub mod dense;
 pub mod elementwise;
-pub mod io;
-pub mod kron;
-pub mod mask;
-pub mod permute;
-pub mod reduce;
 pub mod spgemm;
 pub mod spgemm_delta;
 pub mod spgemm_multi;
 pub mod spmv;
 pub mod symbolic;
-pub mod tri;
 
 pub use coo::Coo;
 pub use csr::Csr;

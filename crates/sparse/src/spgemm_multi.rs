@@ -8,16 +8,21 @@
 //! identical every time and only the value arithmetic differs. This
 //! module hoists that redundancy:
 //!
-//! 1. the **symbolic** pass ([`crate::symbolic::spgemm_symbolic`])
+//! 1. the **symbolic** pass ([`crate::symbolic::spgemm_symbolic_with`])
 //!    runs once — the structural pattern depends only on the operand
 //!    patterns, never on the algebra;
-//! 2. a single **numeric** traversal walks `A`'s rows and `B`'s rows
-//!    once. Each output row's contributing `(i, k, j)` terms are
-//!    gathered into a block of up to [`FOLD_BLOCK`] `(slot, &A(i,k),
-//!    &B(k,j))` triples, and every lane folds the block into its own
-//!    accumulators with one [`DynOpPair::fold_terms`] call. The lanes
-//!    are laid out structure-of-arrays (`accs[p * nslots + slot]`, one
-//!    contiguous lane per pair).
+//! 2. a single **numeric** traversal ([`spgemm_multi_numeric`]) walks
+//!    `A`'s rows and `B`'s rows once. Each output row's contributing
+//!    `(i, k, j)` terms are gathered into a block of up to
+//!    [`FOLD_BLOCK`] `(slot, &A(i,k), &B(k,j))` triples, and every lane
+//!    folds the block into its own accumulators with one
+//!    [`DynOpPair::fold_terms`] call. The lanes are laid out
+//!    structure-of-arrays (`accs[p * nslots + slot]`, one contiguous
+//!    lane per pair).
+//!
+//! Callers run the two passes themselves: `aarray-core`'s `MatmulPlan`
+//! keeps one pattern across executes, and [`crate::spgemm_delta`]
+//! builds one per batch.
 //!
 //! Heterogeneous pairs are handled through the object-safe
 //! [`DynOpPair`] adapter, so one call can mix `+.×`, `max.min`,
@@ -42,13 +47,12 @@
 
 use crate::chunks::{assemble_rows, RowsBuf};
 use crate::csr::Csr;
-use crate::spgemm::spgemm_flops;
-use crate::symbolic::{spgemm_symbolic_with, SymbolicProduct};
+use crate::symbolic::SymbolicProduct;
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
 use aarray_obs::{
     counters, histograms, histograms_enabled, journal, memstats, Counter, EventKind, Hist,
-    MemRegion, MemReservation, OpKind, OpToken, Stage,
+    MemRegion, MemReservation, Stage,
 };
 use std::mem::size_of;
 
@@ -56,58 +60,6 @@ use std::mem::size_of;
 /// [`DynOpPair::fold_terms`] call per lane per block. A row with more
 /// terms flushes a full block each time it fills, then the rest.
 pub const FOLD_BLOCK: usize = 256;
-
-/// Fused `K`-pair product: `[A ⊕_p.⊗_p B for p in pairs]` with one
-/// symbolic pass and one numeric traversal.
-///
-/// Returns one `Csr` per pair, in order. Each output is bit-identical
-/// to the corresponding sequential [`crate::spgemm::spgemm`] call.
-/// Panics if `A.ncols() != B.nrows()`.
-pub fn spgemm_multi<V: Value>(a: &Csr<V>, b: &Csr<V>, pairs: &[&dyn DynOpPair<V>]) -> Vec<Csr<V>> {
-    fused(a, b, pairs, false)
-}
-
-/// Row-parallel fused `K`-pair product.
-///
-/// Output rows are independent and each row's fold order is identical
-/// to the serial kernel's, so results are bit-identical to
-/// [`spgemm_multi`] for any operations.
-pub fn spgemm_multi_parallel<V: Value>(
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pairs: &[&dyn DynOpPair<V>],
-) -> Vec<Csr<V>> {
-    fused(a, b, pairs, true)
-}
-
-/// Symbolic then numeric pass, both serial or both row-parallel.
-fn fused<V: Value>(
-    a: &Csr<V>,
-    b: &Csr<V>,
-    pairs: &[&dyn DynOpPair<V>],
-    parallel: bool,
-) -> Vec<Csr<V>> {
-    // Token opens before the symbolic pass so its span lands inside
-    // the op's journal window.
-    let mut op = OpToken::begin_if_root(OpKind::Kernel);
-    if let Some(t) = op.as_mut() {
-        t.set_flops(spgemm_flops(a, b) * pairs.len() as u64);
-        t.set_lanes(pairs.len() as u64);
-        let threads = if parallel {
-            rayon::current_num_threads()
-        } else {
-            1
-        };
-        t.set_dispatch(parallel, threads as u64);
-    }
-    let sym = spgemm_symbolic_with(a, b, parallel);
-    let outs = spgemm_multi_numeric(&sym, a, b, pairs, parallel);
-    if let Some(mut t) = op {
-        t.set_out_nnz(outs.iter().map(|c| c.nnz() as u64).sum());
-        t.finish();
-    }
-    outs
-}
 
 /// Record one fused numeric traversal in the global counter registry:
 /// the traversal itself, how many lanes it fed, and whether the
@@ -333,7 +285,7 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::spgemm::spgemm;
-    use crate::symbolic::spgemm_symbolic;
+    use crate::symbolic::{spgemm_symbolic, spgemm_symbolic_with};
     use aarray_algebra::ops::{AbsDiff, Plus, Times};
     use aarray_algebra::pairs::{MaxMin, MaxPlus, MinPlus, PlusTimes};
     use aarray_algebra::values::nat::Nat;
@@ -342,6 +294,17 @@ mod tests {
 
     fn pt() -> PlusTimes<Nat> {
         PlusTimes::new()
+    }
+
+    /// Both passes under one dispatch decision, as plans and
+    /// `spgemm_delta` run them.
+    fn fused<V: Value>(
+        a: &Csr<V>,
+        b: &Csr<V>,
+        pairs: &[&dyn DynOpPair<V>],
+        parallel: bool,
+    ) -> Vec<Csr<V>> {
+        spgemm_multi_numeric(&spgemm_symbolic_with(a, b, parallel), a, b, pairs, parallel)
     }
 
     fn build(nrows: usize, ncols: usize, t: &[(usize, usize, u64)]) -> Csr<Nat> {
@@ -389,12 +352,12 @@ mod tests {
         let mp = MaxPlus::<Nat>::new();
         let np = MinPlus::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm, &mp, &np];
-        let fused = spgemm_multi(&a, &b, &pairs);
-        assert_eq!(fused.len(), 4);
-        assert_eq!(fused[0], spgemm(&a, &b, &pt));
-        assert_eq!(fused[1], spgemm(&a, &b, &mm));
-        assert_eq!(fused[2], spgemm(&a, &b, &mp));
-        assert_eq!(fused[3], spgemm(&a, &b, &np));
+        let outs = fused(&a, &b, &pairs, false);
+        assert_eq!(outs.len(), 4);
+        assert_eq!(outs[0], spgemm(&a, &b, &pt));
+        assert_eq!(outs[1], spgemm(&a, &b, &mm));
+        assert_eq!(outs[2], spgemm(&a, &b, &mp));
+        assert_eq!(outs[3], spgemm(&a, &b, &np));
     }
 
     #[test]
@@ -418,8 +381,8 @@ mod tests {
         }
         let a = ca.into_csr(&pt);
         let b = cb.into_csr(&pt);
-        let serial = spgemm_multi(&a, &b, &pairs);
-        let parallel = spgemm_multi_parallel(&a, &b, &pairs);
+        let serial = fused(&a, &b, &pairs, false);
+        let parallel = fused(&a, &b, &pairs, true);
         assert_eq!(serial, parallel);
         assert_eq!(serial[0], spgemm(&a, &b, &ad));
         assert_eq!(serial[1], spgemm(&a, &b, &pt));
@@ -447,12 +410,12 @@ mod tests {
         let b = cb.into_csr(&pt6);
 
         let pairs: Vec<&dyn DynOpPair<Z6>> = vec![&pt6, &tp6];
-        let fused = spgemm_multi(&a, &b, &pairs);
-        assert_eq!(fused[0].nnz(), 0, "wrapped sum must be pruned");
-        assert_eq!(fused[1].nnz(), 1, "×.+ lane unaffected");
+        let outs = fused(&a, &b, &pairs, false);
+        assert_eq!(outs[0].nnz(), 0, "wrapped sum must be pruned");
+        assert_eq!(outs[1].nnz(), 1, "×.+ lane unaffected");
         // And identically to the one-pass kernel.
-        assert_eq!(fused[0], spgemm(&a, &b, &pt6));
-        assert_eq!(fused[1], spgemm(&a, &b, &tp6));
+        assert_eq!(outs[0], spgemm(&a, &b, &pt6));
+        assert_eq!(outs[1], spgemm(&a, &b, &tp6));
     }
 
     #[test]
@@ -471,13 +434,13 @@ mod tests {
     fn empty_pair_list_and_empty_operands() {
         let (a, b) = operands();
         let none: Vec<&dyn DynOpPair<Nat>> = Vec::new();
-        assert!(spgemm_multi(&a, &b, &none).is_empty());
+        assert!(fused(&a, &b, &none, false).is_empty());
 
         let ea = Csr::<Nat>::empty(3, 4);
         let eb = Csr::<Nat>::empty(4, 2);
         let pt = PlusTimes::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let out = spgemm_multi(&ea, &eb, &pairs);
+        let out = fused(&ea, &eb, &pairs, false);
         assert_eq!((out[0].nrows(), out[0].ncols(), out[0].nnz()), (3, 2, 0));
     }
 
@@ -485,10 +448,12 @@ mod tests {
     #[should_panic(expected = "inner dimensions")]
     fn dimension_mismatch_panics() {
         let a = build(2, 3, &[(0, 0, 1)]);
-        let b = build(2, 2, &[(0, 0, 1)]);
+        let b = build(3, 2, &[(0, 0, 1)]);
+        let sym = spgemm_symbolic(&a, &b);
+        let short = build(2, 2, &[(0, 0, 1)]);
         let pt = PlusTimes::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let _ = spgemm_multi(&a, &b, &pairs);
+        let _ = spgemm_multi_numeric(&sym, &a, &short, &pairs, false);
     }
 
     #[test]
@@ -499,8 +464,8 @@ mod tests {
         let mm = MaxMin::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm];
         let before = snapshot();
-        let _ = spgemm_multi(&a, &b, &pairs);
-        let _ = spgemm_multi_parallel(&a, &b, &pairs);
+        let _ = fused(&a, &b, &pairs, false);
+        let _ = fused(&a, &b, &pairs, true);
         let delta = snapshot().since(&before);
         // ≥: the registry is process-global, tests run concurrently.
         assert!(delta.get(Counter::FusedTraversals) >= 2, "{}", delta);
@@ -516,7 +481,7 @@ mod tests {
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm];
         let occ_before = histograms().get(Hist::AccOccupancy).snapshot();
         let nnz_before = histograms().get(Hist::RowNnz).snapshot();
-        let _ = spgemm_multi(&a, &b, &pairs);
+        let _ = fused(&a, &b, &pairs, false);
         // Slot map alone is ncols × 8 bytes; the SoA block adds more.
         assert!(
             memstats().peak(MemRegion::FusedAccumulator) >= (b.ncols() * size_of::<usize>()) as u64

@@ -4,67 +4,6 @@
 
 use crate::csr::Csr;
 use aarray_algebra::{BinaryOp, OpPair, Value};
-use rayon::prelude::*;
-
-/// A sparse vector: sorted unique indices with parallel values.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SparseVec<V: Value> {
-    len: usize,
-    entries: Vec<(u32, V)>,
-}
-
-impl<V: Value> SparseVec<V> {
-    /// Build from entries (sorted + deduplicated by the constructor,
-    /// duplicates combined with `⊕` in insertion order, zeros pruned).
-    pub fn new<A, M>(len: usize, mut entries: Vec<(u32, V)>, pair: &OpPair<V, A, M>) -> Self
-    where
-        A: BinaryOp<V>,
-        M: BinaryOp<V>,
-    {
-        entries.sort_by_key(|&(i, _)| i);
-        let mut merged: Vec<(u32, V)> = Vec::with_capacity(entries.len());
-        for (i, v) in entries {
-            assert!((i as usize) < len, "index {} out of bounds ({})", i, len);
-            match merged.last_mut() {
-                Some((j, prev)) if *j == i => *prev = pair.plus(prev, &v),
-                _ => merged.push((i, v)),
-            }
-        }
-        merged.retain(|(_, v)| !pair.is_zero(v));
-        SparseVec {
-            len,
-            entries: merged,
-        }
-    }
-
-    /// Dimension of the vector.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the vector has no stored entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The stored entries.
-    pub fn entries(&self) -> &[(u32, V)] {
-        &self.entries
-    }
-
-    /// Stored value at `i`.
-    pub fn get(&self, i: usize) -> Option<&V> {
-        self.entries
-            .binary_search_by_key(&(i as u32), |&(j, _)| j)
-            .ok()
-            .map(|k| &self.entries[k].1)
-    }
-}
 
 /// `y = A ⊕.⊗ x` where `x` is dense (`Option<V>` cells, `None` = zero).
 /// Folds each row in ascending column order, left-associated.
@@ -91,70 +30,6 @@ where
             acc.filter(|v| !pair.is_zero(v))
         })
         .collect()
-}
-
-/// Row-parallel [`spmv`] — bit-identical output (per-row folds are
-/// unchanged).
-pub fn spmv_parallel<V, A, M>(a: &Csr<V>, x: &[Option<V>], pair: &OpPair<V, A, M>) -> Vec<Option<V>>
-where
-    V: Value,
-    A: BinaryOp<V>,
-    M: BinaryOp<V>,
-{
-    assert_eq!(a.ncols(), x.len(), "vector length must equal ncols");
-    (0..a.nrows())
-        .into_par_iter()
-        .map(|r| {
-            let (cols, vals) = a.row(r);
-            let mut acc: Option<V> = None;
-            for (&c, v) in cols.iter().zip(vals.iter()) {
-                if let Some(xv) = &x[c as usize] {
-                    let term = pair.times(v, xv);
-                    acc = Some(match acc {
-                        None => term,
-                        Some(prev) => pair.plus(&prev, &term),
-                    });
-                }
-            }
-            acc.filter(|v| !pair.is_zero(v))
-        })
-        .collect()
-}
-
-/// `y = Aᵀ ⊕.⊗ x` with sparse `x` (push-style SpMSpV): iterates the
-/// stored entries of `x`, scattering through the rows of `A`.
-///
-/// Note the fold order here is ascending **x-index** (i.e. ascending
-/// inner key), matching the canonical order.
-pub fn spmspv_transpose<V, A, M>(
-    a: &Csr<V>,
-    x: &SparseVec<V>,
-    pair: &OpPair<V, A, M>,
-) -> SparseVec<V>
-where
-    V: Value,
-    A: BinaryOp<V>,
-    M: BinaryOp<V>,
-{
-    assert_eq!(a.nrows(), x.len(), "x length must equal nrows for Aᵀx");
-    let mut acc: Vec<Option<V>> = vec![None; a.ncols()];
-    for (i, xv) in x.entries() {
-        let (cols, vals) = a.row(*i as usize);
-        for (&c, av) in cols.iter().zip(vals.iter()) {
-            let term = pair.times(av, xv);
-            let slot = &mut acc[c as usize];
-            *slot = Some(match slot.take() {
-                None => term,
-                Some(prev) => pair.plus(&prev, &term),
-            });
-        }
-    }
-    let entries: Vec<(u32, V)> = acc
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, v)| v.map(|v| (i as u32, v)))
-        .collect();
-    SparseVec::new(a.ncols(), entries, pair)
 }
 
 #[cfg(test)]
@@ -185,35 +60,6 @@ mod tests {
         let x = vec![Some(Nat(10)), Some(Nat(20)), None];
         let y = spmv(&a, &x, &pt());
         assert_eq!(y, vec![Some(Nat(50)), None]);
-        assert_eq!(spmv_parallel(&a, &x, &pt()), y);
-    }
-
-    #[test]
-    fn sparse_vec_construction_combines_and_prunes() {
-        let x = SparseVec::new(5, vec![(3, Nat(2)), (1, Nat(0)), (3, Nat(4))], &pt());
-        assert_eq!(x.nnz(), 1);
-        assert_eq!(x.get(3), Some(&Nat(6)));
-        assert_eq!(x.get(1), None);
-        assert!(!x.is_empty());
-    }
-
-    #[test]
-    fn transpose_spmspv_matches_transpose_then_spmv() {
-        let a = matrix();
-        let pair = pt();
-        let x = SparseVec::new(2, vec![(0, Nat(5)), (1, Nat(7))], &pair);
-        let y = spmspv_transpose(&a, &x, &pair);
-        // Aᵀx = [1·5, 2·5, 3·7] = [5, 10, 21]
-        assert_eq!(y.get(0), Some(&Nat(5)));
-        assert_eq!(y.get(1), Some(&Nat(10)));
-        assert_eq!(y.get(2), Some(&Nat(21)));
-
-        let t = a.transpose();
-        let xd = vec![Some(Nat(5)), Some(Nat(7))];
-        let yd = spmv(&t, &xd, &pair);
-        for (i, yv) in yd.iter().enumerate() {
-            assert_eq!(yv.as_ref(), y.get(i));
-        }
     }
 
     #[test]

@@ -1,10 +1,24 @@
-//! Operand strategies shared by the fused-kernel property suites.
+//! The fused kernel's two passes and the operand strategies shared by
+//! its test suites.
 
 use aarray_algebra::pairs::PlusTimes;
 use aarray_algebra::values::nn::{nn, NN};
-use aarray_sparse::spgemm_multi::FOLD_BLOCK;
+use aarray_algebra::{DynOpPair, Value};
+use aarray_sparse::spgemm_multi::{spgemm_multi_numeric, FOLD_BLOCK};
+use aarray_sparse::symbolic::spgemm_symbolic_with;
 use aarray_sparse::{Coo, Csr};
 use proptest::prelude::*;
+
+/// The fused product as plans and `spgemm_delta` run it: the symbolic
+/// pass, then the numeric pass, under one dispatch decision.
+pub fn fused<V: Value>(
+    a: &Csr<V>,
+    b: &Csr<V>,
+    pairs: &[&dyn DynOpPair<V>],
+    parallel: bool,
+) -> Vec<Csr<V>> {
+    spgemm_multi_numeric(&spgemm_symbolic_with(a, b, parallel), a, b, pairs, parallel)
+}
 
 /// Awkward `A`-side floats: sums of these re-associate visibly.
 fn a_value(v: u64) -> NN {

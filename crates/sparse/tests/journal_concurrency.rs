@@ -8,11 +8,15 @@
 //! workers, each installing a private pool, so journal writes always
 //! race regardless of how many cores the host exposes.
 
+// Only the two-pass helper; the operand strategies go unused here.
+#[allow(dead_code)]
+mod common;
+
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::pairs::{MaxMin, PlusTimes};
 use aarray_algebra::values::nat::Nat;
-use aarray_sparse::spgemm_multi::spgemm_multi_parallel;
 use aarray_sparse::{Coo, Csr};
+use common::fused;
 use std::collections::BTreeMap;
 
 fn operand() -> Csr<Nat> {
@@ -52,7 +56,7 @@ fn parallel_workers_record_cleanly_into_the_global_journal() {
                     .unwrap();
                 pool.install(|| {
                     for _ in 0..REPS {
-                        let outs = spgemm_multi_parallel(&a, &a, &pairs);
+                        let outs = fused(&a, &a, &pairs, true);
                         assert_eq!(outs.len(), 2);
                     }
                 });

@@ -22,9 +22,8 @@ use aarray_algebra::pairs::{MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes
 use aarray_algebra::values::nn::NN;
 use aarray_algebra::values::tropical::{trop, Tropical};
 use aarray_algebra::DynOpPair;
-use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel};
 use aarray_sparse::{spgemm, spgemm_parallel, Coo, Csr};
-use common::arb_nn_operands;
+use common::{arb_nn_operands, fused};
 use proptest::prelude::*;
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -57,16 +56,16 @@ proptest! {
         let trop_pairs: [&dyn DynOpPair<Tropical>; 1] = [&mp];
         let (at, bt) = (tropicalize(&a), tropicalize(&b));
 
-        let serial = spgemm_multi(&a, &b, &nn_pairs);
-        let serial_t = spgemm_multi(&at, &bt, &trop_pairs);
+        let serial = fused(&a, &b, &nn_pairs, false);
+        let serial_t = fused(&at, &bt, &trop_pairs, false);
         for threads in POOL_SIZES {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let parallel = pool.install(|| spgemm_multi_parallel(&a, &b, &nn_pairs));
+            let parallel = pool.install(|| fused(&a, &b, &nn_pairs, true));
             prop_assert_eq!(&serial, &parallel, "NN lanes, {} threads", threads);
-            let parallel_t = pool.install(|| spgemm_multi_parallel(&at, &bt, &trop_pairs));
+            let parallel_t = pool.install(|| fused(&at, &bt, &trop_pairs, true));
             prop_assert_eq!(&serial_t, &parallel_t, "tropical max.+ lane, {} threads", threads);
         }
     }

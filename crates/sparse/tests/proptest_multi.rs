@@ -1,7 +1,7 @@
 //! Property-based bit-identity of the fused multi-semiring kernel:
-//! for random operands, every lane of `spgemm_multi` must equal the
-//! corresponding independent one-pass `spgemm` call — serially, under
-//! the row-parallel variant, and for order-sensitive `⊕`s: float `+` on
+//! for random operands, every lane of the symbolic + numeric passes
+//! must equal the corresponding independent one-pass `spgemm` call —
+//! serially, row-parallel, and for order-sensitive `⊕`s: float `+` on
 //! `NN` and the non-associative `|−|` (so fold order is observable, not
 //! just the folded multiset). Half the cases are long rows that cross
 //! the kernel's fold-block boundaries (`common::arb_long_rows`).
@@ -13,8 +13,7 @@ use aarray_algebra::pairs::{MaxMin, MinPlus, PlusTimes};
 use aarray_algebra::values::nn::NN;
 use aarray_algebra::{DynOpPair, OpPair};
 use aarray_sparse::spgemm;
-use aarray_sparse::spgemm_multi::{spgemm_multi, spgemm_multi_parallel};
-use common::{arb_nn_operands, arb_nn_pair};
+use common::{arb_nn_operands, arb_nn_pair, fused};
 use proptest::prelude::*;
 
 proptest! {
@@ -28,12 +27,12 @@ proptest! {
         let abs_diff: OpPair<NN, AbsDiff, Times> = OpPair::new();
         let pairs: [&dyn DynOpPair<NN>; 4] = [&plus_times, &max_min, &min_plus, &abs_diff];
 
-        let fused = spgemm_multi(&a, &b, &pairs);
-        prop_assert_eq!(fused.len(), 4);
-        prop_assert_eq!(&fused[0], &spgemm(&a, &b, &plus_times));
-        prop_assert_eq!(&fused[1], &spgemm(&a, &b, &max_min));
-        prop_assert_eq!(&fused[2], &spgemm(&a, &b, &min_plus));
-        prop_assert_eq!(&fused[3], &spgemm(&a, &b, &abs_diff));
+        let outs = fused(&a, &b, &pairs, false);
+        prop_assert_eq!(outs.len(), 4);
+        prop_assert_eq!(&outs[0], &spgemm(&a, &b, &plus_times));
+        prop_assert_eq!(&outs[1], &spgemm(&a, &b, &max_min));
+        prop_assert_eq!(&outs[2], &spgemm(&a, &b, &min_plus));
+        prop_assert_eq!(&outs[3], &spgemm(&a, &b, &abs_diff));
     }
 
     #[test]
@@ -42,8 +41,8 @@ proptest! {
         let max_min = MaxMin::<NN>::new();
         let abs_diff: OpPair<NN, AbsDiff, Times> = OpPair::new();
         let pairs: [&dyn DynOpPair<NN>; 3] = [&plus_times, &max_min, &abs_diff];
-        let serial = spgemm_multi(&a, &b, &pairs);
-        let parallel = spgemm_multi_parallel(&a, &b, &pairs);
+        let serial = fused(&a, &b, &pairs, false);
+        let parallel = fused(&a, &b, &pairs, true);
         prop_assert_eq!(serial, parallel);
     }
 
@@ -52,7 +51,7 @@ proptest! {
         // K = 1 degenerates to plain two-phase SpGEMM.
         let abs_diff: OpPair<NN, AbsDiff, Times> = OpPair::new();
         let pairs: [&dyn DynOpPair<NN>; 1] = [&abs_diff];
-        let fused = spgemm_multi(&a, &b, &pairs);
-        prop_assert_eq!(&fused[0], &spgemm(&a, &b, &abs_diff));
+        let outs = fused(&a, &b, &pairs, false);
+        prop_assert_eq!(&outs[0], &spgemm(&a, &b, &abs_diff));
     }
 }

@@ -24,9 +24,7 @@
 //! The workspace's kernels are row-partitioned with the serial per-row
 //! fold order, so their outputs are bit-identical to sequential
 //! execution for **any** operations — no associativity or
-//! commutativity is assumed. `reduce_with` reassociates only at chunk
-//! boundaries (chunk results fold in chunk order), deterministically
-//! for a fixed thread count.
+//! commutativity is assumed.
 //!
 //! **Panics** in any chunk are caught, the first one is kept, the
 //! region still drains (so the pool stays usable), and the panic
@@ -442,8 +440,8 @@ impl Drop for ThreadPool {
 }
 
 /// Rayon-shaped parallel iterators over materialized items. Stages that
-/// do per-item work (`map`, `cloned`, `for_each`, `reduce_with`) run
-/// eagerly on the current pool; `collect` runs on the caller.
+/// do per-item work (`map`, `for_each`) run eagerly on the current
+/// pool; `collect` runs on the caller.
 pub mod iter {
     use super::run_chunks;
 
@@ -460,33 +458,12 @@ pub mod iter {
         fn into_par_iter(self) -> ParIter<Self::Item>;
     }
 
-    /// Conversion into a parallel iterator over references.
-    pub trait IntoParallelRefIterator<'a> {
-        /// Element type (a reference).
-        type Item: Send + 'a;
-        /// Iterate references in parallel.
-        fn par_iter(&'a self) -> ParIter<Self::Item>;
-    }
-
     impl<I: IntoIterator> IntoParallelIterator for I
     where
         I::Item: Send,
     {
         type Item = I::Item;
         fn into_par_iter(self) -> ParIter<I::Item> {
-            ParIter {
-                items: self.into_iter().collect(),
-            }
-        }
-    }
-
-    impl<'a, C: 'a + ?Sized> IntoParallelRefIterator<'a> for C
-    where
-        &'a C: IntoIterator,
-        <&'a C as IntoIterator>::Item: Send,
-    {
-        type Item = <&'a C as IntoIterator>::Item;
-        fn par_iter(&'a self) -> ParIter<Self::Item> {
             ParIter {
                 items: self.into_iter().collect(),
             }
@@ -510,19 +487,6 @@ pub mod iter {
             ParIter { items }
         }
 
-        /// Chunk-wise reduction without identity: chunks fold
-        /// left-to-right in parallel, then chunk results fold in chunk
-        /// order — deterministic for a fixed thread count.
-        pub fn reduce_with<F>(self, f: F) -> Option<T>
-        where
-            F: Fn(T, T) -> T + Sync + Send,
-        {
-            run_chunks(self.items, |chunk| chunk.into_iter().reduce(&f))
-                .into_iter()
-                .flatten()
-                .reduce(f)
-        }
-
         /// Collect into a container, preserving input order.
         pub fn collect<C>(self) -> C
         where
@@ -540,18 +504,11 @@ pub mod iter {
             run_chunks(self.items, |chunk| chunk.into_iter().for_each(&f));
         }
     }
-
-    impl<'a, U: Clone + Send + Sync + 'a> ParIter<&'a U> {
-        /// Clone referenced elements (parallel, order-preserving).
-        pub fn cloned(self) -> ParIter<U> {
-            self.map(U::clone)
-        }
-    }
 }
 
 /// What `use rayon::prelude::*` is expected to bring in.
 pub mod prelude {
-    pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator, ParIter};
+    pub use crate::iter::{IntoParallelIterator, ParIter};
 }
 
 #[cfg(test)]
@@ -574,23 +531,6 @@ mod tests {
             let v: Vec<usize> =
                 pool(threads).install(|| (0..1000usize).into_par_iter().map(|x| x * 2).collect());
             assert_eq!(v, (0..1000).map(|x| x * 2).collect::<Vec<_>>(), "{threads}");
-        }
-    }
-
-    #[test]
-    fn par_iter_over_slice() {
-        let data = [1u64, 2, 3];
-        let s: u64 = data.par_iter().cloned().reduce_with(|a, b| a + b).unwrap();
-        assert_eq!(s, 6);
-    }
-
-    #[test]
-    fn reductions_match_serial_at_all_pool_sizes() {
-        let data: Vec<u64> = (1..=101).collect();
-        for threads in [1, 2, 4, 8] {
-            let p = pool(threads);
-            let max = p.install(|| data.par_iter().cloned().reduce_with(std::cmp::max));
-            assert_eq!(max, Some(101));
         }
     }
 
@@ -637,11 +577,8 @@ mod tests {
             (0..8usize)
                 .into_par_iter()
                 .map(|i| {
-                    (0..8usize)
-                        .into_par_iter()
-                        .map(|j| i * 8 + j)
-                        .reduce_with(|a, b| a + b)
-                        .unwrap_or(0)
+                    let row: Vec<usize> = (0..8usize).into_par_iter().map(|j| i * 8 + j).collect();
+                    row.into_iter().sum()
                 })
                 .collect()
         });

@@ -8,7 +8,6 @@ use aarray_algebra::values::nn::NN;
 use aarray_algebra::values::tropical::Tropical;
 use aarray_core::{AArray, KeySet};
 use aarray_d4m::tsv;
-use aarray_sparse::io as sio;
 use aarray_sparse::{Coo, Csr};
 
 // --- hostile floats are unrepresentable by construction ---
@@ -49,27 +48,6 @@ fn infinity_weights_are_zero_for_min_pairs_and_rejected_as_incidence() {
 }
 
 // --- malformed serialized inputs ---
-
-#[test]
-fn sparse_io_rejects_malformed_documents() {
-    let pair = PlusTimes::<Nat>::new();
-    let parse = |s: &str| s.parse().ok().map(Nat);
-    for (doc, what) in [
-        ("", "empty"),
-        ("%aarray x y\n", "non-numeric dims"),
-        ("%aarray 2\n", "missing dim"),
-        ("%aarray 2 2\n1\t1\n", "two fields"),
-        ("%aarray 2 2\n5\t0\t1\n", "row out of bounds"),
-        ("%aarray 2 2\n0\t9\t1\n", "col out of bounds"),
-        ("%aarray 2 2\n0\t0\tzzz\n", "bad value"),
-    ] {
-        assert!(
-            sio::read_triples(doc, &pair, parse).is_err(),
-            "should reject: {}",
-            what
-        );
-    }
-}
 
 #[test]
 fn tsv_rejects_malformed_documents() {

@@ -135,19 +135,6 @@ fn elementwise_composes_with_construction() {
 }
 
 #[test]
-fn kron_expands_graph_products() {
-    // Kronecker of two path-graph adjacency arrays = grid-diagonal
-    // moves, the classic graph-product construction.
-    let pair = PlusTimes::<Nat>::new();
-    let g = path(3);
-    let (eout, ein) = g.incidence_arrays(&pair);
-    let a = adjacency_array(&eout, &ein, &pair);
-    let k = aarray_sparse::kron::kron(a.csr(), a.csr(), &pair);
-    assert_eq!((k.nrows(), k.ncols()), (9, 9));
-    assert_eq!(k.nnz(), 4); // 2 edges × 2 edges
-}
-
-#[test]
 fn transpose_of_product_vs_reverse_product() {
     // Section III: (AB)ᵀ = BᵀAᵀ requires ⊗ commutativity. For the
     // commutative pairs used here the identity holds on real data.
