@@ -3,11 +3,11 @@
 //! fused multi-semiring numeric pass.
 //!
 //! Sequential arm: seven `adjacency_array_unchecked` calls (six NN
-//! algebras + tropical max.+), each re-running transpose, key
-//! alignment, and sparsity discovery. Fused arm: one plan per carrier
-//! (transpose + alignment + symbolic pattern once), six NN lanes fed
-//! by a single traversal, tropical executed on its own plan. Both arms
-//! produce bit-identical arrays — asserted before timing.
+//! algebras + tropical max.+), each re-running key alignment, the
+//! edge-major gather, and sparsity discovery. Fused arm: one plan per
+//! carrier (alignment + gather + symbolic pattern once), six NN lanes
+//! fed by a single traversal, tropical executed on its own plan. Both
+//! arms produce bit-identical arrays — asserted before timing.
 //!
 //! Writes the measured speedup to `target/bench/fused_vs_sequential.json`
 //! (a build output, never a tracked file), which CI keeps as an

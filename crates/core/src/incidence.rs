@@ -52,9 +52,9 @@ where
     adjacency_plan(eout, ein).execute(pair)
 }
 
-/// The reusable [`MatmulPlan`] for `Eᵀout ⊕.⊗ Ein`: the transpose of
-/// `eout`, the key alignment, and (lazily) the symbolic product
-/// pattern are computed once, after which the plan can be executed
+/// The reusable [`MatmulPlan`] for `Eᵀout ⊕.⊗ Ein`: the edge-key
+/// alignment, the edge-major gather of `eout` against `ein`, and
+/// (lazily) the symbolic product pattern are computed once, after which the plan can be executed
 /// under any number of `⊕.⊗` pairs — Figure 3's "one pattern, seven
 /// algebras" workload as a first-class object. Every `adjacency_array*`
 /// entry point in this module routes through such a plan.
@@ -426,7 +426,7 @@ mod tests {
         let plan = adjacency_plan(&eout, &ein);
         let via_plan = plan.execute(&pair);
         assert_eq!(via_plan, adjacency_array(&eout, &ein, &pair));
-        // Second execution reuses transpose + alignment + pattern.
+        // Second execution reuses alignment + gather + pattern.
         assert_eq!(plan.execute(&pair), via_plan);
     }
 

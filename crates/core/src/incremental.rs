@@ -458,11 +458,13 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
             let (threshold, threads) = (parallel_flops_threshold(), rayon::current_num_threads());
             let mut any_parallel = false;
             for (d_out, d_in) in batches {
-                // Same gate as the planner's: a small batch stays serial.
-                let parallel =
-                    would_parallelize(delta_flops(d_out.csr(), d_in.csr()), threshold, threads);
-                any_parallel |= parallel;
-                let delta_csrs = spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, parallel);
+                // Same gate as the planner's, on the flops the batch's
+                // gather counts: a small batch stays serial.
+                let delta_csrs = spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, |flops| {
+                    let parallel = would_parallelize(flops, threshold, threads);
+                    any_parallel |= parallel;
+                    parallel
+                });
                 for (&lane, delta_csr) in inc_idx.iter().zip(delta_csrs) {
                     let delta = AArray::from_parts(
                         d_out.col_keys().clone(),
@@ -524,16 +526,6 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
         self.generation = builder.generation();
         report
     }
-}
-
-/// Flops of the batch product `ΔEoutᵀ ⊕.⊗ ΔEin`, the planner's
-/// [`spgemm_flops`](aarray_sparse::spgemm_flops) measure without
-/// materializing the transpose: edge `k` pairs each of its out-entries
-/// with each of its in-entries.
-fn delta_flops<V: Value>(d_out: &Csr<V>, d_in: &Csr<V>) -> u64 {
-    (0..d_out.nrows())
-        .map(|k| (d_out.row_nnz(k) * d_in.row_nnz(k)) as u64)
-        .sum()
 }
 
 /// Full `Eᵀout ⊕.⊗ Ein` for the given lanes in one fused traversal,

@@ -8,26 +8,29 @@
 //! transposition, and sparsity discovery seven times for one reused
 //! structure.
 //!
-//! A [`MatmulPlan`] hoists all pair-independent work out of the loop:
+//! A [`MatmulPlan`] for the construction product `Eᵀout ⊕.⊗ Ein` hoists
+//! all pair-independent work out of the loop:
 //!
-//! * the **transpose** of the left operand (for `Eᵀout ⊕.⊗ Ein`
-//!   construction) is computed once and owned by the plan;
-//! * the **key alignment** (intersection of `A`'s column keys with
-//!   `B`'s row keys, and the corresponding column/row selection) is
-//!   computed once;
+//! * the **key alignment** — which `Eout` edge rows meet which `Ein`
+//!   edge rows — is computed once;
+//! * the **edge-major gather** ([`aarray_sparse::gather`]) of `Eout`
+//!   against `Ein` replaces the transpose of `Eout`: each output row's
+//!   terms in ascending edge order, every single-head edge already
+//!   resolved to its column, owned by the plan;
+//! * the **flops estimate** driving the parallel/serial dispatch is the
+//!   gather's own count;
 //! * the **symbolic sparsity pattern** of the product — which depends
 //!   only on the operand patterns, never on the algebra — is computed
-//!   lazily on first use and memoized;
-//! * the **flops estimate** driving the parallel/serial dispatch is
-//!   computed once.
+//!   lazily on first use and memoized.
 //!
 //! [`MatmulPlan::execute`] then runs one numeric pass per pair, and
 //! [`MatmulPlan::execute_all`] runs a *fused* numeric pass feeding all
 //! `K` algebras' accumulators during a single traversal of the
-//! operands (`aarray_sparse::spgemm_multi`). Results are bit-identical
-//! to the corresponding [`AArray::matmul`] calls for arbitrary
-//! non-associative, non-commutative operations, because every kernel
-//! in this workspace folds left-associated over ascending inner keys.
+//! gathered rows (`aarray_sparse::spgemm_multi`). Results are
+//! bit-identical to the corresponding [`AArray::matmul`] calls for
+//! arbitrary non-associative, non-commutative operations, because
+//! every kernel in this workspace folds left-associated over ascending
+//! inner keys.
 //!
 //! ```
 //! use aarray_core::prelude::*;
@@ -37,7 +40,7 @@
 //! let e1 = AArray::from_triples(&pt, [("t1", "g1", Nat(2)), ("t2", "g1", Nat(3))]);
 //! let e2 = AArray::from_triples(&pt, [("t1", "w1", Nat(5)), ("t2", "w1", Nat(7))]);
 //!
-//! // One plan: transpose + alignment + symbolic pattern, shared.
+//! // One plan: alignment + gather + symbolic pattern, shared.
 //! let plan = e1.transpose_matmul_plan(&e2);
 //! let results = plan.execute_all(&[&pt, &mm]);
 //! assert_eq!(results[0], e1.transpose().matmul(&e2, &pt));
@@ -53,98 +56,35 @@ use aarray_obs::{
     OpKind, OpToken, Stage,
 };
 use aarray_sparse::spgemm_multi::spgemm_multi_numeric;
-use aarray_sparse::symbolic::{spgemm_symbolic_with, SymbolicProduct};
-use aarray_sparse::{spgemm_flops, Csr};
+use aarray_sparse::symbolic::{spgemm_symbolic, SymbolicProduct};
+use aarray_sparse::EdgeGather;
 use std::sync::OnceLock;
 
-/// Borrow-or-own storage for the plan's aligned operands: when an
-/// operand needs no realignment the plan borrows it, paying nothing;
-/// realigned (or pre-transposed) operands are owned.
-enum MaybeOwned<'a, T> {
-    Borrowed(&'a T),
-    Owned(T),
-}
-
-impl<T> std::ops::Deref for MaybeOwned<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        match self {
-            MaybeOwned::Borrowed(t) => t,
-            MaybeOwned::Owned(t) => t,
-        }
-    }
-}
-
-/// A prepared multiplication `C = L ⊕.⊗ R`: operands aligned, ready to
-/// execute under any number of operator pairs.
+/// A prepared construction product `C = Eᵀout ⊕.⊗ Ein`: operands
+/// aligned and gathered, ready to execute under any number of operator
+/// pairs.
 ///
-/// Built by [`AArray::matmul_plan`] (plain product) or
-/// [`AArray::transpose_matmul_plan`] (`selfᵀ ⊕.⊗ other`, the adjacency
-/// construction shape). See the [module docs](self) for what is cached.
+/// Built by [`AArray::transpose_matmul_plan`]. See the
+/// [module docs](self) for what is cached.
 pub struct MatmulPlan<'a, V: Value> {
     row_keys: KeySet,
     col_keys: KeySet,
-    lhs: MaybeOwned<'a, Csr<V>>,
-    rhs: MaybeOwned<'a, Csr<V>>,
-    flops: u64,
+    gather: EdgeGather<'a, V>,
     sym: OnceLock<SymbolicProduct>,
     /// Accounting guard for the memoized pattern's bytes, set together
     /// with `sym` and released when the plan drops.
     sym_mem: OnceLock<MemReservation>,
-    /// Accounting guard for the plan-owned transpose's bytes.
-    _transpose_mem: Option<MemReservation>,
-    /// Whether the plan owns a transpose materialized at construction
-    /// (so each execute counts as a transpose reuse).
-    transposed: bool,
+    /// Accounting guard for the gathered rows' bytes.
+    _gather_mem: MemReservation,
     /// Caller-assigned version stamp (see [`MatmulPlan::generation`]).
     generation: u64,
 }
 
 impl<'a, V: Value> MatmulPlan<'a, V> {
-    /// Align `lhs` (whose columns are keyed by `lhs_inner`) with
-    /// `other`'s rows, intersecting key sets when they differ.
-    fn new(
-        row_keys: KeySet,
-        lhs: MaybeOwned<'a, Csr<V>>,
-        lhs_inner: &KeySet,
-        other: &'a AArray<V>,
-    ) -> Self {
-        let nnz_in = lhs.nnz() as u64 + other.nnz() as u64;
-        journal().begin(Stage::Align, nnz_in);
-        let (lhs, rhs) = if lhs_inner == other.row_keys() {
-            (lhs, MaybeOwned::Borrowed(other.csr()))
-        } else {
-            let (_, left_idx, right_idx) = lhs_inner.intersect(other.row_keys());
-            (
-                MaybeOwned::Owned(lhs.select_cols(&left_idx)),
-                MaybeOwned::Owned(other.csr().select_rows(&right_idx)),
-            )
-        };
-        journal().end(Stage::Align, nnz_in);
-        let flops = spgemm_flops(&lhs, &rhs);
-        // The dispatch estimate is always known here — plans compute it
-        // eagerly at build time, even on 1-thread pools where the
-        // dispatch fast path would never ask for it.
-        histograms().record(Hist::DispatchFlops, flops);
-        MatmulPlan {
-            row_keys,
-            col_keys: other.col_keys().clone(),
-            lhs,
-            rhs,
-            flops,
-            sym: OnceLock::new(),
-            sym_mem: OnceLock::new(),
-            _transpose_mem: None,
-            transposed: false,
-            generation: 0,
-        }
-    }
-
     /// The plan's version stamp: the operand generation it was built
     /// against (0 unless stamped via [`MatmulPlan::with_generation`]).
     ///
-    /// A plan caches alignment, transpose, and symbolic pattern for the
+    /// A plan caches alignment, gather, and symbolic pattern for the
     /// exact operands it saw at construction; callers that evolve their
     /// operands (the incremental adjacency layer bumps a generation per
     /// appended batch) stamp plans at build time and compare with
@@ -184,7 +124,7 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
     /// The exact multiply-add count a numeric pass will perform —
     /// the dispatch estimate shared with [`AArray::matmul`].
     pub fn flops(&self) -> u64 {
-        self.flops
+        self.gather.flops()
     }
 
     /// The memoized symbolic (structural) product pattern, computed on
@@ -193,26 +133,36 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
     /// The pass runs row-parallel under the numeric pass's flops gate
     /// ([`would_parallelize`]), so a small product never enters the pool;
     /// the gate is evaluated without a dispatch-audit record.
+    ///
+    /// A call that computes the pattern outside any other operation is
+    /// a [`OpKind::PlanBuild`] ledger op of its own, so its time is
+    /// billed to the plan; a warm call opens none.
     pub fn symbolic(&self) -> &SymbolicProduct {
         if let Some(sym) = self.sym.get() {
             counters().incr(Counter::PlanSymbolicHit);
-            journal().record(EventKind::PlanCacheHit, self.flops, sym.nnz() as u64);
+            journal().record(EventKind::PlanCacheHit, self.flops(), sym.nnz() as u64);
             return sym;
         }
         self.sym.get_or_init(|| {
+            let op = OpToken::begin_if_root(OpKind::PlanBuild);
             counters().incr(Counter::PlanSymbolicMiss);
-            journal().begin(Stage::Symbolic, self.flops);
+            let flops = self.flops();
+            journal().begin(Stage::Symbolic, flops);
             let parallel = would_parallelize(
-                self.flops,
+                flops,
                 parallel_flops_threshold(),
                 rayon::current_num_threads(),
             );
-            let sym = spgemm_symbolic_with(&self.lhs, &self.rhs, parallel);
-            journal().end(Stage::Symbolic, self.flops);
-            journal().record(EventKind::PlanCacheMiss, self.flops, sym.nnz() as u64);
+            let sym = spgemm_symbolic(&self.gather, parallel);
+            journal().end(Stage::Symbolic, flops);
+            journal().record(EventKind::PlanCacheMiss, flops, sym.nnz() as u64);
             let _ = self
                 .sym_mem
                 .set(memstats().track(MemRegion::PlanSymbolic, sym.heap_bytes()));
+            if let Some(mut t) = op {
+                t.set_flops(flops);
+                t.finish();
+            }
             sym
         })
     }
@@ -237,8 +187,8 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
     }
 
     /// Execute the plan under `K` heterogeneous pairs with **one**
-    /// fused numeric traversal of the operands (row-parallel when the
-    /// flops estimate warrants it). Output `p` is bit-identical to
+    /// fused numeric traversal of the gathered rows (row-parallel when
+    /// the flops estimate warrants it). Output `p` is bit-identical to
     /// `execute(pairs[p])` — and to the equivalent [`AArray::matmul`] —
     /// for arbitrary operations.
     pub fn execute_all(&self, pairs: &[&dyn DynOpPair<V>]) -> Vec<AArray<V>> {
@@ -246,18 +196,17 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         // symbolic span lands inside the op's journal window.
         let mut op = OpToken::begin_if_root(OpKind::PlanExecute);
         let sym = self.symbolic();
-        let parallel = should_parallelize(|| self.flops);
+        let flops = self.flops();
+        let parallel = should_parallelize(|| flops);
         let c = counters();
-        c.add(Counter::FlopsTotal, self.flops);
-        if self.transposed {
-            c.incr(Counter::PlanTransposeReused);
-        }
-        journal().begin(Stage::Numeric, self.flops);
-        let data = spgemm_multi_numeric(sym, &self.lhs, &self.rhs, pairs, parallel);
-        journal().end(Stage::Numeric, self.flops);
+        c.add(Counter::FlopsTotal, flops);
+        c.incr(Counter::PlanTransposeReused);
+        journal().begin(Stage::Numeric, flops);
+        let data = spgemm_multi_numeric(sym, &self.gather, pairs, parallel);
+        journal().end(Stage::Numeric, flops);
         crate::matmul::record_pool_stats();
         if let Some(t) = op.as_mut() {
-            t.set_flops(self.flops);
+            t.set_flops(flops);
             t.set_lanes(pairs.len() as u64);
             t.set_out_nnz(data.iter().map(|c| c.nnz() as u64).sum());
             t.set_dispatch(parallel, rayon::current_num_threads() as u64);
@@ -274,51 +223,55 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
 }
 
 impl<V: Value> AArray<V> {
-    /// Prepare `self ⊕.⊗ other` for repeated execution: key alignment
-    /// runs now, the symbolic pattern on first execute; neither is
-    /// redone per pair. See [`MatmulPlan`].
-    pub fn matmul_plan<'a>(&'a self, other: &'a AArray<V>) -> MatmulPlan<'a, V> {
-        let op = OpToken::begin_if_root(OpKind::PlanBuild);
-        let plan = MatmulPlan::new(
-            self.row_keys().clone(),
-            MaybeOwned::Borrowed(self.csr()),
-            self.col_keys(),
-            other,
-        );
-        plan.finish_build(op)
-    }
-
     /// Prepare `selfᵀ ⊕.⊗ other` — the adjacency-construction shape
-    /// `Eᵀout ⊕.⊗ Ein` — transposing `self` **once** into the plan
-    /// instead of materializing a transposed array per call.
+    /// `Eᵀout ⊕.⊗ Ein` — for repeated execution: key alignment and the
+    /// edge-major gather of `self` against `other` run now, the
+    /// symbolic pattern on first use; none is redone per pair. See
+    /// [`MatmulPlan`].
     pub fn transpose_matmul_plan<'a>(&self, other: &'a AArray<V>) -> MatmulPlan<'a, V> {
         let op = OpToken::begin_if_root(OpKind::PlanBuild);
+        let nnz_in = self.nnz() as u64 + other.nnz() as u64;
+        journal().begin(Stage::Align, nnz_in);
+        // The edges both operands list, as (self row, other row) pairs.
+        let aligned = (self.row_keys() != other.row_keys()).then(|| {
+            let (_, out_rows, in_rows) = self.row_keys().intersect(other.row_keys());
+            (out_rows, in_rows)
+        });
+        journal().end(Stage::Align, nnz_in);
+        // The gather is laid out edge block by edge block on the pool
+        // when the entries it lays out pass the dispatch threshold.
+        let parallel = would_parallelize(
+            self.nnz() as u64,
+            parallel_flops_threshold(),
+            rayon::current_num_threads(),
+        );
         journal().begin(Stage::Transpose, self.nnz() as u64);
-        let transposed = self.csr().transpose();
+        let gather = EdgeGather::new(
+            self.csr(),
+            other.csr(),
+            aligned.as_ref().map(|(o, i)| (&o[..], &i[..])),
+            parallel,
+        );
         journal().end(Stage::Transpose, self.nnz() as u64);
         counters().incr(Counter::PlanTransposeBuilt);
-        let transpose_mem = memstats().track(MemRegion::PlanTranspose, transposed.heap_bytes());
-        let mut plan = MatmulPlan::new(
-            self.col_keys().clone(),
-            MaybeOwned::Owned(transposed),
-            self.row_keys(),
-            other,
-        );
-        plan.transposed = true;
-        plan._transpose_mem = Some(transpose_mem);
-        plan.finish_build(op)
-    }
-}
-
-impl<V: Value> MatmulPlan<'_, V> {
-    /// Close the plan-build ledger op (when this build was the root op)
-    /// with the plan's flops estimate.
-    fn finish_build(self, op: Option<OpToken>) -> Self {
+        let gather_mem = memstats().track(MemRegion::PlanTranspose, gather.heap_bytes());
+        // The dispatch estimate is always known here — plans count it
+        // at build time, even on 1-thread pools where the dispatch fast
+        // path would never ask for it.
+        histograms().record(Hist::DispatchFlops, gather.flops());
         if let Some(mut t) = op {
-            t.set_flops(self.flops);
+            t.set_flops(gather.flops());
             t.finish();
         }
-        self
+        MatmulPlan {
+            row_keys: self.col_keys().clone(),
+            col_keys: other.col_keys().clone(),
+            gather,
+            sym: OnceLock::new(),
+            sym_mem: OnceLock::new(),
+            _gather_mem: gather_mem,
+            generation: 0,
+        }
     }
 }
 
@@ -332,6 +285,12 @@ mod tests {
 
     fn pt() -> PlusTimes<Nat> {
         PlusTimes::new()
+    }
+
+    /// The plan of the general product `a ⊕.⊗ b`: `aᵀ`'s gather
+    /// against `b`.
+    fn plan_of<'b>(a: &AArray<Nat>, b: &'b AArray<Nat>) -> MatmulPlan<'b, Nat> {
+        a.transpose().transpose_matmul_plan(b)
     }
 
     fn operands() -> (AArray<Nat>, AArray<Nat>) {
@@ -360,7 +319,7 @@ mod tests {
     #[test]
     fn plan_execute_matches_matmul_shared_keys() {
         let (a, b) = operands();
-        let plan = a.matmul_plan(&b);
+        let plan = plan_of(&a, &b);
         assert_eq!(plan.shape(), (2, 2));
         for_each_pair_check(&plan, &a, &b);
     }
@@ -394,7 +353,7 @@ mod tests {
                 ("k4", "c", Nat(100)),
             ],
         );
-        let plan = a.matmul_plan(&b);
+        let plan = plan_of(&a, &b);
         let c = plan.execute(&pair);
         assert_eq!(c, a.matmul(&b, &pair));
         assert_eq!(c.get("r", "c"), Some(&Nat(50)));
@@ -403,7 +362,7 @@ mod tests {
     #[test]
     fn execute_all_is_bit_identical_per_lane() {
         let (a, b) = operands();
-        let plan = a.matmul_plan(&b);
+        let plan = plan_of(&a, &b);
         let p1 = pt();
         let p2 = MaxMin::<Nat>::new();
         let ad: OpPair<Nat, AbsDiff, Times> = OpPair::new(); // non-associative ⊕
@@ -431,7 +390,7 @@ mod tests {
     #[test]
     fn symbolic_pattern_is_memoized() {
         let (a, b) = operands();
-        let plan = a.matmul_plan(&b);
+        let plan = plan_of(&a, &b);
         let first = plan.symbolic() as *const SymbolicProduct;
         let _ = plan.execute(&pt());
         let second = plan.symbolic() as *const SymbolicProduct;
@@ -441,14 +400,14 @@ mod tests {
     #[test]
     fn empty_pair_list_yields_no_arrays() {
         let (a, b) = operands();
-        let plan = a.matmul_plan(&b);
+        let plan = plan_of(&a, &b);
         assert!(plan.execute_all(&[]).is_empty());
     }
 
     #[test]
     fn flops_counts_aligned_terms() {
         let (a, b) = operands();
-        let plan = a.matmul_plan(&b);
+        let plan = plan_of(&a, &b);
         // r1: k1 (1 b-entry) + k2 (2) = 3; r2: k2 (2) + k3 (1) = 3.
         assert_eq!(plan.flops(), 6);
     }
@@ -456,7 +415,7 @@ mod tests {
     #[test]
     fn fresh_plan_starts_symbolically_cold() {
         let (a, b) = operands();
-        let plan = a.matmul_plan(&b);
+        let plan = plan_of(&a, &b);
         assert!(!plan.symbolic_computed(), "no execute yet: must be cold");
         let _ = plan.execute(&pt());
         assert!(plan.symbolic_computed(), "execute must warm the pattern");
@@ -466,7 +425,7 @@ mod tests {
     fn symbolic_counters_record_miss_then_hits() {
         use aarray_obs::snapshot;
         let (a, b) = operands();
-        let plan = a.matmul_plan(&b);
+        let plan = plan_of(&a, &b);
         let cold = snapshot();
         let _ = plan.execute(&pt());
         let warm = snapshot().since(&cold);
@@ -529,13 +488,30 @@ mod tests {
     }
 
     #[test]
+    fn cold_symbolic_call_is_a_plan_build_op() {
+        let _label = workload_label("plan::tests::cold_symbolic_call_is_a_plan_build_op");
+        let (a, b) = operands();
+        let plan = plan_of(&a, &b);
+        let start = oplog().cursor();
+        let _ = plan.symbolic();
+        let cold = ops_since(start);
+        assert_eq!(cold.len(), 1, "a cold call is one op");
+        assert_eq!(cold[0].kind, OpKind::PlanBuild);
+        assert!(cold[0].symbolic_ns > 0, "its symbolic span is billed to it");
+        assert_eq!(cold[0].flops, plan.flops());
+        let warm = oplog().cursor();
+        let _ = plan.symbolic();
+        assert!(ops_since(warm).is_empty(), "a warm call opens no op");
+    }
+
+    #[test]
     fn plan_latency_histograms_and_memory_recorded() {
         let _label = workload_label("plan::tests::plan_latency_histograms_and_memory_recorded");
         let (a, b) = operands();
         let start = oplog().cursor();
         let tails_before = oplog().report();
         let flops_before = histograms().get(Hist::DispatchFlops).snapshot();
-        let plan = a.matmul_plan(&b);
+        let plan = plan_of(&a, &b);
         let _ = plan.execute(&pt());
         let kinds: Vec<OpKind> = ops_since(start).iter().map(|r| r.kind).collect();
         assert_eq!(kinds, [OpKind::PlanBuild, OpKind::PlanExecute]);

@@ -28,8 +28,8 @@ where
     e1.transpose_matmul_plan(&e2).execute(pair)
 }
 
-/// [`project`] under `K` heterogeneous pairs at once: the slicing,
-/// transpose, key alignment, and sparsity pattern are computed once,
+/// [`project`] under `K` heterogeneous pairs at once: the slicing, key
+/// alignment, edge-major gather, and sparsity pattern are computed once,
 /// and a single fused traversal feeds every algebra's accumulator
 /// (`MatmulPlan::execute_all`). Output `p` is bit-identical to
 /// `project(incidence, left_attrs, right_attrs, pairs[p])`.

@@ -346,8 +346,16 @@ fn cmd_ops(args: &[String]) -> ExitCode {
     }
 
     println!(
-        "op ledger for {}@{} x{} rep(s): {} op(s) recorded, {} dropped (capacity {})",
-        workload, rows, reps, report.ops.recorded, report.ops.dropped, report.ops.capacity
+        "op ledger for {}@{} x{} rep(s): {} op(s) recorded, {} dropped (capacity {}), \
+         {} whose journal window lost {} event(s)",
+        workload,
+        rows,
+        reps,
+        report.ops.recorded,
+        report.ops.dropped,
+        report.ops.capacity,
+        report.ops.lossy,
+        report.ops.events_lost
     );
     print!("{}", ops_table(&report.ops));
 
@@ -387,7 +395,7 @@ fn cmd_ops(args: &[String]) -> ExitCode {
         );
         println!(
             "    stages: align {} + transpose {} + symbolic {} + numeric {} + delta-apply {} \
-             = {} ns ({:.1}% of wall); journal window [{}, {})",
+             = {} ns ({:.1}% of wall); journal window [{}, {}){}",
             r.align_ns,
             r.transpose_ns,
             r.symbolic_ns,
@@ -396,7 +404,12 @@ fn cmd_ops(args: &[String]) -> ExitCode {
             sum,
             pct,
             r.seq_start,
-            r.seq_end
+            r.seq_end,
+            if r.events_lost > 0 {
+                format!(", LOST {} event(s): stages may under-count", r.events_lost)
+            } else {
+                String::new()
+            }
         );
     }
 

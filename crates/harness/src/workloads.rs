@@ -46,7 +46,7 @@ pub struct WorkloadRun {
 }
 
 /// Run one figure workload `reps` times at one scale. Each rep builds
-/// both plans afresh, so plan construction (transpose, symbolic) runs
+/// both plans afresh, so plan construction (gather, symbolic) runs
 /// every time instead of being served from a cached plan.
 pub fn run_workload(figure: Figure, rows: usize, reps: usize) -> WorkloadRun {
     // Every op the reps record carries this workload label in the

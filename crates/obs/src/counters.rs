@@ -44,10 +44,11 @@ pub enum Counter {
     PlanSymbolicMiss,
     /// A plan execute reused the memoized symbolic pattern.
     PlanSymbolicHit,
-    /// A plan materialized an operand transpose at construction.
+    /// A plan laid out its edge-major gather of `Eout` at construction
+    /// (it replaced the plan's transpose; the name stays).
     PlanTransposeBuilt,
-    /// A plan execute was served by an already-materialized transpose
-    /// (work a planless `transpose().matmul(..)` would redo).
+    /// A plan execute was served by the plan's gathered rows (work a
+    /// planless `transpose().matmul(..)` would redo).
     PlanTransposeReused,
     /// Serial kernel chosen by the flops-based dispatch.
     DispatchSerial,

@@ -61,7 +61,8 @@ pub const DEFAULT_JOURNAL_EVENTS: usize = 65_536;
 pub enum Stage {
     /// Key alignment during plan construction.
     Align,
-    /// Materializing a plan-owned transpose.
+    /// Laying out a plan's edge-major gather of `Eout` (the step that
+    /// replaced materializing its transpose; the name stays).
     Transpose,
     /// Symbolic (sparsity discovery) pass.
     Symbolic,
@@ -415,23 +416,26 @@ impl Journal {
 
     /// Decode the surviving records whose claims fall in
     /// `[from, to)` — at most the newest `capacity` of them — without
-    /// walking the whole ring. Records overwritten by wraparound or
-    /// caught mid-write are silently skipped, so the result can be
-    /// shorter than the window; callers needing drop accounting use
-    /// [`Journal::snapshot`]. This is the op-ledger's stage-extraction
-    /// primitive: an [`crate::oplog::OpToken`] brackets its journal
-    /// window with two [`Journal::cursor`] reads and scans only that
-    /// slice on completion.
-    pub fn scan_window(&self, from: u64, to: u64) -> Vec<Event> {
+    /// walking the whole ring, plus the number of the window's claims
+    /// that could not be read: overwritten by wraparound, caught
+    /// mid-write, or still being written. A nonzero count means a view
+    /// built from the events can under-count. This is the op-ledger's
+    /// stage-extraction primitive: an [`crate::oplog::OpToken`]
+    /// brackets its journal window with two [`Journal::cursor`] reads
+    /// and scans only that slice on completion.
+    pub fn scan_window(&self, from: u64, to: u64) -> (Vec<Event>, u64) {
         let ring = self.ring();
         let cap = ring.len() as u64;
         let lo = from.max(to.saturating_sub(cap));
         let mut events = Vec::with_capacity((to.saturating_sub(lo)) as usize);
+        // Claims below `lo` were overwritten by wraparound.
+        let mut lost = lo.saturating_sub(from);
         for claim in lo..to {
             let slot = &ring[(claim % cap) as usize];
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 != 2 * claim + 2 {
-                continue; // overwritten, in-flight, or never written
+                lost += 1; // overwritten, in-flight, or never written
+                continue;
             }
             let ts = slot.ts.load(Ordering::Relaxed);
             let tid_kind = slot.tid_kind.load(Ordering::Relaxed);
@@ -440,9 +444,11 @@ impl Journal {
             let op = slot.op.load(Ordering::Relaxed);
             fence(Ordering::Acquire);
             if slot.seq.load(Ordering::Relaxed) != s1 {
-                continue; // overwritten while reading
+                lost += 1; // overwritten while reading
+                continue;
             }
             let Some(kind) = EventKind::from_u32((tid_kind & 0xFFFF_FFFF) as u32) else {
+                lost += 1;
                 continue;
             };
             events.push(Event {
@@ -455,7 +461,7 @@ impl Journal {
                 op,
             });
         }
-        events
+        (events, lost)
     }
 
     /// Report-level summary without copying the ring.
@@ -831,23 +837,28 @@ mod tests {
         for i in 0..6 {
             j.record(EventKind::RowShape, i, i);
         }
-        let mid = j.scan_window(2, 5);
+        let (mid, lost) = j.scan_window(2, 5);
         assert_eq!(mid.iter().map(|e| e.a).collect::<Vec<u64>>(), vec![2, 3, 4]);
         assert_eq!(
             mid.iter().map(|e| e.seq).collect::<Vec<u64>>(),
             vec![2, 3, 4]
         );
+        assert_eq!(lost, 0);
         // Wrap the ring: claims older than head − capacity are gone and
-        // the scan skips them instead of surfacing stale slots.
+        // the scan skips them instead of surfacing stale slots, but
+        // counts every one it could not read.
         for i in 6..20 {
             j.record(EventKind::RowShape, i, i);
         }
-        let survivors = j.scan_window(0, j.cursor());
+        let (survivors, lost) = j.scan_window(0, j.cursor());
         assert_eq!(
             survivors.iter().map(|e| e.a).collect::<Vec<u64>>(),
             (12..20).collect::<Vec<u64>>()
         );
-        assert!(j.scan_window(0, 4).is_empty());
+        assert_eq!(lost, 12, "claims 0..12 were overwritten");
+        assert_eq!(j.scan_window(0, 4), (Vec::new(), 4));
+        // A claimed slot not yet published is unreadable too.
+        assert_eq!(j.scan_window(18, 21).1, 1, "claim 20 is not written");
     }
 
     #[test]

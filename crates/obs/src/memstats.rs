@@ -44,7 +44,8 @@ pub enum MemRegion {
     /// Fused kernel scratch: the column→slot map plus the K-lane
     /// structure-of-arrays accumulator block (high-water capacity).
     FusedAccumulator,
-    /// Plan-owned materialized transposes.
+    /// Plan-owned gathered rows: the edge-major gather of `Eout` that
+    /// replaced the plan's materialized transpose (the name stays).
     PlanTranspose,
     /// Plan-memoized symbolic sparsity patterns.
     PlanSymbolic,

@@ -22,8 +22,10 @@
 //! workload label, a per-stage nanosecond breakdown derived from the
 //! op's own journal spans, flops, output nnz, lanes, the dispatch
 //! decision (serial/parallel + pool size), the fallback reason code,
-//! the scratch-memory high-water growth, the wall time, and the
-//! journal sequence window `[seq_start, seq_end)`.
+//! the scratch-memory high-water growth, the wall time, the journal
+//! sequence window `[seq_start, seq_end)`, and how many of that
+//! window's journal records could not be read when the stages were
+//! derived (a nonzero count flags a breakdown that may under-count).
 //!
 //! On top of the ring, the ledger keeps per-op-kind tail histograms
 //! (wall ns through the existing log2 bucket machinery, so p50/p95/p99
@@ -51,7 +53,7 @@ use std::time::Instant;
 pub const OPS_ENV: &str = "AARRAY_OBS_OPS";
 
 /// Default ledger ring capacity in records when `AARRAY_OBS_OPS` is
-/// unset (16 words per record ≈ 512 KiB).
+/// unset (18 words per record ≈ 576 KiB).
 pub const DEFAULT_OP_RECORDS: usize = 4096;
 
 /// Distinct workload labels whose per-kind completion counts are
@@ -63,8 +65,9 @@ pub const MAX_OP_LABELS: usize = 32;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u32)]
 pub enum OpKind {
-    /// Plan construction (`matmul_plan` / `transpose_matmul_plan`):
-    /// key alignment plus optional transpose materialization.
+    /// Plan construction (`transpose_matmul_plan`): key alignment plus
+    /// the edge-major gather — or a plan's cold `symbolic()` call made
+    /// outside any other op, which computes its symbolic pattern.
     PlanBuild,
     /// A `MatmulPlan::execute` / `execute_all` call: symbolic pass (on
     /// first use) plus the fused numeric traversal.
@@ -275,6 +278,11 @@ pub struct OpRecord {
     /// Journal cursor when the op completed; the op's journal records
     /// live in `[seq_start, seq_end)`.
     pub seq_end: u64,
+    /// Records of the journal window that could not be read when the
+    /// stages were derived (overwritten by wraparound, or caught
+    /// mid-write). Nonzero flags a stage breakdown that may
+    /// under-count.
+    pub events_lost: u64,
 }
 
 impl OpRecord {
@@ -318,6 +326,7 @@ struct OpSlot {
     wall_ns: AtomicU64,
     seq_start: AtomicU64,
     seq_end: AtomicU64,
+    events_lost: AtomicU64,
 }
 
 impl OpSlot {
@@ -340,6 +349,7 @@ impl OpSlot {
             wall_ns: AtomicU64::new(0),
             seq_start: AtomicU64::new(0),
             seq_end: AtomicU64::new(0),
+            events_lost: AtomicU64::new(0),
         }
     }
 }
@@ -386,6 +396,8 @@ pub struct OpDraft {
     pub seq_start: u64,
     /// See [`OpRecord::seq_end`].
     pub seq_end: u64,
+    /// See [`OpRecord::events_lost`].
+    pub events_lost: u64,
 }
 
 impl OpDraft {
@@ -412,6 +424,7 @@ impl OpDraft {
             wall_ns: 0,
             seq_start: 0,
             seq_end: 0,
+            events_lost: 0,
         }
     }
 }
@@ -466,6 +479,10 @@ pub struct OpLog {
     /// Completion counts per `(kind, label)` for the Prometheus
     /// exporter; label ids ≥ [`MAX_OP_LABELS`] fold into column 0.
     label_counts: [[AtomicU64; MAX_OP_LABELS]; N_OP_KINDS],
+    /// Records published with `events_lost > 0`.
+    lossy: AtomicU64,
+    /// Sum of `events_lost` over every record published.
+    events_lost: AtomicU64,
 }
 
 impl OpLog {
@@ -482,6 +499,8 @@ impl OpLog {
             head: AtomicU64::new(0),
             tails: [EMPTY_HIST; N_OP_KINDS],
             label_counts: [ROW; N_OP_KINDS],
+            lossy: AtomicU64::new(0),
+            events_lost: AtomicU64::new(0),
         }
     }
 
@@ -554,7 +573,13 @@ impl OpLog {
         slot.wall_ns.store(d.wall_ns, Ordering::Relaxed);
         slot.seq_start.store(d.seq_start, Ordering::Relaxed);
         slot.seq_end.store(d.seq_end, Ordering::Relaxed);
+        slot.events_lost.store(d.events_lost, Ordering::Relaxed);
         slot.seq.store(2 * claim + 2, Ordering::Release);
+
+        if d.events_lost > 0 {
+            self.lossy.fetch_add(1, Ordering::Relaxed);
+            self.events_lost.fetch_add(d.events_lost, Ordering::Relaxed);
+        }
 
         self.tails[d.kind as usize].record(d.wall_ns);
         let col = if (d.label as usize) < MAX_OP_LABELS {
@@ -602,6 +627,7 @@ impl OpLog {
             let wall_ns = slot.wall_ns.load(Ordering::Relaxed);
             let seq_start = slot.seq_start.load(Ordering::Relaxed);
             let seq_end = slot.seq_end.load(Ordering::Relaxed);
+            let events_lost = slot.events_lost.load(Ordering::Relaxed);
             fence(Ordering::Acquire);
             let s2 = slot.seq.load(Ordering::Relaxed);
             if s2 != s1 {
@@ -633,6 +659,7 @@ impl OpLog {
                 wall_ns,
                 seq_start,
                 seq_end,
+                events_lost,
             });
         }
         records.sort_by_key(|r| r.seq);
@@ -692,6 +719,8 @@ impl OpLog {
             recorded: self.cursor(),
             dropped: self.dropped(),
             capacity: self.capacity() as u64,
+            lossy: self.lossy.load(Ordering::Relaxed),
+            events_lost: self.events_lost.load(Ordering::Relaxed),
             tails: self.tails.iter().map(Histogram::snapshot).collect(),
             label_counts: (0..N_OP_KINDS)
                 .map(|k| {
@@ -719,6 +748,8 @@ impl OpLog {
                 c.store(0, Ordering::Relaxed);
             }
         }
+        self.lossy.store(0, Ordering::Relaxed);
+        self.events_lost.store(0, Ordering::Relaxed);
         self.head.store(0, Ordering::Release);
     }
 }
@@ -806,6 +837,12 @@ pub struct OpsReport {
     pub dropped: u64,
     /// Ring capacity in records.
     pub capacity: u64,
+    /// Records whose journal window lost events (see
+    /// [`OpRecord::events_lost`]): their stage breakdowns may
+    /// under-count.
+    pub lossy: u64,
+    /// Journal records those windows lost, summed.
+    pub events_lost: u64,
     /// Wall-ns tail histogram per op kind, in [`OP_KIND_NAMES`] order.
     pub tails: Vec<HistogramSnapshot>,
     /// Interned label table, index = label id.
@@ -824,6 +861,8 @@ impl OpsReport {
             recorded: self.recorded.saturating_sub(earlier.recorded),
             dropped: self.dropped.saturating_sub(earlier.dropped),
             capacity: self.capacity,
+            lossy: self.lossy.saturating_sub(earlier.lossy),
+            events_lost: self.events_lost.saturating_sub(earlier.events_lost),
             tails: self
                 .tails
                 .iter()
@@ -955,7 +994,8 @@ impl OpToken {
 
     /// Complete the operation: close the journal window, derive the
     /// per-stage breakdown from the op's own spans, and publish the
-    /// record to the process ledger. Returns the op id.
+    /// record to the process ledger — flagged with the window's
+    /// unreadable journal records, if any. Returns the op id.
     pub fn finish(self) -> OpId {
         self.finish_into(oplog())
     }
@@ -964,7 +1004,8 @@ impl OpToken {
     pub fn finish_into(mut self, log: &OpLog) -> OpId {
         self.draft.wall_ns = self.t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.draft.seq_end = journal().cursor();
-        let events = journal().scan_window(self.draft.seq_start, self.draft.seq_end);
+        let (events, lost) = journal().scan_window(self.draft.seq_start, self.draft.seq_end);
+        self.draft.events_lost = lost;
         let stages = stage_breakdown(&events, self.draft.id);
         self.draft.align_ns = stages[Stage::Align as usize];
         self.draft.transpose_ns = stages[Stage::Transpose as usize];
@@ -1284,6 +1325,30 @@ mod tests {
         for r in &snap.records {
             assert_eq!(r.id, r.wall_ns, "torn record surfaced at seq {}", r.seq);
         }
+    }
+
+    #[test]
+    fn lossy_records_round_trip_and_are_tallied() {
+        let log = OpLog::with_capacity(8);
+        let mut d = OpDraft::new(OpKind::PlanExecute);
+        log.record(&d);
+        d.events_lost = 5;
+        log.record(&d);
+        log.record(&d);
+        let lost: Vec<u64> = log
+            .snapshot()
+            .records
+            .iter()
+            .map(|r| r.events_lost)
+            .collect();
+        assert_eq!(lost, [0, 5, 5]);
+        let before = log.report();
+        assert_eq!((before.lossy, before.events_lost), (2, 10));
+        log.record(&d);
+        let delta = log.report().since(&before);
+        assert_eq!((delta.lossy, delta.events_lost), (1, 5));
+        log.reset();
+        assert_eq!(log.report().lossy, 0);
     }
 
     #[test]

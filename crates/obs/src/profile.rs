@@ -30,9 +30,9 @@ pub struct StageReport {
     pub align_calls: u64,
     /// Total alignment nanoseconds.
     pub align_ns: u64,
-    /// Records that materialized a transpose.
+    /// Records that laid out a plan's gather (the `transpose` stage).
     pub transpose_calls: u64,
-    /// Total transpose nanoseconds.
+    /// Total `transpose`-stage nanoseconds.
     pub transpose_ns: u64,
     /// Records that ran a symbolic pass.
     pub symbolic_calls: u64,

@@ -144,12 +144,15 @@ impl ObsReport {
         out.push_str("\n  },\n");
 
         out.push_str(&format!(
-            "  \"ops\": {{\"recorded\": {}, \"dropped\": {}, \"capacity\": {},\n    \
+            "  \"ops\": {{\"recorded\": {}, \"dropped\": {}, \"capacity\": {}, \
+             \"lossy\": {}, \"events_lost\": {},\n    \
              \"pool\": {{\"tasks_local\": {}, \"tasks_stolen\": {}, \"tasks_inline\": {}, \
              \"threads\": {}}},\n    \"kinds\": {{",
             self.ops.recorded,
             self.ops.dropped,
             self.ops.capacity,
+            self.ops.lossy,
+            self.ops.events_lost,
             self.counters.get(Counter::PoolTasksLocal),
             self.counters.get(Counter::PoolTasksStolen),
             self.counters.get(Counter::PoolTasksInline),
@@ -296,6 +299,24 @@ impl ObsReport {
             "counter",
         );
         out.push_str(&format!("aarray_ops_dropped_total {}\n", self.ops.dropped));
+        family(
+            &mut out,
+            "aarray_ops_lossy_total",
+            "Ledger records whose journal window lost events; their stage breakdowns may \
+             under-count.",
+            "counter",
+        );
+        out.push_str(&format!("aarray_ops_lossy_total {}\n", self.ops.lossy));
+        family(
+            &mut out,
+            "aarray_ops_events_lost_total",
+            "Journal records the windows of lossy ledger records could not read.",
+            "counter",
+        );
+        out.push_str(&format!(
+            "aarray_ops_events_lost_total {}\n",
+            self.ops.events_lost
+        ));
 
         // Per-(kind, label) completion counts. Workload labels are
         // user-influenced strings and must be escaped per the
@@ -508,6 +529,7 @@ mod tests {
         let journal = j.find("\"journal\"").unwrap();
         assert!(ops < journal, "ops section must precede journal");
         assert!(j.contains("\"plan-execute\": {\"count\": "));
+        assert!(j.contains("\"lossy\": ") && j.contains("\"events_lost\": "));
         assert!(j.contains("\"p95_ns\": "));
         // Sorted counters: dispatch.parallel before dispatch.serial,
         // both before fused.*.

@@ -181,8 +181,8 @@ fn run_seven_pairs(
     let capture_json = profile_json_enabled();
     let counters_before = (profile_enabled() || capture_json).then(aarray_obs::snapshot);
 
-    // One plan, six NN algebras: the transpose, key alignment, and
-    // symbolic pattern are computed once and the fused kernel feeds
+    // One plan, six NN algebras: the key alignment, edge-major gather,
+    // and symbolic pattern are computed once and the fused kernel feeds
     // all six accumulators in a single traversal of E1ᵀ, E2 — the
     // figure's "same pattern, different values" observation made
     // operational. max.+ runs separately on the tropical carrier
@@ -208,7 +208,7 @@ fn run_seven_pairs(
     // Cross-check: a second, sequential execution of the first pair
     // must be bit-identical to fused lane 0 — and, because the plan is
     // now warm, it exercises the memoized symbolic pattern and the
-    // plan-owned transpose (visible as cache hits in the counters).
+    // plan-owned gathered rows (visible as cache hits in the counters).
     if plan.execute(&plus_times) != fused_all[0] {
         return Err("fused lane 0 diverges from sequential execute(+.×)".to_string());
     }

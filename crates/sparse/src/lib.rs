@@ -5,8 +5,20 @@
 //! a GraphBLAS-style substrate), rebuilt in Rust.
 //!
 //! Everything is generic over a value type `V` and an `⊕.⊗` pair from
-//! `aarray-algebra`; nothing assumes numbers. Two semantic commitments
-//! hold throughout (both are consequences of the paper's framing):
+//! `aarray-algebra`; nothing assumes numbers.
+//!
+//! There are two multiply kernels. The one-pass [`spgemm()`] (and its
+//! row-parallel twin) multiplies any `A ⊕.⊗ B`. The construction
+//! product `Eoutᵀ ⊕.⊗ Ein` runs in steps that a caller can reuse: the
+//! edge-major [`gather`] lays out each output row's terms in
+//! ascending edge order, resolving every single-head edge to its
+//! column; the [`symbolic`] pass finds the output pattern; and the
+//! fused numeric pass ([`spgemm_multi`]) fills `K` algebras' lanes in
+//! one traversal of the gathered rows. [`spgemm_delta`] runs the three
+//! steps on one edge batch.
+//!
+//! Two semantic commitments hold throughout (both are consequences of
+//! the paper's framing):
 //!
 //! 1. **Implicit zeros.** Arrays store no entries equal to the pair's
 //!    zero; construction and every kernel drop zeros they produce, so
@@ -54,6 +66,7 @@ pub mod csr;
 pub mod dcsr;
 pub mod dense;
 pub mod elementwise;
+pub mod gather;
 pub mod spgemm;
 pub mod spgemm_delta;
 pub mod spgemm_multi;
@@ -62,4 +75,5 @@ pub mod symbolic;
 
 pub use coo::Coo;
 pub use csr::Csr;
+pub use gather::EdgeGather;
 pub use spgemm::{spgemm, spgemm_flops, spgemm_parallel};

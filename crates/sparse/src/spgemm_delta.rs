@@ -11,26 +11,27 @@
 //! into the cached adjacency with one union `⊕`-merge per lane
 //! ([`crate::elementwise::ewise_add_dyn`]).
 //!
-//! The kernel is a thin orchestration over the fused machinery —
-//! [`crate::symbolic::spgemm_symbolic_with`] once, then
-//! [`crate::spgemm_multi::spgemm_multi_numeric`] feeding every lane,
-//! both serial or both row-parallel by the caller's `parallel` flag —
-//! so each lane's `ΔA` is bit-identical to a standalone
-//! `spgemm(ΔEoutᵀ, ΔEin, pair)`. Whether folding those deltas into a
-//! *cumulative* adjacency is exact is the caller's obligation: it
-//! re-associates the `⊕` reduction relative to a from-scratch rebuild
-//! and therefore requires `⊕` associative
+//! The kernel is a thin orchestration over the fused machinery — the
+//! batch's [`EdgeGather`], then [`crate::symbolic::spgemm_symbolic`]
+//! and [`crate::spgemm_multi::spgemm_multi_numeric`] feeding every
+//! lane, both serial or both row-parallel by the caller's gate on the
+//! gather's flops — so each lane's `ΔA` is bit-identical to a
+//! standalone `spgemm(ΔEoutᵀ, ΔEin, pair)`. Whether folding those
+//! deltas into a *cumulative* adjacency is exact is the caller's
+//! obligation: it re-associates the `⊕` reduction relative to a
+//! from-scratch rebuild and therefore requires `⊕` associative
 //! ([`aarray_algebra::AssociativePlus`] /
 //! [`aarray_algebra::dynpair::DynOpPair::plus_associative`]).
 //!
-//! Scratch specific to the delta path — the materialized `ΔEoutᵀ` and
-//! the batch symbolic pattern — is reported to
-//! [`MemRegion::DeltaScratch`]; the fused traversal's own accumulator
-//! block still lands in `MemRegion::FusedAccumulator` as usual.
+//! Scratch specific to the delta path — the batch's gathered rows and
+//! symbolic pattern — is reported to [`MemRegion::DeltaScratch`]; the
+//! fused traversal's own accumulator block still lands in
+//! `MemRegion::FusedAccumulator` as usual.
 
 use crate::csr::Csr;
+use crate::gather::EdgeGather;
 use crate::spgemm_multi::spgemm_multi_numeric;
-use crate::symbolic::spgemm_symbolic_with;
+use crate::symbolic::spgemm_symbolic;
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
 use aarray_obs::{counters, journal, memstats, Counter, MemRegion, Stage};
@@ -38,13 +39,15 @@ use aarray_obs::{counters, journal, memstats, Counter, MemRegion, Stage};
 /// All-lanes batch product `[ΔEoutᵀ ⊕_p.⊗_p ΔEin for p in pairs]`.
 ///
 /// `delta_eout` and `delta_ein` are the batch's incidence blocks, both
-/// `Δedges × vertices` (the paper's orientation); the transpose of the
-/// out-block is materialized internally and accounted as delta scratch.
-/// Panics if the two blocks disagree on the edge-row count.
+/// `Δedges × vertices` (the paper's orientation); the batch is
+/// gathered serially, edge by edge, into delta scratch. Panics if the
+/// two blocks disagree on the edge-row count.
 ///
-/// `parallel` selects the row-parallel symbolic and numeric passes;
-/// the caller decides it with the same flops gate the planner uses, so
-/// a small batch does not pay pool dispatch. Both are bit-identical.
+/// `parallel` is the caller's dispatch gate: given the batch
+/// product's flops (counted by the gather), it says whether the
+/// symbolic and numeric passes run row-parallel — the same gate the
+/// planner applies, so a small batch does not pay pool dispatch. Both
+/// are bit-identical.
 ///
 /// Returns one `Csr` per pair (vertices × vertices), in order, each
 /// bit-identical to the corresponding standalone sequential product of
@@ -53,7 +56,7 @@ pub fn spgemm_delta<V: Value>(
     delta_eout: &Csr<V>,
     delta_ein: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
-    parallel: bool,
+    parallel: impl FnOnce(u64) -> bool,
 ) -> Vec<Csr<V>> {
     assert_eq!(
         delta_eout.nrows(),
@@ -65,13 +68,14 @@ pub fn spgemm_delta<V: Value>(
     counters().incr(Counter::DeltaTraversals);
     journal().begin(Stage::DeltaApply, pairs.len() as u64);
 
-    let eout_t = delta_eout.transpose();
-    let mut scratch = memstats().track(MemRegion::DeltaScratch, eout_t.heap_bytes());
-    let sym = spgemm_symbolic_with(&eout_t, delta_ein, parallel);
-    scratch.grow_to(eout_t.heap_bytes() + sym.heap_bytes());
+    let gather = EdgeGather::new(delta_eout, delta_ein, None, false);
+    let mut scratch = memstats().track(MemRegion::DeltaScratch, gather.heap_bytes());
+    let parallel = parallel(gather.flops());
+    let sym = spgemm_symbolic(&gather, parallel);
+    scratch.grow_to(gather.heap_bytes() + sym.heap_bytes());
     // No dispatch counters here: the dispatch audit covers the
     // planner's own decisions.
-    let outs = spgemm_multi_numeric(&sym, &eout_t, delta_ein, pairs, parallel);
+    let outs = spgemm_multi_numeric(&sym, &gather, pairs, parallel);
     journal().end(Stage::DeltaApply, pairs.len() as u64);
     outs
 }
@@ -113,7 +117,7 @@ mod tests {
             .build()
             .expect("2-thread pool");
         for parallel in [false, true] {
-            let deltas = pool.install(|| spgemm_delta(&out, &inn, &pairs, parallel));
+            let deltas = pool.install(|| spgemm_delta(&out, &inn, &pairs, |_| parallel));
             let eout_t = out.transpose();
             assert_eq!(deltas[0], spgemm(&eout_t, &inn, &pt));
             assert_eq!(deltas[1], spgemm(&eout_t, &inn, &mm));
@@ -126,12 +130,18 @@ mod tests {
         let pt = pt();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
         let before = aarray_obs::snapshot();
-        let _ = spgemm_delta(&out, &inn, &pairs, false);
+        let mut flops = 0;
+        let _ = spgemm_delta(&out, &inn, &pairs, |f| {
+            flops = f;
+            false
+        });
         let delta = aarray_obs::snapshot().since(&before);
+        // Edges 0 and 1 pair one tail with one head, edge 2 two tails.
+        assert_eq!(flops, 4, "the gate sees the batch product's flops");
         assert!(delta.get(Counter::DeltaTraversals) >= 1);
         assert!(
             memstats().peak(MemRegion::DeltaScratch) > 0,
-            "transpose + symbolic scratch must be accounted"
+            "gather + symbolic scratch must be accounted"
         );
     }
 
@@ -142,6 +152,6 @@ mod tests {
         let inn = Csr::<Nat>::empty(5, 4);
         let pt = pt();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let _ = spgemm_delta(&out, &inn, &pairs, false);
+        let _ = spgemm_delta(&out, &inn, &pairs, |_| false);
     }
 }

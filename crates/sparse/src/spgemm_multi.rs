@@ -1,28 +1,31 @@
-//! Fused multi-semiring SpGEMM: `K` products `C_p = A ⊕_p.⊗_p B` from
-//! **one** traversal of the operands.
+//! Fused multi-semiring SpGEMM: `K` construction products
+//! `C_p = Eoutᵀ ⊕_p.⊗_p Ein` from **one** traversal of the operands.
 //!
 //! The paper's Figure 3 workload multiplies the *same* incidence
 //! pattern under seven different `⊕.⊗` pairs. Running seven
-//! independent [`crate::spgemm::spgemm`] calls re-reads `A`'s and
-//! `B`'s index structure seven times; the sparsity pattern work is
+//! independent [`crate::spgemm::spgemm`] calls re-reads both operands'
+//! index structure seven times; the sparsity pattern work is
 //! identical every time and only the value arithmetic differs. This
 //! module hoists that redundancy:
 //!
-//! 1. the **symbolic** pass ([`crate::symbolic::spgemm_symbolic_with`])
+//! 1. the **edge-major gather** ([`crate::gather::EdgeGather`]) lays
+//!    out each output row's terms once, in ascending edge order, with
+//!    every single-head edge resolved to its column;
+//! 2. the **symbolic** pass ([`crate::symbolic::spgemm_symbolic`])
 //!    runs once — the structural pattern depends only on the operand
 //!    patterns, never on the algebra;
-//! 2. a single **numeric** traversal ([`spgemm_multi_numeric`]) walks
-//!    `A`'s rows and `B`'s rows once. Each output row's contributing
-//!    `(i, k, j)` terms are gathered into a block of up to
-//!    [`FOLD_BLOCK`] `(slot, &A(i,k), &B(k,j))` triples, and every lane
-//!    folds the block into its own accumulators with one
+//! 3. a single **numeric** traversal ([`spgemm_multi_numeric`]) reads
+//!    the gathered rows once. Each output row's terms are collected
+//!    into a block of up to [`FOLD_BLOCK`]
+//!    `(slot, &Eout(k,i), &Ein(k,j))` triples, and every lane folds the
+//!    block into its own accumulators with one
 //!    [`DynOpPair::fold_terms`] call. The lanes are laid out
 //!    structure-of-arrays (`accs[p * nslots + slot]`, one contiguous
 //!    lane per pair).
 //!
-//! Callers run the two passes themselves: `aarray-core`'s `MatmulPlan`
-//! keeps one pattern across executes, and [`crate::spgemm_delta`]
-//! builds one per batch.
+//! Callers run the steps themselves: `aarray-core`'s `MatmulPlan`
+//! keeps one gather and one pattern across executes, and
+//! [`crate::spgemm_delta`] builds both per batch.
 //!
 //! Heterogeneous pairs are handled through the object-safe
 //! [`DynOpPair`] adapter, so one call can mix `+.×`, `max.min`,
@@ -37,16 +40,19 @@
 //! per row, and no thread reassembles rows.
 //!
 //! **Bit-identity.** Terms are folded left-associated in ascending
-//! inner-key order — blocks are flushed in order, and each block is
-//! folded in order — the same canonical order as every other kernel in
-//! this crate. Each lane prunes its own `⊕`-produced zeros with its own
-//! `is_zero`. Output `p` is therefore bit-identical to the sequential
-//! `spgemm(a, b, pairs[p])` for arbitrary non-associative,
-//! non-commutative operations, serial or parallel (property-tested in
-//! `tests/proptest_multi.rs` and `tests/pool_identity.rs`).
+//! edge order — the gather lists them so, blocks are flushed in order,
+//! and each block is folded in order — the same canonical order as
+//! every other kernel in this crate. Each lane prunes its own
+//! `⊕`-produced zeros with its own `is_zero`. Output `p` is therefore
+//! bit-identical to the sequential
+//! `spgemm(&eout.transpose(), &ein, pairs[p])` for arbitrary
+//! non-associative, non-commutative operations, serial or parallel
+//! (property-tested in `tests/proptest_multi.rs`,
+//! `tests/pool_identity.rs` and `tests/gather_oracle.rs`).
 
 use crate::chunks::{assemble_rows, RowsBuf};
 use crate::csr::Csr;
+use crate::gather::EdgeGather;
 use crate::symbolic::SymbolicProduct;
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
@@ -84,53 +90,40 @@ fn record_fused(nlanes: usize, parallel: bool) {
     );
 }
 
-fn check_dims<V: Value>(sym: &SymbolicProduct, a: &Csr<V>, b: &Csr<V>) {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "inner dimensions must agree: A is {}×{}, B is {}×{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    assert_eq!(
-        sym.shape(),
-        (a.nrows(), b.ncols()),
-        "symbolic pattern built for different operands"
-    );
-}
-
 /// Numeric phase of the fused product against a precomputed symbolic
-/// pattern (reuse the pattern across calls when the operands' sparsity
-/// is fixed — e.g. a plan that multiplies under new algebras later).
+/// pattern of the same gather (reuse both across calls when the
+/// operands are fixed — e.g. a plan that multiplies under new algebras
+/// later).
 ///
 /// `parallel` runs row chunks on the current pool (the caller makes
 /// the dispatch decision); otherwise one serial pass. Both produce the
 /// same bits.
 pub fn spgemm_multi_numeric<V: Value>(
     sym: &SymbolicProduct,
-    a: &Csr<V>,
-    b: &Csr<V>,
+    gather: &EdgeGather<'_, V>,
     pairs: &[&dyn DynOpPair<V>],
     parallel: bool,
 ) -> Vec<Csr<V>> {
-    check_dims(sym, a, b);
+    assert_eq!(
+        sym.shape(),
+        (gather.nrows(), gather.ncols()),
+        "symbolic pattern built for a different gather"
+    );
     record_fused(pairs.len(), parallel);
     assemble_rows(
-        a.nrows(),
+        gather.nrows(),
         pairs.len(),
         parallel,
         Some(Stage::Numeric),
-        || MultiScratch::new(b.ncols()),
-        |scratch, i, outs| multiply_row_multi(a, b, pairs, i, sym.row(i), scratch, outs),
+        || MultiScratch::new(gather.ncols()),
+        |scratch, i, outs| multiply_row_multi(gather, pairs, i, sym.row(i), scratch, outs),
     )
     .into_iter()
-    .map(|out| out.into_csr(b.ncols()))
+    .map(|out| out.into_csr(gather.ncols()))
     .collect()
 }
 
-/// One gathered term: accumulator slot, `A(i,k)`, `B(k,j)`.
+/// One gathered term: accumulator slot, `Eout(k,i)`, `Ein(k,j)`.
 type Term<'a, V> = (usize, &'a V, &'a V);
 
 /// Reusable per-chunk scratch: the dense column→slot map,
@@ -168,17 +161,15 @@ impl<V: Value> MultiScratch<'_, V> {
     }
 }
 
-/// One fused output row: a single sweep over `A`'s row `i` and the
-/// touched rows of `B`, folding every term into all `K` lanes, then
-/// each lane's row appended to its output buffer.
-#[allow(clippy::too_many_arguments)]
-fn multiply_row_multi<'a, V: Value>(
-    a: &'a Csr<V>,
-    b: &'a Csr<V>,
+/// One fused output row: a single sweep over the row's gathered terms,
+/// folding every term into all `K` lanes, then each lane's row appended
+/// to its output buffer.
+fn multiply_row_multi<'g, V: Value>(
+    gather: &'g EdgeGather<'_, V>,
     pairs: &[&dyn DynOpPair<V>],
     i: usize,
     srow: &[u32],
-    scratch: &mut MultiScratch<'a, V>,
+    scratch: &mut MultiScratch<'g, V>,
     outs: &mut [RowsBuf<V>],
 ) {
     let npairs = pairs.len();
@@ -186,15 +177,6 @@ fn multiply_row_multi<'a, V: Value>(
     scratch.accs.clear();
     scratch.accs.resize(npairs * nslots, None);
     scratch.report_capacity();
-    let record = histograms_enabled();
-    if record {
-        let (ks, _) = a.row(i);
-        let flops: u64 = ks.iter().map(|&k| b.row_nnz(k as usize) as u64).sum();
-        // ⊗ applications actually performed: every term feeds K lanes.
-        histograms().record(Hist::RowFlops, flops * npairs as u64);
-        histograms().record(Hist::RowNnz, nslots as u64);
-        journal().record(EventKind::RowShape, i as u64, flops * npairs as u64);
-    }
     let MultiScratch {
         slot_of,
         accs,
@@ -205,11 +187,18 @@ fn multiply_row_multi<'a, V: Value>(
     for (slot, &j) in srow.iter().enumerate() {
         slot_of[j as usize] = slot;
     }
-    fold_row(a, b, pairs, i, nslots, accs, block, slot_of);
+    let flops = fold_row(gather, pairs, i, nslots, accs, block, slot_of);
     for &j in srow {
         slot_of[j as usize] = usize::MAX;
     }
 
+    let record = histograms_enabled();
+    if record {
+        // ⊗ applications actually performed: every term feeds K lanes.
+        histograms().record(Hist::RowFlops, flops * npairs as u64);
+        histograms().record(Hist::RowNnz, nslots as u64);
+        journal().record(EventKind::RowShape, i as u64, flops * npairs as u64);
+    }
     // Emit each lane in slot (= ascending column) order, pruning the
     // lane's own ⊕-produced zeros: the implicit-zero invariant is
     // per-algebra, so lanes may legitimately emit different patterns.
@@ -233,34 +222,33 @@ fn multiply_row_multi<'a, V: Value>(
     }
 }
 
-/// The shared traversal: gather every contributing `(k, j)` term of
-/// row `i`, in ascending `k`, into `block`, and flush the block to all
-/// `K` lanes whenever it fills and once at the end of the row.
-/// `slot_of` maps each of the row's output columns to its slot.
-#[allow(clippy::too_many_arguments)]
-fn fold_row<'a, V: Value>(
-    a: &'a Csr<V>,
-    b: &'a Csr<V>,
+/// The shared traversal: collect every term of row `i`, in ascending
+/// edge order, into `block`, and flush the block to all `K` lanes
+/// whenever it fills and once at the end of the row. `slot_of` maps
+/// each of the row's output columns to its slot. Returns the row's
+/// term count.
+fn fold_row<'g, V: Value>(
+    gather: &'g EdgeGather<'_, V>,
     pairs: &[&dyn DynOpPair<V>],
     i: usize,
     nslots: usize,
     accs: &mut [Option<V>],
-    block: &mut Vec<Term<'a, V>>,
+    block: &mut Vec<Term<'g, V>>,
     slot_of: &[usize],
-) {
-    let (ks, avs) = a.row(i);
-    for (&k, av) in ks.iter().zip(avs.iter()) {
-        let (js, bvs) = b.row(k as usize);
-        for (&j, bv) in js.iter().zip(bvs.iter()) {
-            let slot = slot_of[j as usize];
-            debug_assert!(slot < nslots, "numeric term outside symbolic pattern");
-            block.push((slot, av, bv));
-            if block.len() == FOLD_BLOCK {
-                flush(pairs, nslots, accs, block);
-            }
+) -> u64 {
+    let mut flops = 0u64;
+    gather.for_each_term(i, |j, tail, head| {
+        let slot = slot_of[j as usize];
+        debug_assert!(slot < nslots, "numeric term outside symbolic pattern");
+        block.push((slot, tail, head));
+        if block.len() == FOLD_BLOCK {
+            flops += FOLD_BLOCK as u64;
+            flush(pairs, nslots, accs, block);
         }
-    }
+    });
+    flops += block.len() as u64;
     flush(pairs, nslots, accs, block);
+    flops
 }
 
 /// Fold the gathered terms into every lane (lane `p` is
@@ -285,7 +273,7 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::spgemm::spgemm;
-    use crate::symbolic::{spgemm_symbolic, spgemm_symbolic_with};
+    use crate::symbolic::spgemm_symbolic;
     use aarray_algebra::ops::{AbsDiff, Plus, Times};
     use aarray_algebra::pairs::{MaxMin, MaxPlus, MinPlus, PlusTimes};
     use aarray_algebra::values::nat::Nat;
@@ -296,15 +284,17 @@ mod tests {
         PlusTimes::new()
     }
 
-    /// Both passes under one dispatch decision, as plans and
-    /// `spgemm_delta` run them.
+    /// `A ⊕.⊗ B` through the gather of `Aᵀ` and both passes, under one
+    /// dispatch decision, as plans and `spgemm_delta` run them.
     fn fused<V: Value>(
         a: &Csr<V>,
         b: &Csr<V>,
         pairs: &[&dyn DynOpPair<V>],
         parallel: bool,
     ) -> Vec<Csr<V>> {
-        spgemm_multi_numeric(&spgemm_symbolic_with(a, b, parallel), a, b, pairs, parallel)
+        let at = a.transpose();
+        let g = EdgeGather::new(&at, b, None, parallel);
+        spgemm_multi_numeric(&spgemm_symbolic(&g, parallel), &g, pairs, parallel)
     }
 
     fn build(nrows: usize, ncols: usize, t: &[(usize, usize, u64)]) -> Csr<Nat> {
@@ -421,11 +411,13 @@ mod tests {
     #[test]
     fn symbolic_pattern_reuse_across_numeric_calls() {
         let (a, b) = operands();
-        let sym = spgemm_symbolic(&a, &b);
+        let at = a.transpose();
+        let g = EdgeGather::new(&at, &b, None, true);
+        let sym = spgemm_symbolic(&g, true);
         let pt = PlusTimes::<Nat>::new();
         let mm = MaxMin::<Nat>::new();
-        let first = spgemm_multi_numeric(&sym, &a, &b, &[&pt as &dyn DynOpPair<Nat>], false);
-        let second = spgemm_multi_numeric(&sym, &a, &b, &[&mm as &dyn DynOpPair<Nat>], true);
+        let first = spgemm_multi_numeric(&sym, &g, &[&pt as &dyn DynOpPair<Nat>], false);
+        let second = spgemm_multi_numeric(&sym, &g, &[&mm as &dyn DynOpPair<Nat>], true);
         assert_eq!(first[0], spgemm(&a, &b, &pt));
         assert_eq!(second[0], spgemm(&a, &b, &mm));
     }
@@ -445,15 +437,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "inner dimensions")]
+    #[should_panic(expected = "different gather")]
     fn dimension_mismatch_panics() {
-        let a = build(2, 3, &[(0, 0, 1)]);
-        let b = build(3, 2, &[(0, 0, 1)]);
-        let sym = spgemm_symbolic(&a, &b);
-        let short = build(2, 2, &[(0, 0, 1)]);
+        let eout = build(3, 2, &[(0, 0, 1)]);
+        let ein = build(3, 2, &[(0, 0, 1)]);
+        let sym = spgemm_symbolic(&EdgeGather::new(&eout, &ein, None, false), false);
+        let wide = build(3, 4, &[(0, 0, 1)]);
+        let g = EdgeGather::new(&eout, &wide, None, false);
         let pt = PlusTimes::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt];
-        let _ = spgemm_multi_numeric(&sym, &a, &short, &pairs, false);
+        let _ = spgemm_multi_numeric(&sym, &g, &pairs, false);
     }
 
     #[test]

@@ -12,11 +12,15 @@
 //! lane from one traversal; with one lane it is the plain two-phase
 //! product.
 //!
+//! Both passes read the construction product `Eoutᵀ ⊕.⊗ Ein` from an
+//! [`EdgeGather`]: each output row's terms in ascending edge order,
+//! single-head edges already resolved to their column.
+//!
 //! The symbolic pass runs serially or row-parallel as its caller
-//! decides ([`spgemm_symbolic_with`]; the planner and the delta kernel
-//! pass the same flops-gated decision as their numeric pass). Like the
-//! fused numeric pass, it runs rows in chunks that each append to one
-//! flat index buffer, concatenated in row order.
+//! decides (the planner and the delta kernel pass the same
+//! flops-gated decision as their numeric pass). Like the fused
+//! numeric pass, it runs rows in chunks that each append to one flat
+//! index buffer, concatenated in row order.
 //!
 //! Caveat: the symbolic pattern is the *structural* product (every
 //! coordinate with at least one contributing term). The numeric pass
@@ -24,7 +28,7 @@
 //! results match the one-pass kernel exactly.
 
 use crate::chunks::{assemble_rows, RowsBuf};
-use crate::csr::Csr;
+use crate::gather::EdgeGather;
 use aarray_algebra::Value;
 
 /// The reusable output pattern of `A ⊕.⊗ B` (structural only).
@@ -68,46 +72,30 @@ impl SymbolicProduct {
     }
 }
 
-/// Symbolic pass: compute the output pattern of `A ⊕.⊗ B` for any
-/// value types (only the patterns of `a` and `b` matter). Rows run in
-/// chunks on the current pool; see [`spgemm_symbolic_with`].
-pub fn spgemm_symbolic<V: Value, W: Value>(a: &Csr<V>, b: &Csr<W>) -> SymbolicProduct {
-    spgemm_symbolic_with(a, b, true)
-}
-
-/// [`spgemm_symbolic`] under the caller's dispatch decision: `parallel`
-/// runs row chunks on the current pool, otherwise one serial pass. Each
-/// chunk appends its rows' sorted columns to one flat index buffer
-/// (one `seen` scratch per chunk, nothing allocated per row), and the
-/// chunks are concatenated in row order, so both give the same pattern.
-pub fn spgemm_symbolic_with<V: Value, W: Value>(
-    a: &Csr<V>,
-    b: &Csr<W>,
-    parallel: bool,
-) -> SymbolicProduct {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-
+/// Symbolic pass: the output pattern of the gathered product.
+/// `parallel` runs row chunks on the current pool, otherwise one
+/// serial pass. Each chunk appends its rows' sorted columns to one flat
+/// index buffer (one `seen` scratch per chunk, nothing allocated per
+/// row), and the chunks are concatenated in row order, so both give
+/// the same pattern.
+pub fn spgemm_symbolic<V: Value>(gather: &EdgeGather<'_, V>, parallel: bool) -> SymbolicProduct {
     let RowsBuf {
         indptr, indices, ..
     } = assemble_rows::<(), _>(
-        a.nrows(),
+        gather.nrows(),
         1,
         parallel,
         None,
-        || vec![false; b.ncols()],
+        || vec![false; gather.ncols()],
         |seen, i, outs| {
             let cols = &mut outs[0].indices;
             let start = cols.len();
-            let (ks, _) = a.row(i);
-            for &k in ks {
-                let (js, _) = b.row(k as usize);
-                for &j in js {
-                    if !seen[j as usize] {
-                        seen[j as usize] = true;
-                        cols.push(j);
-                    }
+            gather.for_each_col(i, |j| {
+                if !seen[j as usize] {
+                    seen[j as usize] = true;
+                    cols.push(j);
                 }
-            }
+            });
             let row = &mut cols[start..];
             row.sort_unstable();
             for &j in row.iter() {
@@ -118,8 +106,8 @@ pub fn spgemm_symbolic_with<V: Value, W: Value>(
     .pop()
     .expect("one output");
     SymbolicProduct {
-        nrows: a.nrows(),
-        ncols: b.ncols(),
+        nrows: gather.nrows(),
+        ncols: gather.ncols(),
         indptr,
         indices,
     }
@@ -129,6 +117,7 @@ pub fn spgemm_symbolic_with<V: Value, W: Value>(
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::csr::Csr;
     use crate::spgemm::spgemm;
     use crate::spgemm_multi::spgemm_multi_numeric;
     use aarray_algebra::ops::{Max, Min, Plus, Times};
@@ -153,8 +142,10 @@ mod tests {
     fn two_phase_matches_one_phase() {
         let a = build(3, 4, &[(0, 0, 1), (0, 3, 2), (1, 1, 3), (2, 2, 5)]);
         let b = build(4, 3, &[(0, 1, 2), (1, 0, 1), (2, 2, 3), (3, 1, 4)]);
-        let sym = spgemm_symbolic(&a, &b);
-        let two = spgemm_multi_numeric(&sym, &a, &b, &[&pt()], false).remove(0);
+        let at = a.transpose();
+        let g = EdgeGather::new(&at, &b, None, false);
+        let sym = spgemm_symbolic(&g, false);
+        let two = spgemm_multi_numeric(&sym, &g, &[&pt()], false).remove(0);
         assert_eq!(two, spgemm(&a, &b, &pt()));
         assert_eq!(sym.nnz(), two.nnz()); // compliant pair: no pruning
     }
@@ -164,13 +155,15 @@ mod tests {
         // Figure 3's workload shape: one symbolic pass, many algebras.
         let a = build(2, 3, &[(0, 0, 2), (0, 1, 3), (1, 2, 4)]);
         let b = build(3, 2, &[(0, 0, 5), (1, 0, 1), (2, 1, 7)]);
-        let sym = spgemm_symbolic(&a, &b);
+        let at = a.transpose();
+        let g = EdgeGather::new(&at, &b, None, false);
+        let sym = spgemm_symbolic(&g, true);
 
-        let plus_times = spgemm_multi_numeric(&sym, &a, &b, &[&pt()], false).remove(0);
+        let plus_times = spgemm_multi_numeric(&sym, &g, &[&pt()], false).remove(0);
         assert_eq!(plus_times, spgemm(&a, &b, &pt()));
 
         let mm: OpPair<Nat, Max, Min> = OpPair::new();
-        let max_min = spgemm_multi_numeric(&sym, &a, &b, &[&mm], false).remove(0);
+        let max_min = spgemm_multi_numeric(&sym, &g, &[&mm], false).remove(0);
         assert_eq!(max_min, spgemm(&a, &b, &mm));
         // Same pattern, different values.
         assert_eq!(plus_times.indices(), max_min.indices());
@@ -183,21 +176,22 @@ mod tests {
         let mut ca = Coo::new(1, 2);
         ca.push(0, 0, 1i64);
         ca.push(0, 1, 1i64);
-        let a = ca.into_csr(&pair);
+        let at = ca.into_csr(&pair).transpose();
         let mut cb = Coo::new(2, 1);
         cb.push(0, 0, 1i64);
         cb.push(1, 0, -1i64);
         let b = cb.into_csr(&pair);
-        let sym = spgemm_symbolic(&a, &b);
+        let g = EdgeGather::new(&at, &b, None, false);
+        let sym = spgemm_symbolic(&g, false);
         assert_eq!(sym.nnz(), 1); // structurally present
-        let c = spgemm_multi_numeric(&sym, &a, &b, &[&pair], false).remove(0);
+        let c = spgemm_multi_numeric(&sym, &g, &[&pair], false).remove(0);
         assert_eq!(c.nnz(), 0); // numerically cancelled, pruned
     }
 
     #[test]
     fn symbolic_shape_accessors() {
-        let a = build(2, 2, &[(0, 0, 1)]);
-        let sym = spgemm_symbolic(&a, &a);
-        assert_eq!(sym.shape(), (2, 2));
+        let a = build(2, 3, &[(0, 0, 1)]);
+        let g = EdgeGather::new(&a, &a, None, false);
+        assert_eq!(spgemm_symbolic(&g, false).shape(), (3, 3));
     }
 }

@@ -5,19 +5,27 @@ use aarray_algebra::pairs::PlusTimes;
 use aarray_algebra::values::nn::{nn, NN};
 use aarray_algebra::{DynOpPair, Value};
 use aarray_sparse::spgemm_multi::{spgemm_multi_numeric, FOLD_BLOCK};
-use aarray_sparse::symbolic::spgemm_symbolic_with;
-use aarray_sparse::{Coo, Csr};
+use aarray_sparse::symbolic::spgemm_symbolic;
+use aarray_sparse::{Coo, Csr, EdgeGather};
 use proptest::prelude::*;
 
-/// The fused product as plans and `spgemm_delta` run it: the symbolic
-/// pass, then the numeric pass, under one dispatch decision.
+/// `A ⊕.⊗ B` as plans and `spgemm_delta` run it: the edge-major
+/// gather of `Eout = Aᵀ` against `Ein = B`, the symbolic pass, then
+/// the numeric pass, all under one dispatch decision.
 pub fn fused<V: Value>(
     a: &Csr<V>,
     b: &Csr<V>,
     pairs: &[&dyn DynOpPair<V>],
     parallel: bool,
 ) -> Vec<Csr<V>> {
-    spgemm_multi_numeric(&spgemm_symbolic_with(a, b, parallel), a, b, pairs, parallel)
+    let eout = a.transpose();
+    let gather = EdgeGather::new(&eout, b, None, parallel);
+    spgemm_multi_numeric(
+        &spgemm_symbolic(&gather, parallel),
+        &gather,
+        pairs,
+        parallel,
+    )
 }
 
 /// Awkward `A`-side floats: sums of these re-associate visibly.
@@ -102,10 +110,50 @@ pub fn arb_long_rows() -> impl Strategy<Value = (Csr<NN>, Csr<NN>)> {
     })
 }
 
-/// Small random operands or long rows, evenly.
+/// Heads per edge, by draw: none, one (twice as likely: a graph's
+/// edge), or several (a hyperedge's).
+const HEADS: [usize; 6] = [0, 1, 1, 2, 3, 4];
+
+/// Incidence-shaped operands `(A, B) = (Eoutᵀ, Ein)` over at most
+/// `max_edges` edges: each edge has one to four tails and, by
+/// [`HEADS`], no head, one head or several, so the gather both
+/// resolves edges to their one head and leaves edges in place, often
+/// in the same output row.
+pub fn arb_hyperedges(
+    max_edges: usize,
+    max_vertices: usize,
+) -> impl Strategy<Value = (Csr<NN>, Csr<NN>)> {
+    (1..=max_edges, 1..=max_vertices, 1..=max_vertices).prop_flat_map(move |(e, m, n)| {
+        let edge = (
+            1..=4usize,
+            0..HEADS.len(),
+            prop::collection::vec((0..m, 0..n, 1u64..1000, 1u64..1000), 4),
+        );
+        prop::collection::vec(edge, e).prop_map(move |edges| {
+            let mut eout = Coo::new(e, m);
+            let mut ein = Coo::new(e, n);
+            for (k, (tails, heads, picks)) in edges.into_iter().enumerate() {
+                for &(i, _, v, _) in &picks[..tails] {
+                    eout.push(k, i, a_value(v));
+                }
+                for &(_, j, _, w) in &picks[..HEADS[heads]] {
+                    ein.push(k, j, b_value(w));
+                }
+            }
+            let pt = PlusTimes::<NN>::new();
+            (eout.into_csr(&pt).transpose(), ein.into_csr(&pt))
+        })
+    })
+}
+
+/// Small random operands, long rows or hyperedges, evenly.
 pub fn arb_nn_operands(
     max_dim: usize,
     max_nnz: usize,
 ) -> impl Strategy<Value = (Csr<NN>, Csr<NN>)> {
-    prop_oneof![arb_nn_pair(max_dim, max_nnz), arb_long_rows()]
+    prop_oneof![
+        arb_nn_pair(max_dim, max_nnz),
+        arb_long_rows(),
+        arb_hyperedges(3 * max_dim, max_dim)
+    ]
 }

@@ -12,9 +12,11 @@
 //!
 //! NN's `+` is float addition — non-associative, so any fold-order
 //! deviation across chunk or fold-block boundaries would change low
-//! bits and fail the exact equality below. Half the cases are long rows
-//! (`common::arb_long_rows`): rows of more than two fold blocks, empty
-//! rows, and fewer rows than the pool has chunks.
+//! bits and fail the exact equality below. A third of the cases are
+//! long rows (`common::arb_long_rows`): rows of more than two fold
+//! blocks, empty rows, and fewer rows than the pool has chunks. A third
+//! are incidence-shaped (`common::arb_hyperedges`): edges with no
+//! head, one head or several, and tails with several entries.
 
 mod common;
 

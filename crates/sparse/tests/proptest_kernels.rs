@@ -190,7 +190,9 @@ proptest! {
     #[test]
     fn symbolic_pattern_superset_of_numeric(( a, b) in arb_pair(10, 40)) {
         use aarray_sparse::symbolic::spgemm_symbolic;
-        let sym = spgemm_symbolic(&a, &b);
+        use aarray_sparse::EdgeGather;
+        let at = a.transpose();
+        let sym = spgemm_symbolic(&EdgeGather::new(&at, &b, None, true), true);
         let c = spgemm(&a, &b, &pt());
         // For +.× on positive Nats nothing cancels: patterns agree.
         prop_assert_eq!(sym.nnz(), c.nnz());

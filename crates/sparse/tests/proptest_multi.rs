@@ -3,8 +3,11 @@
 //! must equal the corresponding independent one-pass `spgemm` call —
 //! serially, row-parallel, and for order-sensitive `⊕`s: float `+` on
 //! `NN` and the non-associative `|−|` (so fold order is observable, not
-//! just the folded multiset). Half the cases are long rows that cross
-//! the kernel's fold-block boundaries (`common::arb_long_rows`).
+//! just the folded multiset). A third of the cases are long rows that
+//! cross the kernel's fold-block boundaries (`common::arb_long_rows`),
+//! and a third are incidence-shaped, mixing edges the gather resolves
+//! to their one head with hyperedges it leaves in place
+//! (`common::arb_hyperedges`).
 
 mod common;
 
