@@ -1,9 +1,10 @@
 //! Overhead bound for the always-on observability layers.
 //!
 //! The counter registry and the histogram registry instrument hot
-//! paths (kernel entry, dispatch, plan caches, per-row shape metrics)
-//! with relaxed-atomic updates that cannot be compiled out. This bench
-//! bounds their combined cost on the seven-pair fused workload:
+//! paths (kernel entry, dispatch, plan caches, batch appends) with
+//! relaxed-atomic updates that cannot be compiled out; none records
+//! per output row. This bench bounds their combined cost on the
+//! seven-pair fused workload:
 //!
 //! 1. run the workload and time it;
 //! 2. count the counter-registry updates it performed (one relaxed RMW
@@ -23,8 +24,7 @@
 //!    ns_per_journal_record + ops × ns_per_op_record) / workload_ns`,
 //!    with a 2× safety factor
 //!    covering the non-registry instrumentation of the same order
-//!    (gauges, memory-accounting adds, the per-row flop sums computed
-//!    only for histogram recording).
+//!    (gauges, memory-accounting adds).
 //!
 //! Asserts the total bound stays ≤ 2% and writes the figures to
 //! `target/bench/obs_overhead.json` (a build output, never a tracked
@@ -145,7 +145,7 @@ fn main() {
     let ring = Journal::with_capacity(1 << 14);
     let t = Instant::now();
     for i in 0..iters {
-        ring.record(EventKind::RowShape, black_box(i), black_box(i & 1023));
+        ring.record(EventKind::DispatchSerial, black_box(i), black_box(i & 1023));
     }
     let ns_per_journal_record = t.elapsed().as_nanos() as f64 / iters as f64;
 
@@ -270,7 +270,7 @@ fn main() {
     pool.install(|| {
         (0..4u64).collect::<Vec<_>>().into_par_iter().for_each(|w| {
             for i in 0..iters / 4 {
-                ring.record(EventKind::RowShape, black_box(i), black_box(w));
+                ring.record(EventKind::DispatchSerial, black_box(i), black_box(w));
             }
         })
     });

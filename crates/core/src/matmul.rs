@@ -112,15 +112,16 @@ pub fn would_parallelize(flops: u64, threshold: u64, nthreads: usize) -> bool {
 /// since the last drain, the chunks pool workers ran
 /// ([`Counter::PoolTasksLocal`]), the chunks submitters ran on their
 /// own fanned-out stages ([`Counter::PoolTasksStolen`]) and the stages
-/// that ran inline on the caller ([`Counter::PoolTasksInline`]). The
-/// stub's drain is an atomic swap, so concurrent callers partition the
-/// counts exactly — nothing is double-reported or lost. Called after
-/// every numeric pass that may have fanned out, and exported as
-/// [`publish_pool_stats`](crate::publish_pool_stats) so a live sampler
-/// can bridge pending tallies into frames mid-workload: the registry
-/// is cumulative and shared, so publishing early steals nothing from
-/// the workload's own post-mortem drain.
-pub(crate) fn record_pool_stats() {
+/// that ran inline on the caller ([`Counter::PoolTasksInline`]).
+///
+/// Called after every numeric pass that may have fanned out, and by
+/// live samplers so a concurrently captured [`aarray_obs::ObsReport`]
+/// sees up-to-date `pool.tasks-*` counters mid-workload. Safe to call
+/// from any thread at any frequency: the pool's drain is an exact
+/// atomic swap and the registry is cumulative, so concurrent callers
+/// partition the counts exactly — nothing is double-reported, lost, or
+/// taken away from the workload's own post-pass drains.
+pub fn publish_pool_stats() {
     let c = counters();
     c.store(Gauge::PoolThreads, rayon::current_num_threads() as u64);
     let (local, stolen, inline) = rayon::take_task_stats();
@@ -133,17 +134,6 @@ pub(crate) fn record_pool_stats() {
     if inline > 0 {
         c.add(Counter::PoolTasksInline, inline);
     }
-}
-
-/// Public bridge for live samplers: fold any pending thread-pool task
-/// tallies into the shared counter registry *now*, so a concurrently
-/// captured [`aarray_obs::ObsReport`] sees up-to-date `pool.tasks-*`
-/// counters mid-workload. Safe to call from any thread at any
-/// frequency — the drain is an exact atomic swap and the registry is
-/// cumulative, so this never double-counts and never takes counts
-/// away from the workload's own post-pass drains.
-pub fn publish_pool_stats() {
-    record_pool_stats();
 }
 
 /// Shared parallel-dispatch decision for [`AArray::matmul`] and
@@ -225,7 +215,7 @@ impl<V: Value> AArray<V> {
             spgemm(lhs, rhs, pair)
         };
         journal().end(Stage::Numeric, rows);
-        record_pool_stats();
+        publish_pool_stats();
 
         if let Some(t) = op.as_mut() {
             // The dispatch fast path may have skipped the estimate;

@@ -76,36 +76,9 @@ pub struct MatmulPlan<'a, V: Value> {
     sym_mem: OnceLock<MemReservation>,
     /// Accounting guard for the gathered rows' bytes.
     _gather_mem: MemReservation,
-    /// Caller-assigned version stamp (see [`MatmulPlan::generation`]).
-    generation: u64,
 }
 
 impl<'a, V: Value> MatmulPlan<'a, V> {
-    /// The plan's version stamp: the operand generation it was built
-    /// against (0 unless stamped via [`MatmulPlan::with_generation`]).
-    ///
-    /// A plan caches alignment, gather, and symbolic pattern for the
-    /// exact operands it saw at construction; callers that evolve their
-    /// operands (the incremental adjacency layer bumps a generation per
-    /// appended batch) stamp plans at build time and compare with
-    /// [`MatmulPlan::is_stale`] before reuse, turning silent stale-plan
-    /// reuse into a detectable condition.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Stamp the plan with the operand generation it was built against.
-    pub fn with_generation(mut self, generation: u64) -> Self {
-        self.generation = generation;
-        self
-    }
-
-    /// Whether the plan predates `current_generation` and must not be
-    /// reused for results that should reflect that generation.
-    pub fn is_stale(&self, current_generation: u64) -> bool {
-        self.generation != current_generation
-    }
-
     /// The result's row key set.
     pub fn row_keys(&self) -> &KeySet {
         &self.row_keys
@@ -204,7 +177,7 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         journal().begin(Stage::Numeric, flops);
         let data = spgemm_multi_numeric(sym, &self.gather, pairs, parallel);
         journal().end(Stage::Numeric, flops);
-        crate::matmul::record_pool_stats();
+        crate::publish_pool_stats();
         if let Some(t) = op.as_mut() {
             t.set_flops(flops);
             t.set_lanes(pairs.len() as u64);
@@ -270,7 +243,6 @@ impl<V: Value> AArray<V> {
             sym: OnceLock::new(),
             sym_mem: OnceLock::new(),
             _gather_mem: gather_mem,
-            generation: 0,
         }
     }
 }

@@ -6,6 +6,10 @@
 //! counter deltas *exactly* — not approximately. This is the invariant
 //! that makes `obsctl trace`'s decision audit trustworthy.
 //!
+//! The journal records per decision, never per output row, so a warm
+//! plan's execute appends the same number of events whatever its
+//! output's row count.
+//!
 //! One test function on purpose: integration-test binaries get their
 //! own process, and a single `#[test]` keeps the global journal and
 //! counter registry free of concurrent writers for the whole window.
@@ -123,7 +127,6 @@ fn journal_tallies_reproduce_counter_deltas() {
             }
             EventKind::StageBegin => begins += 1,
             EventKind::StageEnd => ends += 1,
-            EventKind::RowShape => {}
         }
     }
 
@@ -167,4 +170,24 @@ fn journal_tallies_reproduce_counter_deltas() {
         trace.matches("\"ph\": \"E\"").count()
     );
     assert!(trace.contains("\"truncated_spans\": 0"));
+
+    // --- Journal growth per execute does not depend on output rows.
+    // One pool thread keeps the numeric pass to one serial range. ---
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool");
+    let events_per_execute = |n: usize| {
+        let e = AArray::from_triples(&pair, chain(0, n, |_| Nat(1)));
+        let plan = adjacency_plan(&e, &e);
+        pool.install(|| {
+            plan.execute_all(&lanes); // warm: the symbolic pass runs here
+            let from = journal().cursor();
+            let outs = plan.execute_all(&lanes);
+            assert_eq!(outs[0].shape(), (n, n));
+            journal().cursor() - from
+        })
+    };
+    let (small, wide) = (events_per_execute(10), events_per_execute(10_000));
+    assert_eq!(small, wide, "events for a 10-row vs a 10,000-row output");
 }

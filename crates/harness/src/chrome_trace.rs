@@ -252,7 +252,7 @@ pub fn decision_tallies(events: &[Event]) -> DecisionTallies {
                     *f += e.a;
                 }
             }
-            EventKind::StageBegin | EventKind::StageEnd | EventKind::RowShape => {}
+            EventKind::StageBegin | EventKind::StageEnd => {}
         }
     }
     t
@@ -584,7 +584,7 @@ mod tests {
         let j = Journal::with_capacity(8);
         j.begin(Stage::Numeric, 7);
         for i in 0..9 {
-            j.record(EventKind::RowShape, i, 1);
+            j.record(EventKind::DispatchSerial, i, 1);
         }
         j.end(Stage::Numeric, 7);
         let snap = j.snapshot();

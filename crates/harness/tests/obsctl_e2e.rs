@@ -1,12 +1,10 @@
 //! End-to-end exercise of the `obsctl` binary: `trace` and its counter
-//! audit, `ops`, `watch`'s terminal view and its env-knob behaviour
-//! over `/report.json`, bad invocations, and `gate` driven by a canned
-//! benchmark command.
+//! audit, unparsable env knobs, `ops`, `watch`'s terminal view, bad
+//! invocations, and `gate` driven by a canned benchmark command.
 
 use aarray_harness::json::{parse, Value};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use std::time::{Duration, Instant};
 
 fn obsctl() -> Command {
     Command::new(env!("CARGO_BIN_EXE_obsctl"))
@@ -37,7 +35,7 @@ fn unparsable_env_knobs_warn_once_and_fall_back() {
     let o = obsctl()
         .args(["trace", "fig3", "--rows", "300", "--reps", "2", "--out"])
         .arg(&out)
-        .env(aarray_obs::HISTOGRAMS_ENV, "yes")
+        .env(aarray_obs::JOURNAL_EVENTS_ENV, "lots")
         .env(aarray_core::PAR_FLOPS_THRESHOLD_ENV, "128k")
         .output()
         .unwrap();
@@ -46,15 +44,15 @@ fn unparsable_env_knobs_warn_once_and_fall_back() {
 
     // Each unparsable knob warns exactly once per process, naming the
     // variable, the rejected value, and the fallback.
-    let hist_warn = format!(
-        "ignoring unparsable {}=\"yes\"; using the default (histograms enabled)",
-        aarray_obs::HISTOGRAMS_ENV
+    let events_warn = format!(
+        "ignoring unparsable {}=\"lots\"; using the default capacity",
+        aarray_obs::JOURNAL_EVENTS_ENV
     );
     let thresh_warn = format!(
         "ignoring unparsable {}=\"128k\"; using the default threshold",
         aarray_core::PAR_FLOPS_THRESHOLD_ENV
     );
-    for warn in [&hist_warn, &thresh_warn] {
+    for warn in [&events_warn, &thresh_warn] {
         assert_eq!(
             stderr.matches(warn.as_str()).count(),
             1,
@@ -64,91 +62,16 @@ fn unparsable_env_knobs_warn_once_and_fall_back() {
         );
     }
 
-    // Fallbacks hold: histograms default to enabled, so the gated
-    // per-row shape events reach the journal, and the trace is whole.
+    // Fallbacks hold: the journal rings at its default capacity, and
+    // the trace is whole.
     let text = std::fs::read_to_string(&out).unwrap();
-    assert!(text.contains("\"row-shape\""), "no row-shape events");
     let doc = parse(&text).unwrap();
+    assert_eq!(
+        doc.path(&["otherData", "capacity"]).and_then(Value::as_u64),
+        Some(aarray_obs::DEFAULT_JOURNAL_EVENTS as u64)
+    );
     aarray_harness::chrome_trace::validate(&doc).expect("trace must validate");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Run `obsctl watch fig3 --listen` in a fresh process with
-/// `AARRAY_OBS_HISTOGRAMS=knob` and return the first `/report.json` in
-/// which the workload has made at least three fused traversals.
-fn watched_report(knob: &str) -> Value {
-    let dir = tmpdir(&format!("hist-{}", knob));
-    let port_file = dir.join("watch.addr");
-    let mut child = obsctl()
-        .args([
-            "watch",
-            "fig3",
-            "--rows",
-            "300",
-            "--reps",
-            "100000",
-            "--interval-ms",
-            "20",
-            "--listen",
-            "127.0.0.1:0",
-            "--port-file",
-        ])
-        .arg(&port_file)
-        .env(aarray_obs::HISTOGRAMS_ENV, knob)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut report = None;
-    while report.is_none() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-        let Ok(addr) = std::fs::read_to_string(&port_file) else {
-            continue;
-        };
-        let got =
-            aarray_harness::httpd::http_get(addr.trim(), "/report.json", Duration::from_secs(5));
-        if let Ok((200, body)) = got {
-            let doc = parse(&body).expect("/report.json must be JSON");
-            let traversals = doc
-                .path(&["counters", "fused.traversals"])
-                .and_then(Value::as_u64)
-                .unwrap_or(0);
-            if traversals >= 3 {
-                report = Some(doc);
-            }
-        }
-    }
-    let _ = child.kill();
-    let _ = child.wait();
-    std::fs::remove_dir_all(&dir).ok();
-    report.expect("watch never served a report covering three fused traversals")
-}
-
-fn live_histograms(doc: &Value) -> usize {
-    doc.get("histograms")
-        .and_then(Value::as_obj)
-        .expect("report has histograms")
-        .values()
-        .filter(|h| h.get("count").and_then(Value::as_u64).unwrap() > 0)
-        .count()
-}
-
-#[test]
-fn histogram_env_knob_controls_capture() {
-    // Disabled: every histogram stays empty, while the counters stay
-    // live (each report was taken once three fused traversals counted).
-    let off = watched_report("0");
-    assert_eq!(
-        live_histograms(&off),
-        0,
-        "histograms must be empty with {}=0",
-        aarray_obs::HISTOGRAMS_ENV
-    );
-    // Enabled: histograms fill in.
-    let on = watched_report("1");
-    let live = live_histograms(&on);
-    assert!(live >= 4, "expected ≥4 live histograms, got {}", live);
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! the harness HTTP client after its workload has finished.
 
 use aarray_harness::httpd::{http_get, telemetry_handler, Httpd};
+use aarray_harness::json::{parse, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -87,13 +88,31 @@ fn watch_stack_serves_all_endpoints_while_workload_runs() {
     }
     assert!(families >= 5, "suspiciously few families: {}", families);
 
-    // /report.json is the schema-versioned v4 report.
+    // /report.json is the schema-versioned report.
     let (status, report) = http_get(&addr, "/report.json", Duration::from_secs(5)).unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         json_uint(&report, "schema_version"),
         Some(aarray_obs::REPORT_SCHEMA_VERSION)
     );
+
+    // Its live histograms fill in: every plan build records its flops
+    // estimate into `dispatch.flops`.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let dispatch_flops = loop {
+        let (status, report) = http_get(&addr, "/report.json", Duration::from_secs(5)).unwrap();
+        assert_eq!(status, 200);
+        let doc = parse(&report).expect("/report.json must be JSON");
+        let count = doc
+            .path(&["histograms", "dispatch.flops", "count"])
+            .and_then(Value::as_u64)
+            .expect("report has a dispatch.flops histogram");
+        if count > 0 || Instant::now() >= deadline {
+            break count;
+        }
+        std::thread::sleep(Duration::from_millis(15));
+    };
+    assert!(dispatch_flops > 0, "dispatch.flops stayed empty");
 
     // /series.json frame count grows between two polls.
     let (status, series_a) = http_get(&addr, "/series.json", Duration::from_secs(5)).unwrap();

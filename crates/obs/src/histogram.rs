@@ -5,43 +5,30 @@
 //! for the value `0`, then one per leading-bit position, so bucket `i`
 //! (for `i ≥ 1`) covers `[2^(i-1), 2^i − 1]` and `u64::MAX` lands in
 //! bucket 64 — plus a running sum and min/max watermarks. Recording is
-//! a handful of uncontended relaxed RMWs (no locks, no allocation), so
-//! the process-wide [`histograms`] registry stays on in release builds
-//! alongside the counter registry; the `obs_overhead` bench folds its
-//! cost into the same ≤ 2% budget.
-//!
-//! Recording through the registry can be disabled at runtime with
-//! `AARRAY_OBS_HISTOGRAMS=0` (mirroring `AARRAY_PAR_FLOPS_THRESHOLD`):
-//! [`HistRegistry::record`] becomes a single cached atomic load and
-//! callers that precompute a value to record should gate on
-//! [`histograms_enabled`]. Direct [`Histogram::record`] calls (owned
-//! histograms, tests) are never gated.
+//! a handful of relaxed RMWs (no locks, no allocation). The
+//! process-wide [`histograms`] registry records once per operation or
+//! appended batch, never per output row, so it stays on in release
+//! builds alongside the counter registry; the `obs_overhead` bench
+//! folds its cost into the same ≤ 2% budget.
 //!
 //! ```
 //! use aarray_obs::{histograms, Hist};
 //!
-//! let before = histograms().get(Hist::RowNnz).snapshot();
-//! histograms().record(Hist::RowNnz, 12);
-//! let delta = histograms().get(Hist::RowNnz).snapshot().since(&before);
+//! let before = histograms().get(Hist::DispatchFlops).snapshot();
+//! histograms().record(Hist::DispatchFlops, 12);
+//! let delta = histograms().get(Hist::DispatchFlops).snapshot().since(&before);
 //! assert!(delta.count() >= 1);
 //! ```
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one for zero plus one per leading-bit position.
 pub const N_BUCKETS: usize = 65;
 
-/// Kernel value distributions tracked by the process-wide registry.
+/// Value distributions tracked by the process-wide registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// Stored entries per emitted output row.
-    RowNnz,
-    /// `⊗`-terms folded per output row.
-    RowFlops,
-    /// Occupied accumulator slots per lane-row of the fused kernel
-    /// (entries surviving the lane's own zero-pruning).
-    AccOccupancy,
     /// Flops estimate per dispatch decision / plan construction.
     DispatchFlops,
     /// Edges per appended batch at `IncidenceBuilder::append_batch`.
@@ -52,69 +39,9 @@ const N_HISTS: usize = Hist::DeltaBatchEdges as usize + 1;
 
 /// Every histogram with its report label, in enum order.
 pub const HIST_NAMES: [(Hist, &str); N_HISTS] = [
-    (Hist::RowNnz, "row.nnz"),
-    (Hist::RowFlops, "row.flops"),
-    (Hist::AccOccupancy, "accumulator.occupancy"),
     (Hist::DispatchFlops, "dispatch.flops"),
     (Hist::DeltaBatchEdges, "delta.batch-edges"),
 ];
-
-/// Name of the environment variable controlling registry histogram
-/// recording: `0` disables, `1` enables, unset means enabled. Any
-/// other value is an env-parse error — recording stays on, a one-time
-/// warning is printed, and `Counter::EnvParseError` is bumped.
-pub const HISTOGRAMS_ENV: &str = "AARRAY_OBS_HISTOGRAMS";
-
-/// Cached enablement: 0 = disabled, 1 = enabled, 2 = unset (re-read
-/// the environment on next use).
-static HIST_ENABLED: AtomicU8 = AtomicU8::new(2);
-
-/// Parse the histogram knob. `Ok` for the recognized tokens (`0`/`1`,
-/// unset means on); `Err` when the variable is set to anything else —
-/// the caller falls back to the default (on) and reports the bad value
-/// instead of silently absorbing it.
-fn parse_enabled(raw: Option<&str>) -> Result<bool, ()> {
-    match raw.map(str::trim) {
-        None => Ok(true),
-        Some("0") => Ok(false),
-        Some("1") => Ok(true),
-        Some(_) => Err(()),
-    }
-}
-
-/// Whether registry histogram recording is currently enabled. Callers
-/// that do extra work *just* to record (e.g. summing per-row flops)
-/// should gate that work on this.
-#[inline]
-pub fn histograms_enabled() -> bool {
-    match HIST_ENABLED.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            let raw = std::env::var(HISTOGRAMS_ENV).ok();
-            let on = parse_enabled(raw.as_deref()).unwrap_or_else(|()| {
-                static WARNED: std::sync::atomic::AtomicBool =
-                    std::sync::atomic::AtomicBool::new(false);
-                crate::counters::env_parse_error(
-                    &WARNED,
-                    HISTOGRAMS_ENV,
-                    raw.as_deref().unwrap_or(""),
-                    "the default (histograms enabled)",
-                );
-                true
-            });
-            HIST_ENABLED.store(u8::from(on), Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Override registry histogram recording for this process (`Some(on)`),
-/// or drop back to the environment/default (`None`). Thread-safe; a
-/// tuning hook for embedders and tests.
-pub fn set_histograms_enabled(on: Option<bool>) {
-    HIST_ENABLED.store(on.map_or(2, u8::from), Ordering::Relaxed);
-}
 
 /// Bucket index of a value: 0 for 0, else `floor(log2 v) + 1`.
 #[inline]
@@ -157,8 +84,7 @@ impl Histogram {
         }
     }
 
-    /// Record one observation. Always records — registry-level gating
-    /// lives in [`HistRegistry::record`].
+    /// Record one observation.
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
@@ -304,16 +230,13 @@ impl HistRegistry {
         }
     }
 
-    /// Record `v` into histogram `h` — a no-op (one cached atomic
-    /// load) when recording is disabled via [`HISTOGRAMS_ENV`].
+    /// Record `v` into histogram `h`.
     #[inline]
     pub fn record(&self, h: Hist, v: u64) {
-        if histograms_enabled() {
-            self.hists[h as usize].record(v);
-        }
+        self.hists[h as usize].record(v);
     }
 
-    /// The underlying histogram for `h` (reads are never gated).
+    /// The underlying histogram for `h`.
     pub fn get(&self, h: Hist) -> &Histogram {
         &self.hists[h as usize]
     }
@@ -467,40 +390,6 @@ mod tests {
         assert_eq!(d.buckets[3], 1); // 7 ∈ [4,7]
         assert_eq!(d.buckets[4], 1); // 9 ∈ [8,15]
         assert_eq!(d.sum, 16);
-    }
-
-    #[test]
-    fn env_knob_gates_registry_recording_both_branches() {
-        // The only test in this binary that toggles the global knob:
-        // others use standalone histograms to stay race-free.
-        let before = histograms().get(Hist::RowFlops).snapshot();
-        set_histograms_enabled(Some(false));
-        assert!(!histograms_enabled());
-        histograms().record(Hist::RowFlops, 41);
-        let off = histograms().get(Hist::RowFlops).snapshot().since(&before);
-        assert_eq!(off.count(), 0, "disabled recording must be a no-op");
-
-        set_histograms_enabled(Some(true));
-        assert!(histograms_enabled());
-        histograms().record(Hist::RowFlops, 41);
-        let on = histograms().get(Hist::RowFlops).snapshot().since(&before);
-        assert_eq!(on.count(), 1);
-        set_histograms_enabled(None);
-    }
-
-    #[test]
-    fn env_parsing() {
-        assert_eq!(parse_enabled(None), Ok(true));
-        assert_eq!(parse_enabled(Some("0")), Ok(false));
-        assert_eq!(parse_enabled(Some(" 0 ")), Ok(false));
-        assert_eq!(parse_enabled(Some("1")), Ok(true));
-        assert_eq!(parse_enabled(Some(" 1 ")), Ok(true));
-        // Anything else is a parse error, not a silent "on": the caller
-        // falls back to enabled *and* reports it (warning + counter,
-        // covered end-to-end by the obsctl e2e suite).
-        assert_eq!(parse_enabled(Some("yes")), Err(()));
-        assert_eq!(parse_enabled(Some("2")), Err(()));
-        assert_eq!(parse_enabled(Some("")), Err(()));
     }
 
     #[test]

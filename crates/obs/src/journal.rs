@@ -33,7 +33,7 @@
 //!   records (default 65536, ~2.5 MiB); it is read once at the first
 //!   record. An unparsable value warns once on stderr, bumps
 //!   `Counter::EnvParseError`, and falls back to the default — the
-//!   same contract as `AARRAY_OBS_HISTOGRAMS`.
+//!   same contract as `AARRAY_OBS_OPS`.
 //!
 //! A drained [`JournalSnapshot`] exports as Chrome Trace Event Format
 //! JSON ([`JournalSnapshot::to_chrome_trace`]) loadable in Perfetto or
@@ -131,13 +131,9 @@ pub enum EventKind {
     /// rebuilt, `b` = reason code (0 = non-associative `⊕`,
     /// 1 = barrier / unreplayable log).
     IncrementalFallback,
-    /// Per-row kernel shape (emitted only while histograms are
-    /// enabled, like the row histograms). `a` = output row index,
-    /// `b` = `⊗`-term count (flops) folded for that row.
-    RowShape,
 }
 
-const N_KINDS: usize = EventKind::RowShape as usize + 1;
+const N_KINDS: usize = EventKind::IncrementalFallback as usize + 1;
 
 /// Every event kind with its export label, in enum order.
 pub const EVENT_KIND_NAMES: [(EventKind, &str); N_KINDS] = [
@@ -151,7 +147,6 @@ pub const EVENT_KIND_NAMES: [(EventKind, &str); N_KINDS] = [
     (EventKind::PlanCacheMiss, "plan-cache-miss"),
     (EventKind::DeltaApply, "delta-apply"),
     (EventKind::IncrementalFallback, "incremental-fallback"),
-    (EventKind::RowShape, "row-shape"),
 ];
 
 impl EventKind {
@@ -708,7 +703,6 @@ fn explain_args(e: &Event) -> String {
             e.a,
             fallback_reason(e.b)
         ),
-        EventKind::RowShape => format!("\"row\": {}, \"flops\": {}", e.a, e.b),
         EventKind::StageBegin | EventKind::StageEnd => format!("\"extra\": {}", e.b),
     }
 }
@@ -749,7 +743,7 @@ mod tests {
     fn wraparound_keeps_newest_and_counts_drops() {
         let j = Journal::with_capacity(8);
         for i in 0..20 {
-            j.record(EventKind::RowShape, i, i * 2);
+            j.record(EventKind::DispatchSerial, i, i * 2);
         }
         let snap = j.snapshot();
         assert_eq!(snap.recorded, 20);
@@ -835,7 +829,7 @@ mod tests {
     fn scan_window_decodes_only_the_claim_range() {
         let j = Journal::with_capacity(8);
         for i in 0..6 {
-            j.record(EventKind::RowShape, i, i);
+            j.record(EventKind::DispatchSerial, i, i);
         }
         let (mid, lost) = j.scan_window(2, 5);
         assert_eq!(mid.iter().map(|e| e.a).collect::<Vec<u64>>(), vec![2, 3, 4]);
@@ -848,7 +842,7 @@ mod tests {
         // the scan skips them instead of surfacing stale slots, but
         // counts every one it could not read.
         for i in 6..20 {
-            j.record(EventKind::RowShape, i, i);
+            j.record(EventKind::DispatchSerial, i, i);
         }
         let (survivors, lost) = j.scan_window(0, j.cursor());
         assert_eq!(
@@ -908,7 +902,7 @@ mod tests {
                         // Payloads encode the same value twice so a
                         // cross-record field mix would be visible.
                         let v = (t << 32) | i;
-                        j.record(EventKind::RowShape, v, v);
+                        j.record(EventKind::DispatchSerial, v, v);
                     }
                 })
             })

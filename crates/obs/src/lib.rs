@@ -3,9 +3,8 @@
 //! Observability primitives for the aarray workspace:
 //!
 //! * an **always-on histogram registry** ([`histograms`]) — lock-free
-//!   log2-bucketed distributions of per-row nnz/flops, accumulator
-//!   occupancy, dispatch flops, and appended batch sizes; recording can
-//!   be disabled at runtime with `AARRAY_OBS_HISTOGRAMS=0`;
+//!   log2-bucketed distributions of dispatch flops and appended batch
+//!   sizes, recorded once per operation or batch;
 //!
 //! * a **memory accounting layer** ([`mod@memstats`]) — current/peak bytes
 //!   per working-set region (SPA scratchpads, fused accumulator
@@ -82,10 +81,7 @@ pub use collector::{
 };
 
 pub use counters::{counters, env_parse_error, snapshot, Counter, Gauge, Snapshot, SnapshotDiff};
-pub use histogram::{
-    histograms, histograms_enabled, set_histograms_enabled, Hist, Histogram, HistogramSnapshot,
-    HISTOGRAMS_ENV,
-};
+pub use histogram::{histograms, Hist, Histogram, HistogramSnapshot};
 pub use journal::{
     journal, Event, EventKind, Journal, JournalSnapshot, JournalStats, Stage,
     DEFAULT_JOURNAL_EVENTS, JOURNAL_EVENTS_ENV,

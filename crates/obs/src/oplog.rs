@@ -49,7 +49,7 @@ use std::time::Instant;
 /// capacity in records. Unset means [`DEFAULT_OP_RECORDS`]; anything
 /// that does not parse as a positive integer is an env-parse error
 /// (warn once, keep the default) — the same contract as
-/// `AARRAY_OBS_EVENTS` and `AARRAY_OBS_HISTOGRAMS`.
+/// `AARRAY_OBS_EVENTS`.
 pub const OPS_ENV: &str = "AARRAY_OBS_OPS";
 
 /// Default ledger ring capacity in records when `AARRAY_OBS_OPS` is

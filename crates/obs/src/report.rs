@@ -24,8 +24,10 @@ use crate::oplog::{OpsReport, OP_KIND_NAMES};
 
 /// Schema version stamped into every JSON export; bumped whenever the
 /// shape of the report changes incompatibly. v4 added the `ops`
-/// section (per-operation ledger summary + per-kind tail percentiles).
-pub const REPORT_SCHEMA_VERSION: u64 = 4;
+/// section (per-operation ledger summary + per-kind tail percentiles);
+/// v5 dropped the per-row histograms `row.nnz`, `row.flops` and
+/// `accumulator.occupancy`.
+pub const REPORT_SCHEMA_VERSION: u64 = 5;
 
 /// A point-in-time capture of counters, gauges, histograms, and memory
 /// accounting. See the [module docs](self).
@@ -455,7 +457,7 @@ fn family(out: &mut String, name: &str, help: &str, ty: &str) {
     out.push_str(&format!("# TYPE {} {}\n", name, ty));
 }
 
-/// `accumulator.occupancy` → `accumulator_occupancy`.
+/// `delta.batch-edges` → `delta_batch_edges`.
 fn prom_name(label: &str) -> String {
     label
         .chars()
@@ -522,7 +524,7 @@ mod tests {
     #[test]
     fn json_is_sorted_and_parsable_shape() {
         let j = sample_report().to_json();
-        assert!(j.contains("\"schema_version\": 4"));
+        assert!(j.contains("\"schema_version\": 5"));
         // The ops section precedes the journal section and carries a
         // percentile entry per op kind.
         let ops = j.find("\"ops\"").unwrap();
@@ -629,7 +631,7 @@ mod tests {
 
     #[test]
     fn prometheus_every_family_has_help_and_type_exactly_once() {
-        // Round trip over a full v4 report: collect the declared
+        // Round trip over a full v5 report: collect the declared
         // families, then check every sample line resolves to exactly
         // one declared family with the right type class.
         let p = sample_report().to_prometheus();
@@ -773,10 +775,10 @@ mod tests {
     fn since_diffs_counters_and_buckets() {
         let before = ObsReport::capture();
         crate::counters().incr(crate::Counter::IntersectMerge);
-        histograms().get(crate::Hist::RowNnz).record(3);
+        histograms().get(crate::Hist::DispatchFlops).record(3);
         let delta = ObsReport::capture().since(&before);
         assert!(delta.counters.get(crate::Counter::IntersectMerge) >= 1);
-        let idx = crate::Hist::RowNnz as usize;
+        let idx = crate::Hist::DispatchFlops as usize;
         assert!(delta.histograms[idx].count() >= 1);
     }
 }

@@ -24,7 +24,7 @@ fn op_window_longer_than_the_ring_flags_lost_events() {
     let tok = OpToken::begin(OpKind::Kernel);
     journal().begin(Stage::Numeric, 1);
     for i in 0..200 {
-        journal().record(EventKind::RowShape, i, 0);
+        journal().record(EventKind::DispatchSerial, i, 0);
     }
     journal().end(Stage::Numeric, 1);
     tok.finish_into(&log);

@@ -68,11 +68,6 @@ impl<T> RowsBuf<T> {
         self.indices.push(j);
         self.values.push(v);
     }
-
-    /// Entries appended to the row being built so far.
-    pub(crate) fn row_len(&self) -> usize {
-        self.indices.len() - self.indptr.last().copied().unwrap_or(0)
-    }
 }
 
 impl<V: Value> RowsBuf<V> {

@@ -13,8 +13,8 @@ use crate::chunks::{assemble_rows, RowsBuf};
 use crate::csr::Csr;
 use aarray_algebra::{BinaryOp, OpPair, Value};
 use aarray_obs::{
-    counters, histograms, histograms_enabled, journal, memstats, Counter, EventKind, Hist,
-    MemRegion, MemReservation, OpKind, OpToken, Stage,
+    counters, journal, memstats, Counter, EventKind, MemRegion, MemReservation, OpKind, OpToken,
+    Stage,
 };
 use std::mem::size_of;
 
@@ -160,15 +160,6 @@ fn multiply_row<V, A, M>(
     A: BinaryOp<V>,
     M: BinaryOp<V>,
 {
-    // One gate check per row; when disabled, no per-row flop sums are
-    // computed and no histogram atomics are touched.
-    let record = histograms_enabled();
-    if record {
-        let (ks, _) = a.row(i);
-        let flops: u64 = ks.iter().map(|&k| b.row_nnz(k as usize) as u64).sum();
-        histograms().record(Hist::RowFlops, flops);
-        journal().record(EventKind::RowShape, i as u64, flops);
-    }
     let (ks, avs) = a.row(i);
     for (&k, av) in ks.iter().zip(avs.iter()) {
         let (js, bvs) = b.row(k as usize);
@@ -184,9 +175,6 @@ fn multiply_row<V, A, M>(
             }
         }
     }
-    if record {
-        histograms().record(Hist::AccOccupancy, scratch.touched.len() as u64);
-    }
     scratch.touched.sort_unstable();
     for &j in &scratch.touched {
         let v = scratch.slots[j as usize]
@@ -197,9 +185,6 @@ fn multiply_row<V, A, M>(
         }
     }
     scratch.touched.clear();
-    if record {
-        histograms().record(Hist::RowNnz, out.row_len() as u64);
-    }
 }
 
 #[cfg(test)]
@@ -349,35 +334,6 @@ mod tests {
         // tests in this binary run concurrently.
         assert!(delta.get(Counter::KernelSpa) >= 2, "{}", delta);
         assert!(delta.get(Counter::KernelParallel) >= 1, "{}", delta);
-    }
-
-    #[test]
-    fn row_histograms_record_from_kernels() {
-        // Histogram recording defaults to enabled; this test binary
-        // never disables it, so deltas must be visible. Registry is
-        // process-global, hence ≥ not ==.
-        let a = from_triples(2, 2, &[(0, 0, 1), (0, 1, 2), (1, 1, 3)]);
-        let b = from_triples(2, 2, &[(0, 0, 4), (1, 0, 5), (1, 1, 6)]);
-        let nnz_before = histograms().get(Hist::RowNnz).snapshot();
-        let flops_before = histograms().get(Hist::RowFlops).snapshot();
-        let occ_before = histograms().get(Hist::AccOccupancy).snapshot();
-        let _ = spgemm(&a, &b, &pt());
-        // Row-parallel drives the same per-row records from rayon
-        // workers (concurrent recording must not lose updates).
-        let _ = spgemm_parallel(&a, &b, &pt());
-        let nnz = histograms().get(Hist::RowNnz).snapshot().since(&nnz_before);
-        let flops = histograms()
-            .get(Hist::RowFlops)
-            .snapshot()
-            .since(&flops_before);
-        let occ = histograms()
-            .get(Hist::AccOccupancy)
-            .snapshot()
-            .since(&occ_before);
-        assert!(nnz.count() >= 4, "2 rows × 2 kernel runs");
-        assert!(flops.count() >= 4);
-        assert!(occ.count() >= 4, "every kernel run records occupancy");
-        assert!(nnz.max >= 2, "row 0 has two output entries");
     }
 
     #[test]

@@ -57,8 +57,7 @@ use crate::symbolic::SymbolicProduct;
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
 use aarray_obs::{
-    counters, histograms, histograms_enabled, journal, memstats, Counter, EventKind, Hist,
-    MemRegion, MemReservation, Stage,
+    counters, journal, memstats, Counter, EventKind, MemRegion, MemReservation, Stage,
 };
 use std::mem::size_of;
 
@@ -187,37 +186,22 @@ fn multiply_row_multi<'g, V: Value>(
     for (slot, &j) in srow.iter().enumerate() {
         slot_of[j as usize] = slot;
     }
-    let flops = fold_row(gather, pairs, i, nslots, accs, block, slot_of);
+    fold_row(gather, pairs, i, nslots, accs, block, slot_of);
     for &j in srow {
         slot_of[j as usize] = usize::MAX;
     }
 
-    let record = histograms_enabled();
-    if record {
-        // ⊗ applications actually performed: every term feeds K lanes.
-        histograms().record(Hist::RowFlops, flops * npairs as u64);
-        histograms().record(Hist::RowNnz, nslots as u64);
-        journal().record(EventKind::RowShape, i as u64, flops * npairs as u64);
-    }
     // Emit each lane in slot (= ascending column) order, pruning the
     // lane's own ⊕-produced zeros: the implicit-zero invariant is
     // per-algebra, so lanes may legitimately emit different patterns.
     for (p, (pair, out)) in pairs.iter().zip(outs.iter_mut()).enumerate() {
         let lane = &mut accs[p * nslots..(p + 1) * nslots];
-        let mut occupied = 0u64;
         for (cell, &j) in lane.iter_mut().zip(srow) {
             if let Some(v) = cell.take() {
-                occupied += 1;
                 if !pair.is_zero(&v) {
                     out.push(j, v);
                 }
             }
-        }
-        if record {
-            // Per-lane filled slots (pre-zero-prune) against the
-            // symbolic pattern's nslots: how tight the structural
-            // bound is for this algebra.
-            histograms().record(Hist::AccOccupancy, occupied);
         }
     }
 }
@@ -225,8 +209,7 @@ fn multiply_row_multi<'g, V: Value>(
 /// The shared traversal: collect every term of row `i`, in ascending
 /// edge order, into `block`, and flush the block to all `K` lanes
 /// whenever it fills and once at the end of the row. `slot_of` maps
-/// each of the row's output columns to its slot. Returns the row's
-/// term count.
+/// each of the row's output columns to its slot.
 fn fold_row<'g, V: Value>(
     gather: &'g EdgeGather<'_, V>,
     pairs: &[&dyn DynOpPair<V>],
@@ -235,20 +218,16 @@ fn fold_row<'g, V: Value>(
     accs: &mut [Option<V>],
     block: &mut Vec<Term<'g, V>>,
     slot_of: &[usize],
-) -> u64 {
-    let mut flops = 0u64;
+) {
     gather.for_each_term(i, |j, tail, head| {
         let slot = slot_of[j as usize];
         debug_assert!(slot < nslots, "numeric term outside symbolic pattern");
         block.push((slot, tail, head));
         if block.len() == FOLD_BLOCK {
-            flops += FOLD_BLOCK as u64;
             flush(pairs, nslots, accs, block);
         }
     });
-    flops += block.len() as u64;
     flush(pairs, nslots, accs, block);
-    flops
 }
 
 /// Fold the gathered terms into every lane (lane `p` is
@@ -467,25 +446,15 @@ mod tests {
     }
 
     #[test]
-    fn fused_scratch_memory_and_occupancy_recorded() {
+    fn fused_scratch_memory_recorded() {
         let (a, b) = operands();
         let pt = PlusTimes::<Nat>::new();
         let mm = MaxMin::<Nat>::new();
         let pairs: Vec<&dyn DynOpPair<Nat>> = vec![&pt, &mm];
-        let occ_before = histograms().get(Hist::AccOccupancy).snapshot();
-        let nnz_before = histograms().get(Hist::RowNnz).snapshot();
         let _ = fused(&a, &b, &pairs, false);
         // Slot map alone is ncols × 8 bytes; the SoA block adds more.
         assert!(
             memstats().peak(MemRegion::FusedAccumulator) >= (b.ncols() * size_of::<usize>()) as u64
         );
-        let occ = histograms()
-            .get(Hist::AccOccupancy)
-            .snapshot()
-            .since(&occ_before);
-        // 4 rows × 2 lanes = 8 lane-rows recorded.
-        assert!(occ.count() >= 8, "per-lane occupancy recorded");
-        let nnz = histograms().get(Hist::RowNnz).snapshot().since(&nnz_before);
-        assert!(nnz.count() >= 4, "per-row structural nnz recorded");
     }
 }

@@ -126,7 +126,7 @@ fn wraparound_under_contention_keeps_exact_drop_accounting() {
             std::thread::spawn(move || {
                 for i in 0..REPS {
                     let v = (t << 32) | i;
-                    j.record(EventKind::RowShape, v, v);
+                    j.record(EventKind::DispatchSerial, v, v);
                 }
             })
         })
