@@ -73,6 +73,15 @@ pub trait DynOpPair<V: Value>: Send + Sync {
     /// whether blocked `A ⊕= ΔEᵀ·ΔE` accumulation is exact or must
     /// fall back to a full rebuild.
     fn plus_associative(&self) -> bool;
+
+    /// Whether the pair's `⊕` is verified commutative bit for bit on
+    /// `V`.
+    ///
+    /// `false` by default through [`crate::op::BinaryOp::COMMUTATIVE`];
+    /// the incremental adjacency layer replays a batch that interleaves
+    /// with older edge keys only on lanes whose `⊕` is associative and
+    /// commutative, and rebuilds the rest.
+    fn plus_commutative(&self) -> bool;
 }
 
 impl<V: Value, A: BinaryOp<V>, M: BinaryOp<V>> DynOpPair<V> for OpPair<V, A, M> {
@@ -113,6 +122,10 @@ impl<V: Value, A: BinaryOp<V>, M: BinaryOp<V>> DynOpPair<V> for OpPair<V, A, M> 
 
     fn plus_associative(&self) -> bool {
         A::ASSOCIATIVE
+    }
+
+    fn plus_commutative(&self) -> bool {
+        A::COMMUTATIVE
     }
 }
 
@@ -184,6 +197,8 @@ mod tests {
 
     #[test]
     fn plus_associative_is_per_carrier() {
+        use crate::ops::{Concat, Max};
+        use crate::values::bstr::BStr;
         use crate::values::nn::NN;
         let pt_nat = PlusTimes::<Nat>::new();
         let pt_nn = PlusTimes::<NN>::new();
@@ -195,6 +210,17 @@ mod tests {
         assert!(!(&pt_nn as &dyn DynOpPair<NN>).plus_associative());
         assert!((&mm as &dyn DynOpPair<NN>).plus_associative());
         assert!((&mp as &dyn DynOpPair<Tropical>).plus_associative());
+        // Commutative bit for bit: Nat addition, float addition, NN max
+        // (NN has no -0.0); tropical max is not, since its domain has
+        // -0.0 and a tie returns the right operand.
+        assert!((&pt_nat as &dyn DynOpPair<Nat>).plus_commutative());
+        assert!((&pt_nn as &dyn DynOpPair<NN>).plus_commutative());
+        assert!((&mm as &dyn DynOpPair<NN>).plus_commutative());
+        assert!(!(&mp as &dyn DynOpPair<Tropical>).plus_commutative());
+        // Associative but never commutative: string concatenation.
+        let concat: OpPair<BStr, Concat, Max> = OpPair::new();
+        let concat: &dyn DynOpPair<BStr> = &concat;
+        assert!(concat.plus_associative() && !concat.plus_commutative());
     }
 
     #[test]

@@ -37,6 +37,24 @@ pub trait BinaryOp<V: Value>: Copy + Default + fmt::Debug + Send + Sync + 'stati
     /// the `⊕` fold and is only exact when `⊕` is associative.
     const ASSOCIATIVE: bool = false;
 
+    /// Whether `a ∘ b` and `b ∘ a` are equal **bit for bit** on this
+    /// value set.
+    ///
+    /// Defaults to `false`, and like [`BinaryOp::ASSOCIATIVE`] it is
+    /// asserted only where verified: each `true` override carries a
+    /// matching [`CommutativeOp`] marker and is pinned by a bitwise law
+    /// test. Bitwise is stricter than the marker's `==`: the float
+    /// `Max`/`Min` of `Tropical` and `Unit` are commutative up to `==`
+    /// but not in their bits, because their domains admit `-0.0` and a
+    /// tie returns one operand, so `max(-0.0, +0.0)` and
+    /// `max(+0.0, -0.0)` differ in sign. They stay `false`.
+    ///
+    /// Consumed at runtime through
+    /// [`crate::dynpair::DynOpPair::plus_commutative`]: an incremental
+    /// refresh may fold a batch whose edge keys interleave with older
+    /// ones only into lanes whose `⊕` is associative *and* commutative.
+    const COMMUTATIVE: bool = false;
+
     /// Apply the operation: `a ∘ b`.
     fn apply(&self, a: &V, b: &V) -> V;
 
@@ -138,6 +156,12 @@ impl<V: Value, A: BinaryOp<V>, M: BinaryOp<V>> OpPair<V, A, M> {
     /// runtime face of the [`AssociativePlus`] capability.
     pub fn plus_associative(&self) -> bool {
         A::ASSOCIATIVE
+    }
+
+    /// Whether this pair's `⊕` is verified commutative bit for bit on
+    /// `V` ([`BinaryOp::COMMUTATIVE`]).
+    pub fn plus_commutative(&self) -> bool {
+        A::COMMUTATIVE
     }
 }
 

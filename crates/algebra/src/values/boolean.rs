@@ -15,6 +15,7 @@ use rand::Rng;
 impl BinaryOp<bool> for Or {
     const NAME: &'static str = "∨";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &bool, b: &bool) -> bool {
         *a || *b
     }
@@ -26,6 +27,7 @@ impl BinaryOp<bool> for Or {
 impl BinaryOp<bool> for And {
     const NAME: &'static str = "∧";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &bool, b: &bool) -> bool {
         *a && *b
     }
@@ -37,6 +39,7 @@ impl BinaryOp<bool> for And {
 impl BinaryOp<bool> for Xor {
     const NAME: &'static str = "⊻";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &bool, b: &bool) -> bool {
         *a ^ *b
     }

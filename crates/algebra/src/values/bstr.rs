@@ -63,6 +63,7 @@ impl From<&str> for BStr {
 impl BinaryOp<BStr> for Max {
     const NAME: &'static str = "max";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &BStr, b: &BStr) -> BStr {
         if a >= b {
             a.clone()
@@ -78,6 +79,7 @@ impl BinaryOp<BStr> for Max {
 impl BinaryOp<BStr> for Min {
     const NAME: &'static str = "min";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &BStr, b: &BStr) -> BStr {
         if a <= b {
             a.clone()

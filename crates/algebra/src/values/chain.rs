@@ -49,6 +49,7 @@ impl<const N: u32> fmt::Display for Chain<N> {
 impl<const N: u32> BinaryOp<Chain<N>> for Max {
     const NAME: &'static str = "max";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Chain<N>, b: &Chain<N>) -> Chain<N> {
         *a.max(b)
     }
@@ -60,6 +61,7 @@ impl<const N: u32> BinaryOp<Chain<N>> for Max {
 impl<const N: u32> BinaryOp<Chain<N>> for Min {
     const NAME: &'static str = "min";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Chain<N>, b: &Chain<N>) -> Chain<N> {
         *a.min(b)
     }

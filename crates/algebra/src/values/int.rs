@@ -13,6 +13,7 @@ use rand::Rng;
 
 impl BinaryOp<i64> for Plus {
     const NAME: &'static str = "+";
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &i64, b: &i64) -> i64 {
         a.saturating_add(*b)
     }
@@ -23,6 +24,7 @@ impl BinaryOp<i64> for Plus {
 
 impl BinaryOp<i64> for Times {
     const NAME: &'static str = "×";
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &i64, b: &i64) -> i64 {
         a.saturating_mul(*b)
     }
@@ -34,6 +36,7 @@ impl BinaryOp<i64> for Times {
 impl BinaryOp<i64> for Max {
     const NAME: &'static str = "max";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &i64, b: &i64) -> i64 {
         *a.max(b)
     }
@@ -45,6 +48,7 @@ impl BinaryOp<i64> for Max {
 impl BinaryOp<i64> for Min {
     const NAME: &'static str = "min";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &i64, b: &i64) -> i64 {
         *a.min(b)
     }

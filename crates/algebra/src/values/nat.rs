@@ -56,6 +56,7 @@ fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
 impl BinaryOp<Nat> for Plus {
     const NAME: &'static str = "+";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         Nat(a.0.saturating_add(b.0))
     }
@@ -67,6 +68,7 @@ impl BinaryOp<Nat> for Plus {
 impl BinaryOp<Nat> for Times {
     const NAME: &'static str = "×";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         Nat(a.0.saturating_mul(b.0))
     }
@@ -78,6 +80,7 @@ impl BinaryOp<Nat> for Times {
 impl BinaryOp<Nat> for TimesTop {
     const NAME: &'static str = "×";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         // ⊤ absorbs first (it plays the role of +∞ for min-pairs),
         // then ordinary saturating multiplication.
@@ -95,6 +98,7 @@ impl BinaryOp<Nat> for TimesTop {
 impl BinaryOp<Nat> for Max {
     const NAME: &'static str = "max";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         *a.max(b)
     }
@@ -106,6 +110,7 @@ impl BinaryOp<Nat> for Max {
 impl BinaryOp<Nat> for Min {
     const NAME: &'static str = "min";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         *a.min(b)
     }
@@ -116,6 +121,7 @@ impl BinaryOp<Nat> for Min {
 
 impl BinaryOp<Nat> for AbsDiff {
     const NAME: &'static str = "|−|";
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         Nat(a.0.abs_diff(b.0))
     }
@@ -127,6 +133,7 @@ impl BinaryOp<Nat> for AbsDiff {
 impl BinaryOp<Nat> for Gcd {
     const NAME: &'static str = "gcd";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         Nat(gcd_u64(a.0, b.0))
     }
@@ -137,6 +144,7 @@ impl BinaryOp<Nat> for Gcd {
 
 impl BinaryOp<Nat> for Lcm {
     const NAME: &'static str = "lcm";
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         if a.0 == 0 || b.0 == 0 {
             Nat(0)
@@ -174,6 +182,7 @@ impl CommutativeOp<Nat> for crate::ops::Xor {}
 impl BinaryOp<Nat> for crate::ops::Xor {
     const NAME: &'static str = "⊻";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         Nat(a.0 ^ b.0)
     }

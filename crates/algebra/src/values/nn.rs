@@ -113,6 +113,7 @@ impl From<u32> for NN {
 
 impl BinaryOp<NN> for Plus {
     const NAME: &'static str = "+";
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
         // Both operands ≥ 0, so no ∞ + -∞ and no NaN.
         NN(a.0 + b.0)
@@ -125,6 +126,7 @@ impl BinaryOp<NN> for Plus {
 impl BinaryOp<NN> for Times {
     const NAME: &'static str = "×";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
         // Bottom absorbs: 0 × ∞ = 0 here, keeping 0 an annihilator as
         // Theorem II.1(c) requires for the pairs whose zero is 0.
@@ -142,6 +144,7 @@ impl BinaryOp<NN> for Times {
 impl BinaryOp<NN> for TimesTop {
     const NAME: &'static str = "×";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
         // Top absorbs: x × ∞ = ∞ (including x = 0), keeping ∞ an
         // annihilator for the min-pairs whose zero is ∞.
@@ -161,6 +164,7 @@ impl BinaryOp<NN> for TimesTop {
 impl BinaryOp<NN> for Max {
     const NAME: &'static str = "max";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
         // `Ord::max` (ties give `b`) written as one float compare. This
         // form always compiles to a branch-free `max`; through
@@ -179,6 +183,7 @@ impl BinaryOp<NN> for Max {
 impl BinaryOp<NN> for Min {
     const NAME: &'static str = "min";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
         // `Ord::min` (ties give `a`) as one float compare, as for `Max`.
         if b.0 < a.0 {
@@ -194,6 +199,7 @@ impl BinaryOp<NN> for Min {
 
 impl BinaryOp<NN> for AbsDiff {
     const NAME: &'static str = "|−|";
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
         if a.is_infinite() && b.is_infinite() {
             NN::ZERO // |∞ − ∞| := 0 keeps the op closed and NaN-free.

@@ -91,6 +91,7 @@ impl<const N: u8> fmt::Display for PowerSet<N> {
 impl<const N: u8> BinaryOp<PowerSet<N>> for Union {
     const NAME: &'static str = "∪";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &PowerSet<N>, b: &PowerSet<N>) -> PowerSet<N> {
         PowerSet(a.0 | b.0)
     }
@@ -102,6 +103,7 @@ impl<const N: u8> BinaryOp<PowerSet<N>> for Union {
 impl<const N: u8> BinaryOp<PowerSet<N>> for Intersect {
     const NAME: &'static str = "∩";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &PowerSet<N>, b: &PowerSet<N>) -> PowerSet<N> {
         PowerSet(a.0 & b.0)
     }
@@ -113,6 +115,7 @@ impl<const N: u8> BinaryOp<PowerSet<N>> for Intersect {
 impl<const N: u8> BinaryOp<PowerSet<N>> for SymDiff {
     const NAME: &'static str = "Δ";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &PowerSet<N>, b: &PowerSet<N>) -> PowerSet<N> {
         PowerSet(a.0 ^ b.0)
     }

@@ -94,6 +94,7 @@ impl BinaryOp<Tropical> for Max {
 
 impl BinaryOp<Tropical> for Plus {
     const NAME: &'static str = "+";
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Tropical, b: &Tropical) -> Tropical {
         // finite + finite, or anything + -∞ = -∞; +∞ excluded, no NaN.
         Tropical(a.0 + b.0)
@@ -123,6 +124,9 @@ impl BinaryOp<Tropical> for Min {
 }
 
 impl AssociativeOp<Tropical> for Max {}
+// Commutative up to `==`, but `COMMUTATIVE` stays false: the domain
+// admits `-0.0` and a tie returns `b`, so `max(-0.0, +0.0)` and
+// `max(+0.0, -0.0)` differ in their sign bit.
 impl CommutativeOp<Tropical> for Max {}
 impl CommutativeOp<Tropical> for Plus {}
 

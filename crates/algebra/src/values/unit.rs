@@ -108,6 +108,7 @@ impl BinaryOp<Unit> for Min {
 
 impl BinaryOp<Unit> for Times {
     const NAME: &'static str = "×";
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Unit, b: &Unit) -> Unit {
         Unit(a.0 * b.0)
     }
@@ -118,6 +119,7 @@ impl BinaryOp<Unit> for Times {
 
 impl BinaryOp<Unit> for ProbOr {
     const NAME: &'static str = "⊕ₚ";
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Unit, b: &Unit) -> Unit {
         // a + b − ab ∈ [0, 1] for a, b ∈ [0, 1]; clamp guards rounding.
         Unit((a.0 + b.0 - a.0 * b.0).clamp(0.0, 1.0))
@@ -129,6 +131,9 @@ impl BinaryOp<Unit> for ProbOr {
 
 impl AssociativeOp<Unit> for Max {}
 impl AssociativeOp<Unit> for Min {}
+// Max and Min are commutative up to `==` only: `Unit::new` accepts
+// `-0.0` and a tie returns one operand, so their `COMMUTATIVE` stays
+// false (see `Tropical`'s `Max`).
 impl CommutativeOp<Unit> for Max {}
 impl CommutativeOp<Unit> for Min {}
 impl CommutativeOp<Unit> for Times {}

@@ -90,6 +90,7 @@ impl fmt::Display for WordSet {
 impl BinaryOp<WordSet> for Union {
     const NAME: &'static str = "∪";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &WordSet, b: &WordSet) -> WordSet {
         match (a, b) {
             (WordSet::All, _) | (_, WordSet::All) => WordSet::All,
@@ -104,6 +105,7 @@ impl BinaryOp<WordSet> for Union {
 impl BinaryOp<WordSet> for Intersect {
     const NAME: &'static str = "∩";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &WordSet, b: &WordSet) -> WordSet {
         match (a, b) {
             (WordSet::All, other) | (other, WordSet::All) => other.clone(),

@@ -38,6 +38,7 @@ impl<const N: u64> fmt::Display for Zn<N> {
 impl<const N: u64> BinaryOp<Zn<N>> for Plus {
     const NAME: &'static str = "+";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Zn<N>, b: &Zn<N>) -> Zn<N> {
         Zn((a.0 + b.0) % N)
     }
@@ -49,6 +50,7 @@ impl<const N: u64> BinaryOp<Zn<N>> for Plus {
 impl<const N: u64> BinaryOp<Zn<N>> for Times {
     const NAME: &'static str = "×";
     const ASSOCIATIVE: bool = true;
+    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Zn<N>, b: &Zn<N>) -> Zn<N> {
         Zn((a.0 * b.0) % N)
     }

@@ -19,22 +19,28 @@
 //! A from-scratch rebuild folds each output entry left-associated over
 //! **all** edge keys ascending. The incremental path folds the old
 //! edges first (that fold is the cached entry) and the batch edges
-//! after. The two agree exactly when
+//! after. The two agree exactly when `⊕` is associative — witnessed by
+//! the [`aarray_algebra::AssociativePlus`] capability, surfaced at
+//! runtime as [`DynOpPair::plus_associative`] — and either
 //!
-//! 1. `⊕` is associative — witnessed by the
-//!    [`aarray_algebra::AssociativePlus`] capability, surfaced at
-//!    runtime as [`DynOpPair::plus_associative`]; and
-//! 2. batch edge keys sort strictly **after** every existing edge key,
-//!    so "old fold, then batch fold" is the ascending fold order.
+//! 1. batch edge keys sort strictly **after** every existing edge key
+//!    ([`BatchKind::Ordered`]), so "old fold, then batch fold" is the
+//!    ascending fold order; or
+//! 2. `⊕` is also commutative bit for bit
+//!    ([`DynOpPair::plus_commutative`]), so a batch whose edge keys
+//!    interleave with older ones ([`BatchKind::OutOfOrder`], a
+//!    *barrier*) may be folded in after them all the same.
 //!
 //! (Pruned zeros cannot break this: zero is the `⊕`-identity, so a
 //! pruned partial fold re-enters the continued fold as a no-op.)
 //!
 //! Lanes whose `⊕` is not associative — e.g. `+.×` over floating-point
-//! `NN`, the paper's Figure 3 headline pair — and refreshes crossing an
-//! out-of-order batch degrade to a **counted full rebuild**
+//! `NN`, the paper's Figure 3 headline pair — and associative lanes
+//! whose `⊕` is not commutative (string concatenation) on a refresh
+//! crossing a barrier degrade to a **counted full rebuild**
 //! ([`Counter::IncrementalFallback`]): correctness never depends on the
-//! fast path applying, only latency does.
+//! fast path applying, only latency does. The max/min lanes replay
+//! every batch, ordered or not.
 //!
 //! ```
 //! use aarray_core::incremental::{AdjacencyView, IncidenceBuilder};
@@ -55,7 +61,7 @@
 
 use crate::array::AArray;
 use crate::incidence::adjacency_plan;
-use crate::keys::KeySet;
+use crate::keys::{KeyDict, KeySet};
 use crate::matmul::{parallel_flops_threshold, would_parallelize};
 use aarray_algebra::dynpair::DynOpPair;
 use aarray_algebra::Value;
@@ -63,7 +69,7 @@ use aarray_obs::{counters, histograms, journal, Counter, EventKind, Hist, OpKind
 use aarray_sparse::spgemm_delta::spgemm_delta;
 use aarray_sparse::Csr;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Why an appended batch was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,8 +109,9 @@ pub enum BatchKind {
     Ordered,
     /// Batch edge keys interleave with existing ones. The cumulative
     /// incidence is still correct, but ascending-fold order can no
-    /// longer be decomposed as "old, then new", so views crossing this
-    /// batch must fully rebuild.
+    /// longer be decomposed as "old, then new": a view crossing this
+    /// batch replays it only on lanes whose `⊕` is commutative as well
+    /// as associative, and rebuilds its other lanes.
     OutOfOrder,
 }
 
@@ -113,14 +120,16 @@ pub enum BatchKind {
 struct LogEntry<V: Value> {
     d_out: AArray<V>,
     d_in: AArray<V>,
-    /// Whether the batch was [`BatchKind::Ordered`]. Views whose
-    /// refresh crosses an out-of-order entry cannot replay deltas and
-    /// must rebuild.
+    /// Whether the batch was [`BatchKind::Ordered`]. A refresh crossing
+    /// an out-of-order entry replays only on commutative lanes.
     ordered: bool,
 }
 
 /// A cumulative incidence pair `(Eout, Ein)`.
 type Pair<V> = (AArray<V>, AArray<V>);
+
+/// One logged incidence block `(ΔEout, ΔEin)`, or the stacked base.
+type Block<'a, V> = (&'a AArray<V>, &'a AArray<V>);
 
 /// A growing incidence pair `(Eout, Ein)` accepting appended edge
 /// batches, with a generation counter for staleness tracking.
@@ -130,9 +139,9 @@ type Pair<V> = (AArray<V>, AArray<V>);
 /// like [`AArray`] itself: values are stored as given and only
 /// interpreted when a view multiplies them under concrete `⊕.⊗` lanes.
 ///
-/// The appended blocks are the storage: an ordered append is a push
-/// onto the batch log, and the stacked cumulative pair is built only
-/// when something reads it (see [`IncidenceBuilder::eout`]).
+/// The appended blocks are the storage: an append is a check plus a
+/// push onto the batch log, and the stacked cumulative pair is built
+/// only when something reads it (see [`IncidenceBuilder::eout`]).
 pub struct IncidenceBuilder<V: Value> {
     /// The stacked cumulative pair as of `log[..base_len]`.
     base: Pair<V>,
@@ -143,10 +152,46 @@ pub struct IncidenceBuilder<V: Value> {
     cache: OnceLock<Pair<V>>,
     /// `log[g]` records the append that produced generation `g + 1`.
     log: Vec<LogEntry<V>>,
+    /// Every edge key so far, for the duplicate check.
+    edge_ids: EdgeIds,
     /// Row keys of the block holding the largest edge key: the ordered
     /// check of the next batch runs against these alone.
     last_rows: KeySet,
     n_edges: usize,
+}
+
+/// A set of edge keys as a bitset over the ids of one dictionary, so
+/// checking a batch for duplicates costs `O(batch)` however many edges
+/// came before.
+struct EdgeIds {
+    dict: Arc<KeyDict>,
+    bits: Vec<u64>,
+}
+
+impl EdgeIds {
+    fn new(keys: &KeySet) -> Self {
+        let mut set = EdgeIds {
+            dict: keys.dict().clone(),
+            bits: Vec::new(),
+        };
+        set.insert(keys.ids());
+        set
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        let (word, bit) = (id as usize / 64, id % 64);
+        self.bits.get(word).is_some_and(|w| w >> bit & 1 == 1)
+    }
+
+    fn insert(&mut self, ids: &[u32]) {
+        for &id in ids {
+            let (word, bit) = (id as usize / 64, id % 64);
+            if word >= self.bits.len() {
+                self.bits.resize(word + 1, 0);
+            }
+            self.bits[word] |= 1 << bit;
+        }
+    }
 }
 
 impl<V: Value> IncidenceBuilder<V> {
@@ -158,6 +203,7 @@ impl<V: Value> IncidenceBuilder<V> {
             return Err(BatchError::EdgeKeysMismatch);
         }
         Ok(IncidenceBuilder {
+            edge_ids: EdgeIds::new(eout.row_keys()),
             last_rows: eout.row_keys().clone(),
             n_edges: eout.row_keys().len(),
             base: (eout, ein),
@@ -169,9 +215,9 @@ impl<V: Value> IncidenceBuilder<V> {
 
     /// The cumulative out-incidence `Eout` (edges × out-vertices).
     ///
-    /// The first read after ordered appends stacks the pending blocks
-    /// onto the last stacked pair, `O(total nnz)` once; later reads
-    /// until the next append are free.
+    /// The first read after appends stacks the pending blocks onto the
+    /// last stacked pair, `O(total nnz)` once; later reads until the
+    /// next append are free.
     pub fn eout(&self) -> &AArray<V> {
         &self.cumulative().0
     }
@@ -199,16 +245,17 @@ impl<V: Value> IncidenceBuilder<V> {
     /// grow the cumulative key sets (union growth).
     ///
     /// Returns how the batch was classified: [`BatchKind::Ordered`]
-    /// batches are eligible for incremental view refresh; accepted
-    /// [`BatchKind::OutOfOrder`] batches force crossing views to
+    /// batches are replayed by every associative lane of a refreshing
+    /// view; accepted [`BatchKind::OutOfOrder`] batches only by lanes
+    /// whose `⊕` is also commutative, and the view's other lanes
     /// rebuild (see the module docs for why fold order matters).
     ///
-    /// An ordered batch costs `O(batch)`: it is checked against the
-    /// block holding the largest edge key and pushed onto the log. An
-    /// out-of-order batch may collide with any earlier edge key, so it
-    /// is stacked with the whole incidence at once, `O(total nnz)`; the
-    /// stacking finds collisions, and the barrier refresh that follows
-    /// reads the result without building again.
+    /// Either kind costs `O(batch)` and stacks nothing. The batch is
+    /// ordered if its keys sort after those of the block holding the
+    /// largest edge key. Only an out-of-order batch can collide with an
+    /// earlier edge key; its keys are looked up in a bitset over the
+    /// dictionary ids of every edge key so far. A batch whose keys live
+    /// in another [`KeyDict`] is mapped into the builder's first.
     pub fn append_batch(
         &mut self,
         d_out: AArray<V>,
@@ -217,31 +264,28 @@ impl<V: Value> IncidenceBuilder<V> {
         if d_out.row_keys() != d_in.row_keys() {
             return Err(BatchError::EdgeKeysMismatch);
         }
-        if d_out.row_keys().is_empty() {
+        let batch_keys = d_out.row_keys();
+        if batch_keys.is_empty() {
             return Err(BatchError::EmptyBatch);
+        }
+        // Integer-space checks: no string materialization for a batch
+        // in the builder's dictionary.
+        let ordered = batch_keys.all_after(&self.last_rows);
+        let ids = batch_keys.ids_in(&self.edge_ids.dict);
+        if !ordered {
+            if let Some(j) = ids.iter().position(|&id| self.edge_ids.contains(id)) {
+                return Err(BatchError::DuplicateEdgeKey(batch_keys.key(j).to_string()));
+            }
+        }
+        self.edge_ids.insert(&ids);
+        if batch_keys.any_after(&self.last_rows) {
+            self.last_rows = batch_keys.clone();
         }
         // A pair some reader stacked covers the whole log: keep it as
         // the base so later builds only extend it.
         if let Some(built) = self.cache.take() {
             self.base = built;
             self.base_len = self.log.len();
-        }
-        let batch_keys = d_out.row_keys();
-        // Integer-space ordering check: no string materialization.
-        let ordered = batch_keys.all_after(&self.last_rows);
-        if ordered {
-            self.last_rows = batch_keys.clone();
-        } else {
-            let (pair, max_block) = {
-                let mut blocks = self.pending_blocks();
-                blocks.push((&d_out, &d_in));
-                stack_blocks(&blocks)?
-            };
-            if max_block == self.log.len() - self.base_len + 1 {
-                self.last_rows = batch_keys.clone();
-            }
-            self.base = pair;
-            self.base_len = self.log.len() + 1;
         }
 
         let n_batch_edges = batch_keys.len();
@@ -262,7 +306,7 @@ impl<V: Value> IncidenceBuilder<V> {
     }
 
     /// The stacked base followed by the pending logged blocks.
-    fn pending_blocks(&self) -> Vec<(&AArray<V>, &AArray<V>)> {
+    fn pending_blocks(&self) -> Vec<Block<'_, V>> {
         std::iter::once((&self.base.0, &self.base.1))
             .chain(
                 self.log[self.base_len..]
@@ -277,49 +321,30 @@ impl<V: Value> IncidenceBuilder<V> {
         if self.base_len == self.log.len() {
             return &self.base;
         }
-        self.cache.get_or_init(|| {
-            stack_blocks(&self.pending_blocks())
-                .expect("logged blocks have disjoint edge keys")
-                .0
-        })
+        self.cache
+            .get_or_init(|| stack_blocks(&self.pending_blocks()))
     }
 
-    /// The logged batches appended after `since_generation`, or `None`
-    /// if an out-of-order barrier lies in that range (replay is then
-    /// impossible and the caller must rebuild).
-    fn deltas_since(&self, since_generation: u64) -> Option<Vec<(&AArray<V>, &AArray<V>)>> {
-        self.log[since_generation as usize..]
-            .iter()
-            .map(|e| e.ordered.then_some((&e.d_out, &e.d_in)))
-            .collect()
+    /// The logged blocks appended after `since_generation`, and whether
+    /// an out-of-order batch (a barrier) lies among them.
+    fn batches_since(&self, since_generation: u64) -> (Vec<Block<'_, V>>, bool) {
+        let entries = &self.log[since_generation as usize..];
+        let blocks = entries.iter().map(|e| (&e.d_out, &e.d_in)).collect();
+        (blocks, entries.iter().any(|e| !e.ordered))
     }
 }
 
-/// Stack incidence blocks with pairwise disjoint edge keys into one
-/// pair over the union key sets, returning it with the index of the
-/// block that holds the largest edge key. Fails with
-/// [`BatchError::DuplicateEdgeKey`], naming a key of the last block,
-/// if the edge keys are not disjoint — only a candidate batch can
-/// collide, and it is passed last.
-fn stack_blocks<V: Value>(
-    blocks: &[(&AArray<V>, &AArray<V>)],
-) -> Result<(Pair<V>, usize), BatchError> {
+/// Stack incidence blocks with pairwise disjoint edge keys — the
+/// builder rejects duplicates at append — into one pair over the union
+/// key sets.
+fn stack_blocks<V: Value>(blocks: &[Block<'_, V>]) -> Pair<V> {
     let row_sets: Vec<&KeySet> = blocks.iter().map(|(o, _)| o.row_keys()).collect();
     let (rows, row_maps) = KeySet::union_many(&row_sets);
-    let last = blocks.len() - 1;
-    if rows.len() < row_sets.iter().map(|k| k.len()).sum() {
-        let mut claimed = vec![false; rows.len()];
-        for &d in row_maps[..last].iter().flatten() {
-            claimed[d] = true;
-        }
-        let j = row_maps[last]
-            .iter()
-            .position(|&d| claimed[d])
-            .expect("a collision involves the last block");
-        return Err(BatchError::DuplicateEdgeKey(
-            row_sets[last].key(j).to_string(),
-        ));
-    }
+    debug_assert_eq!(
+        rows.len(),
+        row_sets.iter().map(|k| k.len()).sum::<usize>(),
+        "logged blocks have disjoint edge keys"
+    );
     // Every union row is exactly one block row: record which.
     let mut src = vec![(0usize, 0usize); rows.len()];
     for (b, map) in row_maps.iter().enumerate() {
@@ -327,14 +352,12 @@ fn stack_blocks<V: Value>(
             src[d] = (b, r);
         }
     }
-    let max_block = src.last().map_or(0, |&(b, _)| b);
     let outs: Vec<&AArray<V>> = blocks.iter().map(|(o, _)| *o).collect();
     let ins: Vec<&AArray<V>> = blocks.iter().map(|(_, i)| *i).collect();
-    let pair = (
+    (
         stack_side(&outs, &rows, &src),
         stack_side(&ins, &rows, &src),
-    );
-    Ok((pair, max_block))
+    )
 }
 
 /// One side of [`stack_blocks`]: row `d` of the result is row
@@ -425,13 +448,16 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     /// Bring every lane up to the builder's generation.
     ///
     /// Lanes whose `⊕` is associative ([`DynOpPair::plus_associative`])
-    /// replay the pending ordered batches: one fused
-    /// [`spgemm_delta`] traversal per batch feeding those lanes
-    /// (row-parallel only when the batch product's flops pass the
-    /// planner's dispatch threshold), then a
-    /// union `⊕`-merge per lane ([`Counter::IncrementalApply`], one
-    /// [`OpKind::DeltaApply`] ledger record). All other lanes —
-    /// non-associative `⊕`, or any refresh crossing an out-of-order
+    /// replay the pending batches — when one of them is out of order,
+    /// only lanes whose `⊕` is also commutative
+    /// ([`DynOpPair::plus_commutative`]) do: one fused [`spgemm_delta`]
+    /// traversal per batch feeding those lanes (row-parallel only when
+    /// the batch product's flops pass the planner's dispatch
+    /// threshold), then a union `⊕`-merge per lane
+    /// ([`Counter::IncrementalApply`], one [`OpKind::DeltaApply`] ledger
+    /// record). Replay reads only the logged blocks, never the stacked
+    /// incidence. All other lanes — non-associative `⊕`, or associative
+    /// but not commutative `⊕` on a refresh crossing an out-of-order
     /// batch — are recomputed from the cumulative incidence in one fused
     /// rebuild traversal ([`Counter::IncrementalFallback`], one
     /// [`OpKind::Rebuild`] ledger record).
@@ -441,23 +467,23 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
         }
         let mut report = RefreshReport::default();
 
-        let deltas = builder.deltas_since(self.generation);
-        let (inc_idx, reb_idx): (Vec<usize>, Vec<usize>) = match &deltas {
-            // No barrier in range: associative-⊕ lanes replay deltas.
-            Some(_) => (0..self.pairs.len()).partition(|&i| self.pairs[i].plus_associative()),
-            // Barrier: nobody can replay.
-            None => (Vec::new(), (0..self.pairs.len()).collect()),
-        };
+        let (batches, barrier) = builder.batches_since(self.generation);
+        // Folding the batches in after the cached lane reorders its ⊕
+        // fold: exact for associative ⊕, and across a barrier for
+        // associative and commutative ⊕.
+        let (inc_idx, reb_idx): (Vec<usize>, Vec<usize>) = (0..self.pairs.len()).partition(|&i| {
+            let pair = self.pairs[i];
+            pair.plus_associative() && (!barrier || pair.plus_commutative())
+        });
 
         if !inc_idx.is_empty() {
             let mut op = OpToken::begin_if_root(OpKind::DeltaApply);
-            let batches = deltas.as_ref().expect("checked above");
             let inc_pairs: Vec<&dyn DynOpPair<V>> =
                 inc_idx.iter().map(|&i| self.pairs[i]).collect();
             journal().begin(Stage::DeltaApply, inc_idx.len() as u64);
             let (threshold, threads) = (parallel_flops_threshold(), rayon::current_num_threads());
             let mut any_parallel = false;
-            for (d_out, d_in) in batches {
+            for (d_out, d_in) in &batches {
                 // Same gate as the planner's, on the flops the batch's
                 // gather counts: a small batch stays serial.
                 let delta_csrs = spgemm_delta(d_out.csr(), d_in.csr(), &inc_pairs, |flops| {
@@ -495,10 +521,10 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
         }
 
         if !reb_idx.is_empty() {
-            // Reason 0: a lane's ⊕ is non-associative, so deltas can't be
-            // replayed for it. Reason 1: a barrier batch forced everyone
-            // down the rebuild path regardless of associativity.
-            let reason = if deltas.is_none() { 1 } else { 0 };
+            // Reason 0: every rebuilt lane's ⊕ is non-associative, so no
+            // batch can be replayed for it. Reason 1: an associative lane
+            // whose ⊕ is not commutative crossed a barrier.
+            let reason = u64::from(reb_idx.iter().any(|&i| self.pairs[i].plus_associative()));
             // The ledger's fallback field reserves 0 for "none", so the
             // journal reason codes shift up by one there.
             let mut op = OpToken::begin_if_root(OpKind::Rebuild);
@@ -544,10 +570,13 @@ fn rebuild_lanes<V: Value>(
 mod tests {
     use super::*;
     use crate::incidence::adjacency_arrays_multi;
+    use aarray_algebra::ops::{Concat, Max};
     use aarray_algebra::pairs::{MaxMin, PlusTimes};
+    use aarray_algebra::values::bstr::BStr;
     use aarray_algebra::values::nat::Nat;
     use aarray_algebra::values::nn::{nn, NN};
-    use aarray_obs::snapshot;
+    use aarray_algebra::OpPair;
+    use aarray_obs::{oplog, snapshot, workload_label};
 
     fn pt() -> PlusTimes<Nat> {
         PlusTimes::new()
@@ -637,7 +666,7 @@ mod tests {
         let (d_out, d_in) = chain_batch(0, 2); // sorts before existing
         assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::OutOfOrder));
         assert_eq!(b.n_edges(), 5);
-        assert!(b.deltas_since(0).is_none(), "barrier blocks replay");
+        assert!(b.batches_since(0).1, "the batch is a barrier");
     }
 
     #[test]
@@ -719,7 +748,9 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_append_stacks_once_for_its_barrier_refresh() {
+    fn out_of_order_append_and_refresh_stack_nothing() {
+        // max.min over Nat: ⊕ = max is associative and commutative, so
+        // the lane replays the barrier batch from its logged blocks.
         let mm = MaxMin::<Nat>::new();
         let (e0, i0) = chain_batch(4, 8);
         let mut b = IncidenceBuilder::new(e0, i0).unwrap();
@@ -728,16 +759,90 @@ mod tests {
         b.append_batch(d_out, d_in).unwrap();
         let (d_out, d_in) = chain_batch(0, 4);
         assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::OutOfOrder));
-        // The barrier append stacked everything, itself included.
-        assert_eq!(b.base_len, b.log.len());
-        view.refresh(&b);
-        assert!(b.cache.get().is_none(), "the rebuild read the stacked base");
+        assert_eq!(b.base_len, 0, "the barrier append stacked nothing");
+        assert!(b.cache.get().is_none());
+        let report = view.refresh(&b);
+        assert_eq!(
+            (
+                report.incremental_lanes,
+                report.rebuilt_lanes,
+                report.batches_applied
+            ),
+            (1, 0, 2)
+        );
+        assert_eq!(b.base_len, 0, "the refresh stacked nothing");
+        assert!(b.cache.get().is_none());
         // The ordered check still runs against the largest key's block.
         let (d_out, d_in) = chain_batch(10, 11);
         assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::Ordered));
         view.refresh(&b);
         let full = adjacency_arrays_multi(b.eout(), b.ein(), &[&mm as &dyn DynOpPair<Nat>]);
         assert_eq!(view.lane(0), &full[0]);
+    }
+
+    #[test]
+    fn out_of_order_duplicates_are_rejected_by_id() {
+        let (e0, i0) = chain_batch(4, 8);
+        let mut b = IncidenceBuilder::new(e0, i0).unwrap();
+        let (d_out, d_in) = chain_batch(10, 12);
+        b.append_batch(d_out, d_in).unwrap();
+        // A read stacks e0004..e0011, and the next append adopts that
+        // pair as its base; e0012..e0013 stays pending.
+        assert_eq!(b.n_edges(), 6);
+        let _ = b.eout();
+        let (d_out, d_in) = chain_batch(12, 14);
+        b.append_batch(d_out, d_in).unwrap();
+        assert_eq!((b.base_len, b.log.len()), (1, 2));
+        let unchanged = |b: &IncidenceBuilder<Nat>| (b.generation(), b.n_edges()) == (2, 8);
+
+        // e0007 sorts before e0013 and collides with the stacked base.
+        let (d_out, d_in) = chain_batch(7, 9);
+        assert_eq!(
+            b.append_batch(d_out, d_in),
+            Err(BatchError::DuplicateEdgeKey("e0007".into()))
+        );
+        assert!(unchanged(&b));
+        // e0012 collides with the pending block.
+        let (d_out, d_in) = chain_batch(8, 10);
+        let (more_out, more_in) = chain_batch(12, 13);
+        let pair = pt();
+        let (d_out, d_in) = (
+            d_out.ewise_add(&more_out, &pair),
+            d_in.ewise_add(&more_in, &pair),
+        );
+        assert_eq!(
+            b.append_batch(d_out, d_in),
+            Err(BatchError::DuplicateEdgeKey("e0012".into()))
+        );
+        assert!(unchanged(&b));
+        // The same key interned in a private dictionary is mapped into
+        // the builder's before the check.
+        let dict = KeyDict::new();
+        let rows = KeySet::from_iter_with_dict(&dict, ["e0000", "e0005"]);
+        let cols = KeySet::from_iter_with_dict(&dict, ["v0000", "v0001"]);
+        let side = |c: &str| {
+            let triples =
+                [("e0000", c), ("e0005", c)].map(|(r, c)| (r.to_string(), c.to_string(), Nat(1)));
+            AArray::from_triples_with_keys(&pair, rows.clone(), cols.clone(), triples)
+        };
+        assert_eq!(
+            b.append_batch(side("v0000"), side("v0001")),
+            Err(BatchError::DuplicateEdgeKey("e0005".into()))
+        );
+        assert!(unchanged(&b));
+        // Without the collision the private-dictionary batch is accepted.
+        let rows = KeySet::from_iter_with_dict(&dict, ["e0001", "e0009"]);
+        let side = |c: &str| {
+            let triples =
+                [("e0001", c), ("e0009", c)].map(|(r, c)| (r.to_string(), c.to_string(), Nat(1)));
+            AArray::from_triples_with_keys(&pair, rows.clone(), cols.clone(), triples)
+        };
+        assert_eq!(
+            b.append_batch(side("v0000"), side("v0001")),
+            Ok(BatchKind::OutOfOrder)
+        );
+        assert_eq!((b.generation(), b.n_edges()), (3, 10));
+        assert!(b.eout().row_keys().contains("e0009"));
     }
 
     #[test]
@@ -832,16 +937,38 @@ mod tests {
 
     #[test]
     fn barrier_forces_rebuild_even_for_associative_lanes() {
-        let mm = MaxMin::<Nat>::new();
-        let (e0, i0) = chain_batch(5, 9);
+        // ⊕ = string concatenation is associative but not commutative:
+        // every edge a → b adds its word, and the fold spells the words
+        // in ascending edge-key order.
+        let _label = workload_label("incremental::tests::barrier_forces_rebuild");
+        let concat: OpPair<BStr, Concat, Max> = OpPair::new();
+        let edges = |ids: &[usize]| {
+            let side = |v: &str| {
+                let triples = ids
+                    .iter()
+                    .map(|&i| (format!("e{i}"), v.to_string(), BStr::word(format!("w{i}"))));
+                AArray::from_triples(&concat, triples)
+            };
+            (side("a"), side("b"))
+        };
+        let (e0, i0) = edges(&[5, 6]);
         let mut b = IncidenceBuilder::new(e0, i0).unwrap();
-        let mut view = AdjacencyView::new(&b, vec![&mm]);
-        let (d_out, d_in) = chain_batch(0, 3);
+        let mut view = AdjacencyView::new(&b, vec![&concat]);
+        let (d_out, d_in) = edges(&[2, 3]);
         assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::OutOfOrder));
+        let start = oplog().cursor();
         let report = view.refresh(&b);
-        assert_eq!(report.incremental_lanes, 0);
-        assert_eq!(report.rebuilt_lanes, 1);
-        let full = adjacency_arrays_multi(b.eout(), b.ein(), &[&mm as &dyn DynOpPair<Nat>]);
+        assert_eq!((report.incremental_lanes, report.rebuilt_lanes), (0, 1));
+        let ops = oplog()
+            .labeled_window(start, oplog().cursor())
+            .expect("ledger window intact");
+        assert_eq!(ops.len(), 1);
+        assert_eq!(ops[0].kind, OpKind::Rebuild);
+        assert_eq!(ops[0].fallback_name(), "barrier");
+        // Replaying would have appended w2w3 after w5w6.
+        let want = BStr::word("w2w3w5w6");
+        assert_eq!(view.lane(0).get("a", "b"), Some(&want));
+        let full = adjacency_arrays_multi(b.eout(), b.ein(), &[&concat as &dyn DynOpPair<BStr>]);
         assert_eq!(view.lane(0), &full[0]);
     }
 }

@@ -18,6 +18,7 @@
 //! compared with.
 
 use aarray_obs::{counters, memstats, Counter, Gauge, MemRegion};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -758,6 +759,33 @@ impl KeySet {
         }
     }
 
+    /// Whether some key in `self` sorts strictly after every key in
+    /// `other`, i.e. `self`'s largest key is larger than `other`'s
+    /// (true when only `other` is empty, false when `self` is) — one
+    /// integer comparison for same-dictionary sets.
+    pub(crate) fn any_after(&self, other: &KeySet) -> bool {
+        if self.is_empty() || other.is_empty() {
+            return !self.is_empty();
+        }
+        if Arc::ptr_eq(&self.dict, &other.dict) {
+            let ranks = self.dict.ranks();
+            ranks[self.ids[self.len() - 1] as usize] > ranks[other.ids[other.len() - 1] as usize]
+        } else {
+            self.key(self.len() - 1) > other.key(other.len() - 1)
+        }
+    }
+
+    /// The ids of this set's keys in `dict`, ascending by rank: the set's
+    /// own ids when `dict` is its dictionary, else its keys interned
+    /// into `dict`.
+    pub(crate) fn ids_in(&self, dict: &Arc<KeyDict>) -> Cow<'_, [u32]> {
+        if Arc::ptr_eq(&self.dict, dict) {
+            Cow::Borrowed(&self.ids)
+        } else {
+            Cow::Owned(dict.intern_sorted(self.keys()))
+        }
+    }
+
     /// Indices of keys matched by a selection, ascending.
     ///
     /// Range semantics: bounds are inclusive; an **empty** `lo` or `hi`
@@ -1200,6 +1228,36 @@ mod tests {
         let private = KeyDict::new();
         let foreign = KeySet::from_iter_with_dict(&private, ["e9"]);
         assert!(foreign.all_after(&old));
+    }
+
+    #[test]
+    fn any_after_compares_largest_keys() {
+        let old = KeySet::from_iter(["e2", "e5"]);
+        let straddling = KeySet::from_iter(["e1", "e7"]);
+        assert!(straddling.any_after(&old));
+        assert!(!straddling.all_after(&old));
+        assert!(!old.any_after(&straddling));
+        assert!(!old.any_after(&old), "strictly after");
+        assert!(old.any_after(&KeySet::empty()));
+        assert!(!KeySet::empty().any_after(&old));
+        assert!(!KeySet::empty().any_after(&KeySet::empty()));
+        let private = KeyDict::new();
+        let foreign = KeySet::from_iter_with_dict(&private, ["e0", "e6"]);
+        assert!(foreign.any_after(&old));
+        assert!(!old.any_after(&foreign));
+    }
+
+    #[test]
+    fn ids_in_borrows_own_ids_and_interns_foreign_keys() {
+        let set = KeySet::from_iter(["k2", "k1"]);
+        let own = set.ids_in(set.dict());
+        assert!(matches!(own, Cow::Borrowed(_)));
+        assert_eq!(&own[..], set.ids());
+        let private = KeyDict::new();
+        let mapped = set.ids_in(&private);
+        assert_eq!(private.resolve(&mapped), ["k1", "k2"], "rank order");
+        // Interning is idempotent: the same keys map to the same ids.
+        assert_eq!(set.ids_in(&private), mapped);
     }
 
     #[cfg(debug_assertions)]

@@ -137,26 +137,25 @@ pub fn publish_pool_stats() {
 }
 
 /// Shared parallel-dispatch decision for [`AArray::matmul`] and
-/// [`crate::plan::MatmulPlan`]. Takes the flops estimate lazily so the
-/// `O(nnz)` estimate is never computed on single-threaded hosts, where
-/// the answer is always "serial". Every decision is recorded in the
+/// [`crate::plan::MatmulPlan`], on the product's flops estimate (which
+/// both record in [`Hist::DispatchFlops`] themselves, once per
+/// multiplication or plan). Every decision is recorded in the
 /// [`aarray_obs`] registry: which branch won
 /// ([`Counter::DispatchSerial`] / [`Counter::DispatchParallel`]) and —
-/// when the estimate was computed — the flops value and threshold that
-/// drove it ([`Gauge::DispatchLastFlops`] / [`Gauge::DispatchThreshold`]).
-pub(crate) fn should_parallelize(flops: impl FnOnce() -> u64) -> bool {
+/// on a pool of more than one thread — the flops value and threshold
+/// that drove it ([`Gauge::DispatchLastFlops`] /
+/// [`Gauge::DispatchThreshold`]).
+pub(crate) fn should_parallelize(flops: u64) -> bool {
     let threshold = parallel_flops_threshold();
     let mut estimate = 0;
     let parallel = if rayon::current_num_threads() > 1 {
-        let f = flops();
-        estimate = f;
-        counters().store(Gauge::DispatchLastFlops, f);
+        estimate = flops;
+        counters().store(Gauge::DispatchLastFlops, flops);
         counters().store(Gauge::DispatchThreshold, threshold);
-        histograms().record(Hist::DispatchFlops, f);
-        f >= threshold
+        flops >= threshold
     } else {
-        // Single worker: always serial, estimate never computed —
-        // the journal record carries 0 flops for this fast path.
+        // Single worker: always serial — the journal record carries 0
+        // flops for this fast path.
         false
     };
     counters().incr(if parallel {
@@ -206,7 +205,11 @@ impl<V: Value> AArray<V> {
             rhs = &aligned.1;
         }
 
-        let big = should_parallelize(|| spgemm_flops(lhs, rhs));
+        // One `dispatch.flops` record per multiplication, on any pool
+        // size; plans record theirs at build.
+        let flops = spgemm_flops(lhs, rhs);
+        histograms().record(Hist::DispatchFlops, flops);
+        let big = should_parallelize(flops);
         let rows = lhs.nrows() as u64;
         journal().begin(Stage::Numeric, rows);
         let data = if big {
@@ -218,11 +221,7 @@ impl<V: Value> AArray<V> {
         publish_pool_stats();
 
         if let Some(t) = op.as_mut() {
-            // The dispatch fast path may have skipped the estimate;
-            // the ledger recomputes it so the record always carries the
-            // op's real work figure (ledger ops are rare relative to
-            // the O(flops) kernel they describe).
-            t.set_flops(spgemm_flops(lhs, rhs));
+            t.set_flops(flops);
             t.set_out_nnz(data.nnz() as u64);
             t.set_lanes(1);
             t.set_dispatch(big, rayon::current_num_threads() as u64);
@@ -414,12 +413,12 @@ mod tests {
             .unwrap();
         let before = aarray_obs::snapshot();
         // 10 flops ≥ threshold 1 under a 2-thread pool: parallel branch.
-        assert!(pool.install(|| should_parallelize(|| 10)));
+        assert!(pool.install(|| should_parallelize(10)));
         std::env::set_var(PAR_FLOPS_THRESHOLD_ENV, "1000000000000");
         set_parallel_flops_threshold(None);
         assert_eq!(parallel_flops_threshold(), 1_000_000_000_000);
         // Same flops under a huge threshold: serial branch.
-        assert!(!pool.install(|| should_parallelize(|| 10)));
+        assert!(!pool.install(|| should_parallelize(10)));
         let delta = aarray_obs::snapshot().since(&before);
         assert!(delta.get(aarray_obs::Counter::DispatchParallel) >= 1);
         assert!(delta.get(aarray_obs::Counter::DispatchSerial) >= 1);

@@ -170,7 +170,7 @@ impl<'a, V: Value> MatmulPlan<'a, V> {
         let mut op = OpToken::begin_if_root(OpKind::PlanExecute);
         let sym = self.symbolic();
         let flops = self.flops();
-        let parallel = should_parallelize(|| flops);
+        let parallel = should_parallelize(flops);
         let c = counters();
         c.add(Counter::FlopsTotal, flops);
         c.incr(Counter::PlanTransposeReused);
@@ -228,9 +228,8 @@ impl<V: Value> AArray<V> {
         journal().end(Stage::Transpose, self.nnz() as u64);
         counters().incr(Counter::PlanTransposeBuilt);
         let gather_mem = memstats().track(MemRegion::PlanTranspose, gather.heap_bytes());
-        // The dispatch estimate is always known here — plans count it
-        // at build time, even on 1-thread pools where the dispatch fast
-        // path would never ask for it.
+        // One `dispatch.flops` record per plan, on any pool size: its
+        // executes reuse the estimate and record nothing.
         histograms().record(Hist::DispatchFlops, gather.flops());
         if let Some(mut t) = op {
             t.set_flops(gather.flops());

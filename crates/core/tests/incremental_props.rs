@@ -5,7 +5,8 @@
 //! through [`IncidenceBuilder`] / [`AdjacencyView`]; for every one of
 //! the paper's seven `⊕.⊗` pairs the refreshed lanes must equal the
 //! one-shot batch rebuild — bit-identically on the ⊕-associative
-//! pairs' delta path, and via the counted full-rebuild fallback for
+//! pairs' delta path (for out-of-order batches, the ⊕-associative and
+//! commutative pairs'), and via the counted full-rebuild fallback for
 //! `+.×` over NN (float `+` is not associative).
 
 use aarray_algebra::pairs::{MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, PlusTimes};
@@ -78,6 +79,14 @@ fn bounds(n: usize, cuts: &[usize]) -> Vec<usize> {
     b.insert(0, 0);
     b.push(n);
     b
+}
+
+/// Every stored entry of an NN array as `(row, col, value bits)`, so
+/// two arrays compare bit for bit rather than under float `==`.
+fn entry_bits(a: &AArray<NN>) -> Vec<(String, String, u64)> {
+    a.iter()
+        .map(|(r, c, v)| (r.to_string(), c.to_string(), v.get().to_bits()))
+        .collect()
 }
 
 fn to_tropical(a: &AArray<NN>) -> AArray<Tropical> {
@@ -171,9 +180,10 @@ proptest! {
     }
 
     /// Appending chunks newest-first interleaves edge keys: every
-    /// append after the first is out of order, the log holds barriers,
-    /// and refresh must rebuild all lanes — yet still agree with the
-    /// one-shot rebuild.
+    /// append after the first is out of order, and the log holds
+    /// barriers. The max.min and min.+ lanes (⊕ associative and
+    /// commutative) still replay every batch, +.× rebuilds, and all
+    /// three agree bit for bit with the one-shot rebuild.
     #[test]
     fn out_of_order_appends_rebuild_and_still_agree(spec in arb_spec()) {
         let (n, out_t, in_t, cuts) = spec;
@@ -184,7 +194,8 @@ proptest! {
 
         let max_min = MaxMin::<NN>::new();
         let min_plus = MinPlus::<NN>::new();
-        let pairs: [&dyn DynOpPair<NN>; 2] = [&max_min, &min_plus];
+        let plus_times = PlusTimes::<NN>::new();
+        let pairs: [&dyn DynOpPair<NN>; 3] = [&max_min, &min_plus, &plus_times];
 
         // Seed with the *last* chunk, then append earlier ones.
         let last = b.len() - 2;
@@ -200,7 +211,10 @@ proptest! {
             prop_assert_eq!(kind, BatchKind::OutOfOrder);
         }
         let report = view.refresh(&builder);
-        prop_assert_eq!((report.incremental_lanes, report.rebuilt_lanes), (0, 2));
+        prop_assert_eq!(
+            (report.incremental_lanes, report.rebuilt_lanes, report.batches_applied),
+            (2, 1, last)
+        );
 
         let full_out = block(&out_t, 0, n, 6);
         let full_in = block(&in_t, 0, n, 6);
@@ -208,7 +222,9 @@ proptest! {
         prop_assert_eq!(builder.ein(), &full_in);
         let rebuilt = adjacency_plan(&full_out, &full_in).execute_all(&pairs);
         for (i, full) in rebuilt.iter().enumerate() {
-            prop_assert_eq!(view.lane(i), full, "lane {} diverged", i);
+            prop_assert_eq!(view.lane(i).row_keys(), full.row_keys());
+            prop_assert_eq!(view.lane(i).col_keys(), full.col_keys());
+            prop_assert_eq!(entry_bits(view.lane(i)), entry_bits(full), "lane {} diverged", i);
         }
     }
 

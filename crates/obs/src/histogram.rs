@@ -94,26 +94,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Fold another histogram's current contents into this one, as if
-    /// every observation recorded there had been recorded here too.
-    pub fn merge(&self, other: &Histogram) {
-        self.merge_snapshot(&other.snapshot());
-    }
-
-    /// [`Histogram::merge`] from an already-taken snapshot.
-    pub fn merge_snapshot(&self, snap: &HistogramSnapshot) {
-        for (i, &n) in snap.buckets.iter().enumerate() {
-            if n > 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        if snap.count() > 0 {
-            self.sum.fetch_add(snap.sum, Ordering::Relaxed);
-            self.min.fetch_min(snap.min, Ordering::Relaxed);
-            self.max.fetch_max(snap.max, Ordering::Relaxed);
-        }
-    }
-
     /// Zero every bucket and watermark. As with the counter registry,
     /// concurrent recording may survive a reset; prefer snapshot diffs.
     pub fn reset(&self) {
@@ -311,29 +291,6 @@ mod tests {
         assert_eq!(s.sum, 25);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 8);
-    }
-
-    #[test]
-    fn merge_equals_recording_the_union() {
-        let h1 = Histogram::new();
-        let h2 = Histogram::new();
-        let union = Histogram::new();
-        let a = [0u64, 1, 5, 1 << 20, u64::MAX];
-        let b = [3u64, 3, 900, 1 << 40];
-        for &v in &a {
-            h1.record(v);
-            union.record(v);
-        }
-        for &v in &b {
-            h2.record(v);
-            union.record(v);
-        }
-        h1.merge(&h2);
-        assert_eq!(h1.snapshot(), union.snapshot());
-        // Merging an empty histogram is the identity (and must not
-        // corrupt the min watermark with the empty sentinel).
-        h1.merge(&Histogram::new());
-        assert_eq!(h1.snapshot(), union.snapshot());
     }
 
     #[test]

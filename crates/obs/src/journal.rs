@@ -129,7 +129,8 @@ pub enum EventKind {
     DeltaApply,
     /// Incremental refresh fell back to a rebuild. `a` = lanes
     /// rebuilt, `b` = reason code (0 = non-associative `⊕`,
-    /// 1 = barrier / unreplayable log).
+    /// 1 = barrier: an associative lane whose `⊕` is not commutative
+    /// crossed an out-of-order batch).
     IncrementalFallback,
 }
 

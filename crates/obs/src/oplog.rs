@@ -266,7 +266,8 @@ pub struct OpRecord {
     /// Pool size at dispatch time (0 when not recorded).
     pub pool_threads: u64,
     /// Fallback reason: 0 = none, 1 = non-associative `⊕`,
-    /// 2 = barrier / unreplayable log.
+    /// 2 = barrier: an associative lane whose `⊕` is not commutative
+    /// crossed an out-of-order batch.
     pub fallback: u64,
     /// Scratch-memory high-water growth across the op, bytes (0 when
     /// the op stayed under a previously established peak).
@@ -987,7 +988,8 @@ impl OpToken {
     }
 
     /// Record the fallback reason (1 = non-associative `⊕`,
-    /// 2 = barrier).
+    /// 2 = barrier: an associative, non-commutative lane crossed an
+    /// out-of-order batch).
     pub fn set_fallback(&mut self, code: u64) {
         self.draft.fallback = code;
     }
