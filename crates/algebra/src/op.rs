@@ -157,12 +157,6 @@ impl<V: Value, A: BinaryOp<V>, M: BinaryOp<V>> OpPair<V, A, M> {
     pub fn plus_associative(&self) -> bool {
         A::ASSOCIATIVE
     }
-
-    /// Whether this pair's `⊕` is verified commutative bit for bit on
-    /// `V` ([`BinaryOp::COMMUTATIVE`]).
-    pub fn plus_commutative(&self) -> bool {
-        A::COMMUTATIVE
-    }
 }
 
 impl<V: Value, A: BinaryOp<V>, M: BinaryOp<V>> Default for OpPair<V, A, M> {
