@@ -53,6 +53,8 @@ pub trait BinaryOp<V: Value>: Copy + Default + fmt::Debug + Send + Sync + 'stati
     /// [`crate::dynpair::DynOpPair::plus_commutative`]: an incremental
     /// refresh may fold a batch whose edge keys interleave with older
     /// ones only into lanes whose `⊕` is associative *and* commutative.
+    /// Nothing reads it on a non-associative op, so it is set only
+    /// where [`BinaryOp::ASSOCIATIVE`] is too.
     const COMMUTATIVE: bool = false;
 
     /// Apply the operation: `a ∘ b`.

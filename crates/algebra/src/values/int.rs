@@ -13,7 +13,6 @@ use rand::Rng;
 
 impl BinaryOp<i64> for Plus {
     const NAME: &'static str = "+";
-    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &i64, b: &i64) -> i64 {
         a.saturating_add(*b)
     }
@@ -24,7 +23,6 @@ impl BinaryOp<i64> for Plus {
 
 impl BinaryOp<i64> for Times {
     const NAME: &'static str = "×";
-    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &i64, b: &i64) -> i64 {
         a.saturating_mul(*b)
     }

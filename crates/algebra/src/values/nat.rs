@@ -121,7 +121,6 @@ impl BinaryOp<Nat> for Min {
 
 impl BinaryOp<Nat> for AbsDiff {
     const NAME: &'static str = "|−|";
-    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         Nat(a.0.abs_diff(b.0))
     }
@@ -144,7 +143,6 @@ impl BinaryOp<Nat> for Gcd {
 
 impl BinaryOp<Nat> for Lcm {
     const NAME: &'static str = "lcm";
-    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Nat, b: &Nat) -> Nat {
         if a.0 == 0 || b.0 == 0 {
             Nat(0)

@@ -113,7 +113,6 @@ impl From<u32> for NN {
 
 impl BinaryOp<NN> for Plus {
     const NAME: &'static str = "+";
-    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
         // Both operands ≥ 0, so no ∞ + -∞ and no NaN.
         NN(a.0 + b.0)
@@ -199,7 +198,6 @@ impl BinaryOp<NN> for Min {
 
 impl BinaryOp<NN> for AbsDiff {
     const NAME: &'static str = "|−|";
-    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &NN, b: &NN) -> NN {
         if a.is_infinite() && b.is_infinite() {
             NN::ZERO // |∞ − ∞| := 0 keeps the op closed and NaN-free.

@@ -94,7 +94,6 @@ impl BinaryOp<Tropical> for Max {
 
 impl BinaryOp<Tropical> for Plus {
     const NAME: &'static str = "+";
-    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Tropical, b: &Tropical) -> Tropical {
         // finite + finite, or anything + -∞ = -∞; +∞ excluded, no NaN.
         Tropical(a.0 + b.0)

@@ -108,7 +108,6 @@ impl BinaryOp<Unit> for Min {
 
 impl BinaryOp<Unit> for Times {
     const NAME: &'static str = "×";
-    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Unit, b: &Unit) -> Unit {
         Unit(a.0 * b.0)
     }
@@ -119,7 +118,6 @@ impl BinaryOp<Unit> for Times {
 
 impl BinaryOp<Unit> for ProbOr {
     const NAME: &'static str = "⊕ₚ";
-    const COMMUTATIVE: bool = true;
     fn apply(&self, a: &Unit, b: &Unit) -> Unit {
         // a + b − ab ∈ [0, 1] for a, b ∈ [0, 1]; clamp guards rounding.
         Unit((a.0 + b.0 - a.0 * b.0).clamp(0.0, 1.0))

@@ -174,7 +174,7 @@ impl EdgeIds {
             dict: keys.dict().clone(),
             bits: Vec::new(),
         };
-        set.insert(keys.ids());
+        set.insert(keys);
         set
     }
 
@@ -183,8 +183,23 @@ impl EdgeIds {
         self.bits.get(word).is_some_and(|w| w >> bit & 1 == 1)
     }
 
-    fn insert(&mut self, ids: &[u32]) {
-        for &id in ids {
+    /// Position of the first key of `keys` already in the set. Keys of
+    /// another dictionary are looked up by name, not interned: a key
+    /// the set's dictionary lacks was never inserted.
+    fn first_in(&self, keys: &KeySet) -> Option<usize> {
+        if Arc::ptr_eq(keys.dict(), &self.dict) {
+            keys.ids().iter().position(|&id| self.contains(id))
+        } else {
+            keys.keys()
+                .iter()
+                .position(|k| self.dict.lookup(k).is_some_and(|id| self.contains(id)))
+        }
+    }
+
+    /// Add `keys`, interning them into the set's dictionary first if
+    /// they live in another.
+    fn insert(&mut self, keys: &KeySet) {
+        for &id in keys.ids_in(&self.dict).iter() {
             let (word, bit) = (id as usize / 64, id % 64);
             if word >= self.bits.len() {
                 self.bits.resize(word + 1, 0);
@@ -250,12 +265,15 @@ impl<V: Value> IncidenceBuilder<V> {
     /// whose `⊕` is also commutative, and the view's other lanes
     /// rebuild (see the module docs for why fold order matters).
     ///
-    /// Either kind costs `O(batch)` and stacks nothing. The batch is
-    /// ordered if its keys sort after those of the block holding the
-    /// largest edge key. Only an out-of-order batch can collide with an
-    /// earlier edge key; its keys are looked up in a bitset over the
-    /// dictionary ids of every edge key so far. A batch whose keys live
-    /// in another [`KeyDict`] is mapped into the builder's first.
+    /// Neither kind stacks anything, and for a batch in the builder's
+    /// dictionary either costs `O(batch)`. The batch is ordered if its
+    /// keys sort after those of the block holding the largest edge key.
+    /// Only an out-of-order batch can collide with an earlier edge key;
+    /// its keys are looked up in a bitset over the dictionary ids of
+    /// every edge key so far. A batch whose keys live in another
+    /// [`KeyDict`] is checked by name and interned into the builder's
+    /// dictionary only once accepted; keys new to that dictionary cost
+    /// its growth, which rebuilds its rank table (`O(dictionary)`).
     pub fn append_batch(
         &mut self,
         d_out: AArray<V>,
@@ -271,13 +289,12 @@ impl<V: Value> IncidenceBuilder<V> {
         // Integer-space checks: no string materialization for a batch
         // in the builder's dictionary.
         let ordered = batch_keys.all_after(&self.last_rows);
-        let ids = batch_keys.ids_in(&self.edge_ids.dict);
         if !ordered {
-            if let Some(j) = ids.iter().position(|&id| self.edge_ids.contains(id)) {
+            if let Some(j) = self.edge_ids.first_in(batch_keys) {
                 return Err(BatchError::DuplicateEdgeKey(batch_keys.key(j).to_string()));
             }
         }
-        self.edge_ids.insert(&ids);
+        self.edge_ids.insert(batch_keys);
         if batch_keys.any_after(&self.last_rows) {
             self.last_rows = batch_keys.clone();
         }
@@ -649,14 +666,15 @@ mod tests {
             b.append_batch(empty.clone(), empty),
             Err(BatchError::EmptyBatch)
         );
-        // Duplicate edge key (e0002 already present).
+        // Duplicate edge key: e0002 is in the stacked base, and the
+        // batch is out of order since e0002 does not sort after it.
         let (d_out, d_in) = chain_batch(2, 4);
         assert_eq!(
             b.append_batch(d_out, d_in),
             Err(BatchError::DuplicateEdgeKey("e0002".into()))
         );
-        // All rejected: generation unchanged.
-        assert_eq!(b.generation(), 0);
+        // All rejected: generation and edge count unchanged.
+        assert_eq!((b.generation(), b.n_edges()), (0, 3));
     }
 
     #[test]
@@ -687,9 +705,43 @@ mod tests {
             Err(BatchError::DuplicateEdgeKey("e0004".into()))
         );
         assert_eq!((b.generation(), b.n_edges()), (1, 6));
+
+        // The same key interned in a private dictionary is rejected too,
+        // and the batch's fresh key stays out of the builder's (here the
+        // global) dictionary.
+        let dict = KeyDict::new();
+        let private = |rows: [&str; 2]| {
+            let pair = pt();
+            let row_keys = KeySet::from_iter_with_dict(&dict, rows);
+            let side = |v: &str| {
+                let cols = KeySet::from_iter_with_dict(&dict, [v]);
+                let triples = rows.map(|r| (r.to_string(), v.to_string(), Nat(1)));
+                AArray::from_triples_with_keys(&pair, row_keys.clone(), cols, triples)
+            };
+            (side("v0000"), side("v0001"))
+        };
+        let (d_out, d_in) = private(["e0004", "e0004p"]);
+        assert_eq!(
+            b.append_batch(d_out, d_in),
+            Err(BatchError::DuplicateEdgeKey("e0004".into()))
+        );
+        assert_eq!((b.generation(), b.n_edges()), (1, 6));
+        assert_eq!(KeyDict::global().lookup("e0004p"), None);
         let (want_out, want_in) = chain_batch(0, 6);
         assert_eq!(b.eout(), &want_out);
         assert_eq!(b.ein(), &want_in);
+
+        // Without a collision it is accepted, and its keys are edge keys
+        // of the builder from then on.
+        let (d_out, d_in) = private(["e0002p", "e0004p"]);
+        assert_eq!(b.append_batch(d_out, d_in), Ok(BatchKind::OutOfOrder));
+        assert_eq!((b.generation(), b.n_edges()), (2, 8));
+        let pair = pt();
+        let again = AArray::from_triples(&pair, [("e0004p", "v0009", Nat(1))]);
+        assert_eq!(
+            b.append_batch(again.clone(), again),
+            Err(BatchError::DuplicateEdgeKey("e0004p".into()))
+        );
     }
 
     #[test]
@@ -778,71 +830,6 @@ mod tests {
         view.refresh(&b);
         let full = adjacency_arrays_multi(b.eout(), b.ein(), &[&mm as &dyn DynOpPair<Nat>]);
         assert_eq!(view.lane(0), &full[0]);
-    }
-
-    #[test]
-    fn out_of_order_duplicates_are_rejected_by_id() {
-        let (e0, i0) = chain_batch(4, 8);
-        let mut b = IncidenceBuilder::new(e0, i0).unwrap();
-        let (d_out, d_in) = chain_batch(10, 12);
-        b.append_batch(d_out, d_in).unwrap();
-        // A read stacks e0004..e0011, and the next append adopts that
-        // pair as its base; e0012..e0013 stays pending.
-        assert_eq!(b.n_edges(), 6);
-        let _ = b.eout();
-        let (d_out, d_in) = chain_batch(12, 14);
-        b.append_batch(d_out, d_in).unwrap();
-        assert_eq!((b.base_len, b.log.len()), (1, 2));
-        let unchanged = |b: &IncidenceBuilder<Nat>| (b.generation(), b.n_edges()) == (2, 8);
-
-        // e0007 sorts before e0013 and collides with the stacked base.
-        let (d_out, d_in) = chain_batch(7, 9);
-        assert_eq!(
-            b.append_batch(d_out, d_in),
-            Err(BatchError::DuplicateEdgeKey("e0007".into()))
-        );
-        assert!(unchanged(&b));
-        // e0012 collides with the pending block.
-        let (d_out, d_in) = chain_batch(8, 10);
-        let (more_out, more_in) = chain_batch(12, 13);
-        let pair = pt();
-        let (d_out, d_in) = (
-            d_out.ewise_add(&more_out, &pair),
-            d_in.ewise_add(&more_in, &pair),
-        );
-        assert_eq!(
-            b.append_batch(d_out, d_in),
-            Err(BatchError::DuplicateEdgeKey("e0012".into()))
-        );
-        assert!(unchanged(&b));
-        // The same key interned in a private dictionary is mapped into
-        // the builder's before the check.
-        let dict = KeyDict::new();
-        let rows = KeySet::from_iter_with_dict(&dict, ["e0000", "e0005"]);
-        let cols = KeySet::from_iter_with_dict(&dict, ["v0000", "v0001"]);
-        let side = |c: &str| {
-            let triples =
-                [("e0000", c), ("e0005", c)].map(|(r, c)| (r.to_string(), c.to_string(), Nat(1)));
-            AArray::from_triples_with_keys(&pair, rows.clone(), cols.clone(), triples)
-        };
-        assert_eq!(
-            b.append_batch(side("v0000"), side("v0001")),
-            Err(BatchError::DuplicateEdgeKey("e0005".into()))
-        );
-        assert!(unchanged(&b));
-        // Without the collision the private-dictionary batch is accepted.
-        let rows = KeySet::from_iter_with_dict(&dict, ["e0001", "e0009"]);
-        let side = |c: &str| {
-            let triples =
-                [("e0001", c), ("e0009", c)].map(|(r, c)| (r.to_string(), c.to_string(), Nat(1)));
-            AArray::from_triples_with_keys(&pair, rows.clone(), cols.clone(), triples)
-        };
-        assert_eq!(
-            b.append_batch(side("v0000"), side("v0001")),
-            Ok(BatchKind::OutOfOrder)
-        );
-        assert_eq!((b.generation(), b.n_edges()), (3, 10));
-        assert!(b.eout().row_keys().contains("e0009"));
     }
 
     #[test]
