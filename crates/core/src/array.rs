@@ -280,6 +280,12 @@ impl<V: Value> AArray<V> {
         &self.data
     }
 
+    /// The underlying sparse storage, writable for in-place value
+    /// updates. Callers keep its shape equal to the key sets'.
+    pub(crate) fn csr_mut(&mut self) -> &mut Csr<V> {
+        &mut self.data
+    }
+
     /// Number of stored (nonzero) entries.
     pub fn nnz(&self) -> usize {
         self.data.nnz()

@@ -56,8 +56,9 @@ impl<V: Value> AArray<V> {
 
     /// [`AArray::ewise_add`] over an object-safe pair, for callers
     /// holding runtime lane collections — the incremental adjacency
-    /// layer folds `A ⊕ ΔA` per lane through this. Same union
-    /// alignment, same merge, bit-identical to the typed entry point.
+    /// layer merges `A ⊕ ΔA` per lane through this when a batch brings
+    /// a key or an entry the lane lacks. Same union alignment, same
+    /// merge, bit-identical to the typed entry point.
     pub fn ewise_add_dyn(&self, other: &AArray<V>, pair: &dyn DynOpPair<V>) -> AArray<V> {
         let rows = self.row_keys().union(other.row_keys());
         let cols = self.col_keys().union(other.col_keys());

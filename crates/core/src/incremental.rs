@@ -11,8 +11,13 @@
 //! rejected), so both cross products are structurally empty. What
 //! remains is one batch-local product per `⊕.⊗` lane —
 //! [`aarray_sparse::spgemm_delta::spgemm_delta`] computes all lanes in
-//! a single fused traversal — followed by one union `⊕`-merge per lane
-//! ([`AArray::ewise_add_dyn`]), which also grows the vertex key sets.
+//! a single fused traversal — folded into each lane as `A ⊕= ΔA`.
+//! When every entry of `ΔA` already has a slot in the lane, the fold
+//! writes the sums into the lane's values in place, in `O(|ΔA| log
+//! |K|)` for `K` lane keys; a batch that brings a vertex key or an
+//! `(i, j)` entry the lane lacks, or a sum equal to the pair's zero,
+//! takes a union `⊕`-merge ([`AArray::ewise_add_dyn`], `O(|A|)`), which
+//! also grows the vertex key sets. Both give the same lane bit for bit.
 //!
 //! # When the incremental result is bit-identical
 //!
@@ -409,6 +414,11 @@ pub struct RefreshReport {
     pub rebuilt_lanes: usize,
     /// Pending batches replayed on the incremental lanes.
     pub batches_applied: usize,
+    /// Batch folds (one per incremental lane and replayed batch) that
+    /// could not update the lane's values in place and merged instead:
+    /// the batch brought a key or an entry the lane lacked, or a sum
+    /// equal to the pair's zero.
+    pub merged_folds: usize,
 }
 
 impl RefreshReport {
@@ -470,14 +480,19 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     /// ([`DynOpPair::plus_commutative`]) do: one fused [`spgemm_delta`]
     /// traversal per batch feeding those lanes (row-parallel only when
     /// the batch product's flops pass the planner's dispatch
-    /// threshold), then a union `⊕`-merge per lane
+    /// threshold), then one fold `A ⊕= ΔA` per lane and batch
     /// ([`Counter::IncrementalApply`], one [`OpKind::DeltaApply`] ledger
-    /// record). Replay reads only the logged blocks, never the stacked
-    /// incidence. All other lanes — non-associative `⊕`, or associative
-    /// but not commutative `⊕` on a refresh crossing an out-of-order
-    /// batch — are recomputed from the cumulative incidence in one fused
-    /// rebuild traversal ([`Counter::IncrementalFallback`], one
-    /// [`OpKind::Rebuild`] ledger record).
+    /// record). A fold whose `ΔA` lies inside the lane's pattern updates
+    /// the lane's values in place, never walking the lane; one that
+    /// brings a key or an entry the lane lacks, or a sum equal to the
+    /// pair's zero, takes a union `⊕`-merge over the whole lane
+    /// ([`RefreshReport::merged_folds`] counts those). Replay reads only
+    /// the logged blocks, never the stacked incidence. All other
+    /// lanes — non-associative `⊕`, or associative but not commutative
+    /// `⊕` on a refresh crossing an out-of-order batch — are recomputed
+    /// from the cumulative incidence in one fused rebuild traversal
+    /// ([`Counter::IncrementalFallback`], one [`OpKind::Rebuild`] ledger
+    /// record).
     pub fn refresh(&mut self, builder: &IncidenceBuilder<V>) -> RefreshReport {
         if !self.is_stale(builder) {
             return RefreshReport::default();
@@ -514,7 +529,11 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
                         d_in.col_keys().clone(),
                         delta_csr,
                     );
-                    self.lanes[lane] = self.lanes[lane].ewise_add_dyn(&delta, self.pairs[lane]);
+                    let pair = self.pairs[lane];
+                    if !fold_in_place(&mut self.lanes[lane], &delta, pair) {
+                        self.lanes[lane] = self.lanes[lane].ewise_add_dyn(&delta, pair);
+                        report.merged_folds += 1;
+                    }
                 }
                 report.batches_applied += 1;
             }
@@ -571,6 +590,69 @@ impl<'p, V: Value> AdjacencyView<'p, V> {
     }
 }
 
+/// `lane ⊕= delta` in place, when every entry of `delta` has a slot in
+/// `lane` and no sum is the pair's zero: the union merge would then keep
+/// the lane's keys and pattern and compute the same sums, so the result
+/// is the merge's bit for bit. The keys are found by rank search
+/// ([`KeySet::find_positions`]) and the entries by [`find_col`] in their
+/// lane rows, each search starting past the last hit: at most
+/// `O(|ΔA| log |K|)` for `K` lane keys, and the lane is never walked or
+/// copied. Returns `false` and leaves `lane` untouched when the fold
+/// does not apply.
+fn fold_in_place<V: Value>(
+    lane: &mut AArray<V>,
+    delta: &AArray<V>,
+    pair: &dyn DynOpPair<V>,
+) -> bool {
+    let (Some(rows), Some(cols)) = (
+        lane.row_keys().find_positions(delta.row_keys()),
+        lane.col_keys().find_positions(delta.col_keys()),
+    ) else {
+        return false;
+    };
+    let (csr, d) = (lane.csr(), delta.csr());
+    // Every sum is computed before any is written, so a fold that does
+    // not apply leaves the lane as it was.
+    let mut sums = Vec::with_capacity(d.nnz());
+    for (r, &lr) in rows.iter().enumerate() {
+        let (lane_cols, lane_vals) = csr.row(lr);
+        let start = csr.indptr()[lr];
+        let mut lo = 0;
+        let (d_cols, d_vals) = d.row(r);
+        for (&c, v) in d_cols.iter().zip(d_vals) {
+            let Some(hit) = find_col(&lane_cols[lo..], cols[c as usize] as u32) else {
+                return false;
+            };
+            lo += hit;
+            // The merge's operand order: lane first, batch second.
+            let sum = pair.plus(&lane_vals[lo], v);
+            if pair.is_zero(&sum) {
+                return false;
+            }
+            sums.push((start + lo, sum));
+            lo += 1;
+        }
+    }
+    let values = lane.csr_mut().values_mut();
+    for (slot, sum) in sums {
+        values[slot] = sum;
+    }
+    true
+}
+
+/// Position of column `c` in a row's ascending column indices. They are
+/// distinct integers, so `c` lies at most `c - cols[0]` in: that bound
+/// is probed first, and is the hit in a row that stores every column
+/// up to `c`; otherwise the range before it is bisected.
+fn find_col(cols: &[u32], c: u32) -> Option<usize> {
+    let first = *cols.first()?;
+    let bound = (c.checked_sub(first)? as usize).min(cols.len() - 1);
+    if cols[bound] == c {
+        return Some(bound);
+    }
+    cols[..bound].binary_search(&c).ok()
+}
+
 /// Full `Eᵀout ⊕.⊗ Ein` for the given lanes in one fused traversal,
 /// inside a rebuild journal span.
 fn rebuild_lanes<V: Value>(
@@ -592,7 +674,8 @@ mod tests {
     use aarray_algebra::values::bstr::BStr;
     use aarray_algebra::values::nat::Nat;
     use aarray_algebra::values::nn::{nn, NN};
-    use aarray_algebra::OpPair;
+    use aarray_algebra::values::zn::Zn;
+    use aarray_algebra::{BinaryOp, OpPair};
     use aarray_obs::{oplog, snapshot, workload_label};
 
     fn pt() -> PlusTimes<Nat> {
@@ -832,33 +915,146 @@ mod tests {
         assert_eq!(view.lane(0), &full[0]);
     }
 
+    /// Edges `(edge key, tail, head, weight)` as an incidence pair, with
+    /// the weight on both sides.
+    type Edge<V> = (&'static str, &'static str, &'static str, V);
+
+    fn incidence<V: Value, A: BinaryOp<V>, M: BinaryOp<V>>(
+        pair: &OpPair<V, A, M>,
+        edges: &[Edge<V>],
+    ) -> (AArray<V>, AArray<V>) {
+        let side = |head: bool| {
+            let triples = edges
+                .iter()
+                .map(|(e, t, h, w)| (*e, if head { *h } else { *t }, w.clone()));
+            AArray::from_triples(pair, triples)
+        };
+        (side(false), side(true))
+    }
+
     #[test]
     fn incremental_refresh_is_bit_identical_to_rebuild_for_associative_plus() {
-        // Max.Min over Nat: ⊕ = max is associative (capability-marked).
+        use BatchKind::{Ordered, OutOfOrder};
+        // Max.Min over Nat: ⊕ = max is associative and commutative
+        // (capability-marked). The saturated lane stores all of
+        // {a, b} × {x, y}; the gapped one all but (b, y).
         let mm = MaxMin::<Nat>::new();
-        let (e0, i0) = chain_batch(0, 6);
-        let mut b = IncidenceBuilder::new(e0, i0).unwrap();
-        let mut view = AdjacencyView::new(&b, vec![&mm]);
-        assert!(!view.is_stale(&b));
+        const SATURATED: &[Edge<Nat>] = &[
+            ("e10", "a", "x", Nat(2)),
+            ("e11", "a", "y", Nat(5)),
+            ("e12", "b", "x", Nat(1)),
+            ("e13", "b", "y", Nat(3)),
+        ];
+        let gapped = &SATURATED[..3];
+        // (case, initial edges, batches with their kinds, merged folds)
+        type Case<'a> = (
+            &'a str,
+            &'a [Edge<Nat>],
+            Vec<(&'a [Edge<Nat>], BatchKind)>,
+            usize,
+        );
+        let cases: [Case; 6] = [
+            (
+                "a batch inside a saturated lane folds in place",
+                SATURATED,
+                vec![(
+                    &[("e20", "a", "x", Nat(7)), ("e21", "b", "y", Nat(1))],
+                    Ordered,
+                )],
+                0,
+            ),
+            (
+                "an out-of-order batch on a max lane folds in place",
+                SATURATED,
+                vec![(&[("e05", "a", "y", Nat(9))], OutOfOrder)],
+                0,
+            ),
+            (
+                "a new vertex key merges",
+                SATURATED,
+                vec![(&[("e20", "c", "x", Nat(4))], Ordered)],
+                1,
+            ),
+            (
+                "a new (i, j) between existing keys merges",
+                gapped,
+                vec![(&[("e20", "b", "y", Nat(4))], Ordered)],
+                1,
+            ),
+            (
+                "a merge grows the keys, and the next batch folds into them",
+                SATURATED,
+                vec![
+                    (&[("e20", "c", "x", Nat(4))], Ordered),
+                    (
+                        &[("e30", "c", "x", Nat(6)), ("e31", "a", "y", Nat(8))],
+                        Ordered,
+                    ),
+                ],
+                1,
+            ),
+            (
+                "every batch of a growing chain brings a vertex and merges",
+                &[("e10", "a", "b", Nat(2)), ("e11", "b", "c", Nat(1))],
+                vec![
+                    (&[("e20", "c", "d", Nat(3))], Ordered),
+                    (&[("e30", "d", "e", Nat(2))], Ordered),
+                ],
+                2,
+            ),
+        ];
+        for (case, initial, batches, merged) in cases {
+            let (e0, i0) = incidence(&mm, initial);
+            let mut b = IncidenceBuilder::new(e0, i0).unwrap();
+            let mut view = AdjacencyView::new(&b, vec![&mm]);
+            assert!(!view.is_stale(&b));
+            for &(batch, kind) in &batches {
+                let (d_out, d_in) = incidence(&mm, batch);
+                assert_eq!(b.append_batch(d_out, d_in), Ok(kind), "{case}");
+            }
+            assert!(view.is_stale(&b));
+            let before = snapshot();
+            let report = view.refresh(&b);
+            let d = snapshot().since(&before);
+            assert_eq!(
+                (
+                    report.incremental_lanes,
+                    report.rebuilt_lanes,
+                    report.batches_applied,
+                    report.merged_folds
+                ),
+                (1, 0, batches.len(), merged),
+                "{case}"
+            );
+            assert!(d.get(Counter::IncrementalApply) >= 1);
+            assert!(d.get(Counter::DeltaTraversals) >= batches.len() as u64);
 
-        for (lo, hi) in [(6, 9), (9, 14)] {
-            let (d_out, d_in) = chain_batch(lo, hi);
-            b.append_batch(d_out, d_in).unwrap();
+            let full = adjacency_arrays_multi(b.eout(), b.ein(), &[&mm as &dyn DynOpPair<Nat>]);
+            assert_eq!(view.lane(0), &full[0], "{case}: must be bit-identical");
+            // And refreshing again is a no-op.
+            assert!(!view.refresh(&b).did_work());
         }
-        assert!(view.is_stale(&b));
-        let before = snapshot();
-        let report = view.refresh(&b);
-        let d = snapshot().since(&before);
-        assert_eq!(report.incremental_lanes, 1);
-        assert_eq!(report.rebuilt_lanes, 0);
-        assert_eq!(report.batches_applied, 2);
-        assert!(d.get(Counter::IncrementalApply) >= 1);
-        assert!(d.get(Counter::DeltaTraversals) >= 2);
+    }
 
-        let full = adjacency_arrays_multi(b.eout(), b.ein(), &[&mm as &dyn DynOpPair<Nat>]);
-        assert_eq!(view.lane(0), &full[0], "incremental must be bit-identical");
-        // And refreshing again is a no-op.
-        assert!(!view.refresh(&b).did_work());
+    #[test]
+    fn zn_sum_that_wraps_to_zero_merges_and_prunes_the_entry() {
+        // +.× over ℤ/5: ⊕ is associative, and 4 ⊕ 1 wraps to the zero,
+        // which the lane must not store.
+        type Z5 = Zn<5>;
+        let pt = PlusTimes::<Z5>::new();
+        let initial: &[Edge<Z5>] = &[("e10", "a", "x", Z5::new(2)), ("e11", "a", "y", Z5::new(1))];
+        let (e0, i0) = incidence(&pt, initial);
+        let mut b = IncidenceBuilder::new(e0, i0).unwrap();
+        let mut view = AdjacencyView::new(&b, vec![&pt]);
+        assert_eq!(view.lane(0).get("a", "x"), Some(&Z5::new(4)));
+        let (d_out, d_in) = incidence(&pt, &[("e20", "a", "x", Z5::new(1))]);
+        b.append_batch(d_out, d_in).unwrap();
+        let report = view.refresh(&b);
+        assert_eq!((report.incremental_lanes, report.merged_folds), (1, 1));
+        assert_eq!(view.lane(0).get("a", "x"), None, "the zero sum is pruned");
+        assert_eq!(view.lane(0).nnz(), 1);
+        let full = adjacency_arrays_multi(b.eout(), b.ein(), &[&pt as &dyn DynOpPair<Z5>]);
+        assert_eq!(view.lane(0), &full[0]);
     }
 
     #[test]

@@ -32,6 +32,27 @@ fn keys_heap_bytes(keys: &[String]) -> u64 {
         .sum::<usize>() as u64
 }
 
+/// Binary search of `xs`, ascending by `f`, for `key`, over a range
+/// that doubles from the front until it passes `key`: `O(log i)` for an
+/// answer at `i`. A walk of ascending keys through one slice, each
+/// search starting past the last hit, so costs the sum of the gaps'
+/// logarithms, never more than a binary search per key. Results as
+/// [`slice::binary_search_by_key`].
+fn gallop_by_key<T, K: Ord>(xs: &[T], key: &K, f: impl Fn(&T) -> K) -> Result<usize, usize> {
+    let mut end = 1;
+    while end <= xs.len() && f(&xs[end - 1]) < *key {
+        end *= 2;
+    }
+    // `xs[start - 1] < key`, and `xs[end - 1] >= key` unless `end` passed
+    // the slice.
+    let start = end / 2;
+    let end = end.min(xs.len());
+    xs[start..end]
+        .binary_search_by_key(key, f)
+        .map(|i| start + i)
+        .map_err(|i| start + i)
+}
+
 /// Approximate heap cost of one dictionary entry: character payload
 /// plus the `Arc<str>` header, the two `Arc` handles (hash-map key and
 /// id table), the map value, and one `u32` slot in each of the three
@@ -744,6 +765,28 @@ impl KeySet {
             .collect()
     }
 
+    /// Positions in `self` of every key of `subset`, found by one
+    /// search by rank per key over the part of `self` past the last hit
+    /// ([`gallop_by_key`]): at most `O(|subset| log |self|)`, and `self`
+    /// is never walked, unlike [`KeySet::positions_of`]. `None` when
+    /// `self` lacks a key of `subset`, or `subset` lives in another
+    /// dictionary.
+    pub(crate) fn find_positions(&self, subset: &KeySet) -> Option<Vec<usize>> {
+        if !Arc::ptr_eq(&self.dict, &subset.dict) {
+            return None;
+        }
+        let ranks = self.dict.ranks();
+        let rank = |id: &u32| ranks[*id as usize];
+        let mut positions = Vec::with_capacity(subset.len());
+        let mut lo = 0;
+        for id in subset.ids.iter() {
+            lo += gallop_by_key(&self.ids[lo..], &rank(id), rank).ok()?;
+            positions.push(lo);
+            lo += 1;
+        }
+        Some(positions)
+    }
+
     /// Whether every key in `self` sorts strictly after every key in
     /// `other` (vacuously true when either is empty) — the append-only
     /// contract check for incremental batches, in integer space.
@@ -1193,6 +1236,17 @@ mod tests {
     }
 
     #[test]
+    fn gallop_agrees_with_binary_search() {
+        for len in 0..40u32 {
+            let xs: Vec<u32> = (0..len).map(|i| 2 * i + 1).collect();
+            for key in 0..2 * len + 3 {
+                let want = xs.binary_search(&key);
+                assert_eq!(gallop_by_key(&xs, &key, |&x| x), want, "{len} {key}");
+            }
+        }
+    }
+
+    #[test]
     fn index_map_and_positions_of() {
         let sup = KeySet::from_iter(["a", "b", "c", "d"]);
         let sub = KeySet::from_iter(["b", "d"]);
@@ -1205,6 +1259,12 @@ mod tests {
         let foreign = KeySet::from_iter_with_dict(&private, ["b", "d"]);
         assert_eq!(sup.index_map(&foreign), vec![Some(1), Some(3)]);
         assert_eq!(sup.positions_of(&foreign), vec![1, 3]);
+        // The rank search finds the same positions, but only for a
+        // subset in the same dictionary.
+        assert_eq!(sup.find_positions(&sub), Some(vec![1, 3]));
+        assert_eq!(sup.find_positions(&KeySet::empty()), Some(vec![]));
+        assert_eq!(sup.find_positions(&other), None);
+        assert_eq!(sup.find_positions(&foreign), None);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! one-shot batch rebuild — bit-identically on the ⊕-associative
 //! pairs' delta path (for out-of-order batches, the ⊕-associative and
 //! commutative pairs'), and via the counted full-rebuild fallback for
-//! `+.×` over NN (float `+` is not associative).
+//! `+.×` over NN (float `+` is not associative). Saturated streams,
+//! whose lanes store every vertex pair from the first block on, must
+//! fold every batch into the lanes in place, never merging.
 
 use aarray_algebra::pairs::{MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, PlusTimes};
 use aarray_algebra::values::nn::{nn, NN};
@@ -87,6 +89,27 @@ fn entry_bits(a: &AArray<NN>) -> Vec<(String, String, u64)> {
     a.iter()
         .map(|(r, c, v)| (r.to_string(), c.to_string(), v.get().to_bits()))
         .collect()
+}
+
+/// One edge: `(edge key number, out-vertex, in-vertex, out-weight,
+/// in-weight)`.
+type Row = (usize, usize, usize, u32, u32);
+
+/// An incidence pair with one out- and one in-entry per edge.
+fn edge_block(rows: &[Row]) -> (AArray<NN>, AArray<NN>) {
+    let pt = PlusTimes::<NN>::new();
+    let side = |vertex: fn(&Row) -> (usize, u32)| {
+        let triples = rows.iter().map(|row| {
+            let (v, w) = vertex(row);
+            (
+                format!("e{:05}", row.0),
+                vert_key(v),
+                nn(f64::from(w) * 0.5),
+            )
+        });
+        AArray::from_triples(&pt, triples)
+    };
+    (side(|r| (r.1, r.3)), side(|r| (r.2, r.4)))
 }
 
 fn to_tropical(a: &AArray<NN>) -> AArray<Tropical> {
@@ -292,6 +315,88 @@ proptest! {
         let rebuilt = adjacency_plan(&full_out, &full_in).execute_all(&pairs);
         for (i, full) in rebuilt.iter().enumerate() {
             prop_assert_eq!(view.lane(i), full, "lane {} diverged", i);
+        }
+    }
+
+    /// Saturated streams: the initial block holds an edge for every
+    /// (out-vertex, in-vertex) pair, so each lane stores all 36 entries
+    /// from the start, and the random batches after it, some ordered and
+    /// some interleaved with older edge keys, bring no key and no entry.
+    /// The five max/min lanes (`⊕` associative and commutative) must fold
+    /// every batch in place, never merge, and land bit for bit on the
+    /// one-shot rebuild.
+    #[test]
+    fn saturated_streams_fold_in_place(
+        initial in prop::collection::vec((1u32..9, 1u32..9), 36),
+        batches in prop::collection::vec(
+            (
+                prop::collection::vec((0..6usize, 0..6usize, 1u32..9, 1u32..9), 1..8),
+                0u8..2,
+                0u8..2,
+            ),
+            1..8,
+        ),
+    ) {
+        let max_times = MaxTimes::<NN>::new();
+        let min_times = MinTimes::<NN>::new();
+        let min_plus = MinPlus::<NN>::new();
+        let max_min = MaxMin::<NN>::new();
+        let min_max = MinMax::<NN>::new();
+        let pairs: [&dyn DynOpPair<NN>; 5] =
+            [&max_times, &min_times, &min_plus, &max_min, &min_max];
+
+        // Initial edge `i·6 + j` runs v_i → v_j under key 100·(i·6 + j).
+        // An ordered batch's keys count up from 10000; an interleaved
+        // one's sort between initial keys, and below the largest.
+        let all_pairs = (0..6).flat_map(|i| (0..6).map(move |j| (i, j)));
+        let first: Vec<Row> = all_pairs
+            .zip(&initial)
+            .enumerate()
+            .map(|(k, ((i, j), &(w_out, w_in)))| (k * 100, i, j, w_out, w_in))
+            .collect();
+        let (e0, i0) = edge_block(&first);
+        let mut builder = IncidenceBuilder::new(e0, i0).unwrap();
+        let mut view = AdjacencyView::new(&builder, pairs.to_vec());
+        let (mut next_ordered, mut next_interleaved) = (10_000, 0);
+        let mut merged = 0;
+        let mut refresh = |view: &mut AdjacencyView<'_, NN>, builder: &IncidenceBuilder<NN>| {
+            let report = view.refresh(builder);
+            prop_assert_eq!(report.rebuilt_lanes, 0);
+            merged += report.merged_folds;
+            Ok(())
+        };
+        for (edges, interleaved, refresh_now) in &batches {
+            let (interleaved, refresh_now) = (*interleaved == 1, *refresh_now == 1);
+            let rows: Vec<Row> = edges
+                .iter()
+                .map(|&(i, j, w_out, w_in)| {
+                    let key = if interleaved {
+                        next_interleaved += 1;
+                        (next_interleaved % 35) * 100 + 1 + next_interleaved / 35
+                    } else {
+                        next_ordered += 1;
+                        next_ordered
+                    };
+                    (key, i, j, w_out, w_in)
+                })
+                .collect();
+            let (d_out, d_in) = edge_block(&rows);
+            let kind = builder.append_batch(d_out, d_in).unwrap();
+            let want = if interleaved { BatchKind::OutOfOrder } else { BatchKind::Ordered };
+            prop_assert_eq!(kind, want);
+            if refresh_now {
+                refresh(&mut view, &builder)?;
+            }
+        }
+        refresh(&mut view, &builder)?;
+        prop_assert_eq!(merged, 0, "a batch inside every lane's pattern merged");
+
+        let rebuilt = adjacency_plan(builder.eout(), builder.ein()).execute_all(&pairs);
+        for (i, full) in rebuilt.iter().enumerate() {
+            prop_assert_eq!(full.nnz(), 36);
+            prop_assert_eq!(view.lane(i).row_keys(), full.row_keys());
+            prop_assert_eq!(view.lane(i).col_keys(), full.col_keys());
+            prop_assert_eq!(entry_bits(view.lane(i)), entry_bits(full), "lane {} diverged", i);
         }
     }
 

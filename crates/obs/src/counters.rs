@@ -71,7 +71,11 @@ pub enum Counter {
     /// unparsable; the documented default was used instead (warned once
     /// per variable on stderr).
     EnvParseError,
-    /// Incremental adjacency update applied a delta product in place.
+    /// Lanes an incremental refresh brought current by replaying its
+    /// pending batches' delta products, one per lane and refresh. Each
+    /// batch folds into the lane's values in place, or merges into the
+    /// whole lane when it brings a key or an entry the lane lacks, or a
+    /// sum equal to the pair's zero.
     IncrementalApply,
     /// Incremental update degraded to a full rebuild (non-associative
     /// `⊕`, or a batch that violated the append-only key contract).

@@ -98,6 +98,13 @@ impl<V: Value> Csr<V> {
         &self.values
     }
 
+    /// The value array, writable. Only values can change through it,
+    /// never the pattern; the caller keeps them free of the zero of
+    /// whichever pair the array is read under.
+    pub fn values_mut(&mut self) -> &mut [V] {
+        &mut self.values
+    }
+
     /// One row as parallel slices `(columns, values)`.
     pub fn row(&self, r: usize) -> (&[u32], &[V]) {
         let span = self.indptr[r]..self.indptr[r + 1];

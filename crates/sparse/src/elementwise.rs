@@ -24,9 +24,10 @@ where
 }
 
 /// [`ewise_add`] over an object-safe pair, for callers holding runtime
-/// lane collections (the incremental adjacency layer folds `A ⊕ ΔA`
-/// per lane through this). Identical merge walk, identical
-/// `is_zero`-pruning — bit-identical to the typed entry point.
+/// lane collections (the incremental adjacency layer merges `A ⊕ ΔA`
+/// per lane through this when `ΔA` does not fit the lane's pattern).
+/// Identical merge walk, identical `is_zero`-pruning — bit-identical
+/// to the typed entry point.
 pub fn ewise_add_dyn<V: Value>(a: &Csr<V>, b: &Csr<V>, pair: &dyn DynOpPair<V>) -> Csr<V> {
     assert_eq!(
         (a.nrows(), a.ncols()),

@@ -8,7 +8,9 @@
 //! fresh batch shares no edge key with the prior incidence, so both
 //! cross products are structurally empty. What remains is the
 //! batch-local product this kernel computes — the caller then folds it
-//! into the cached adjacency with one union `⊕`-merge per lane
+//! into the cached adjacency per lane: in place through
+//! [`Csr::values_mut`] when every entry of the product already has a
+//! slot in the lane, else with a union `⊕`-merge
 //! ([`crate::elementwise::ewise_add_dyn`]).
 //!
 //! The kernel is a thin orchestration over the fused machinery — the
