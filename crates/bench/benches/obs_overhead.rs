@@ -36,12 +36,6 @@
 //! several threads at once: the ≤ 2% budget must hold under real
 //! contention too, and the journal's drop accounting (`recorded`,
 //! `dropped`, claimed slots) must stay exact with concurrent writers.
-//!
-//! A third phase prices the live sampler (`obsctl watch`): one full
-//! report capture + frame-ring push, converted to its steady-state
-//! cost at the default `AARRAY_OBS_SAMPLE_MS` interval, asserted to
-//! keep *total* obs overhead inside the same ≤ 2% budget — and the
-//! frame ring's wraparound drop accounting must stay exact.
 
 use aarray_algebra::pairs::{MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, PlusTimes};
 use aarray_algebra::values::nn::NN;
@@ -51,7 +45,7 @@ use aarray_bench::synthetic_e1_e2;
 use aarray_core::{adjacency_plan, parallel_flops_threshold, set_parallel_flops_threshold, AArray};
 use aarray_obs::{
     counters, histograms, journal, oplog, snapshot, Counter, EventKind, Hist, Journal, OpKind,
-    OpLog, OpToken, TimeSeriesRing,
+    OpLog, OpToken,
 };
 use rayon::prelude::*;
 use std::hint::black_box;
@@ -344,57 +338,8 @@ fn main() {
         "contended observability overhead bound {overhead_mt_pct:.5}% exceeds the 2% budget"
     );
 
-    // ── Phase 3: the live sampler stays inside the same budget ──
-    //
-    // `obsctl watch` runs a background collector that captures one
-    // full ObsReport into a frame ring every AARRAY_OBS_SAMPLE_MS.
-    // Price one frame (capture + ring push) against a private ring,
-    // convert to a steady-state cost at the default interval, and
-    // assert the *total* obs overhead — registries + sampler — still
-    // fits the ≤ 2% budget. The deliberately tiny ring doubles as the
-    // wraparound drop-accounting check.
-    let frame_iters = 512u64;
-    let ring = TimeSeriesRing::with_capacity(64);
-    let t = Instant::now();
-    for _ in 0..frame_iters {
-        black_box(ring.push_report(aarray_obs::ObsReport::capture()));
-    }
-    let ns_per_frame = t.elapsed().as_nanos() as f64 / frame_iters as f64;
-    // Exact accounting, like the journal: dropped = recorded − capacity.
-    let fstats = ring.stats();
-    assert_eq!(fstats.recorded, frame_iters, "sampler ring lost a push");
-    assert_eq!(
-        fstats.dropped,
-        fstats.recorded.saturating_sub(fstats.capacity),
-        "sampler ring drop accounting drifted under wraparound"
-    );
-    assert_eq!(
-        ring.snapshot().frames.len() as u64,
-        fstats.capacity,
-        "sampler ring surfaced more frames than its capacity"
-    );
-
-    // At the default interval the sampler costs a fixed ns/second no
-    // matter what the workload does; express that against one rep's
-    // wall time (concurrent with the workload, so this is the upper
-    // bound where the sampler steals the workload's only core).
-    let samples_per_sec = 1_000.0 / aarray_obs::DEFAULT_SAMPLE_MS as f64;
-    let sampler_pct = ns_per_frame * samples_per_sec / 1e9 * 100.0;
-    let total_with_sampler_pct = overhead_pct + sampler_pct;
-    println!(
-        "obs_overhead (sampler at {} ms default interval):\n  ns/frame:        {:10.3} ns\n  sampler cost:    {:10.5} %\n  total w/ sampler:{:10.5} % (limit 2%)",
-        aarray_obs::DEFAULT_SAMPLE_MS,
-        ns_per_frame,
-        sampler_pct,
-        total_with_sampler_pct
-    );
-    assert!(
-        total_with_sampler_pct <= 2.0,
-        "registries + live sampler bound {total_with_sampler_pct:.5}% exceeds the 2% budget"
-    );
-
     let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"workload\": {{\"tracks\": {}, \"pairs\": 7, \"e1_nnz\": {}, \"e2_nnz\": {}}},\n  \"reps\": {},\n  \"workload_ms\": {:.3},\n  \"registry_updates_per_rep\": {:.1},\n  \"ns_per_update\": {:.3},\n  \"hist_records_per_rep\": {:.1},\n  \"ns_per_hist_record\": {:.3},\n  \"journal_records_per_rep\": {:.1},\n  \"ns_per_journal_record\": {:.3},\n  \"op_records_per_rep\": {:.1},\n  \"ns_per_op_record\": {:.3},\n  \"overhead_pct\": {:.5},\n  \"overhead_limit_pct\": 2.0,\n  \"contended\": {{\"pool_threads\": 4, \"workload_ms\": {:.3}, \"ns_per_update\": {:.3}, \"ns_per_hist_record\": {:.3}, \"ns_per_journal_record\": {:.3}, \"ns_per_op_record\": {:.3}, \"overhead_pct\": {:.5}}},\n  \"sampler\": {{\"interval_ms\": {}, \"ns_per_frame\": {:.3}, \"sampler_pct\": {:.5}, \"total_with_sampler_pct\": {:.5}}}\n}}\n",
+        "{{\n  \"bench\": \"obs_overhead\",\n  \"workload\": {{\"tracks\": {}, \"pairs\": 7, \"e1_nnz\": {}, \"e2_nnz\": {}}},\n  \"reps\": {},\n  \"workload_ms\": {:.3},\n  \"registry_updates_per_rep\": {:.1},\n  \"ns_per_update\": {:.3},\n  \"hist_records_per_rep\": {:.1},\n  \"ns_per_hist_record\": {:.3},\n  \"journal_records_per_rep\": {:.1},\n  \"ns_per_journal_record\": {:.3},\n  \"op_records_per_rep\": {:.1},\n  \"ns_per_op_record\": {:.3},\n  \"overhead_pct\": {:.5},\n  \"overhead_limit_pct\": 2.0,\n  \"contended\": {{\"pool_threads\": 4, \"workload_ms\": {:.3}, \"ns_per_update\": {:.3}, \"ns_per_hist_record\": {:.3}, \"ns_per_journal_record\": {:.3}, \"ns_per_op_record\": {:.3}, \"overhead_pct\": {:.5}}}\n}}\n",
         tracks,
         e1.nnz(),
         e2.nnz(),
@@ -414,11 +359,7 @@ fn main() {
         ns_per_record_mt,
         ns_per_journal_record_mt,
         ns_per_op_record_mt,
-        overhead_mt_pct,
-        aarray_obs::DEFAULT_SAMPLE_MS,
-        ns_per_frame,
-        sampler_pct,
-        total_with_sampler_pct
+        overhead_mt_pct
     );
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench");
     std::fs::create_dir_all(dir).expect("create target/bench");

@@ -115,8 +115,9 @@ pub fn would_parallelize(flops: u64, threshold: u64, nthreads: usize) -> bool {
 /// that ran inline on the caller ([`Counter::PoolTasksInline`]).
 ///
 /// Called after every numeric pass that may have fanned out, and by
-/// live samplers so a concurrently captured [`aarray_obs::ObsReport`]
-/// sees up-to-date `pool.tasks-*` counters mid-workload. Safe to call
+/// live views (`obsctl watch --listen`) before each capture, so an
+/// [`aarray_obs::ObsReport`] taken mid-workload sees up-to-date
+/// `pool.tasks-*` counters. Safe to call
 /// from any thread at any frequency: the pool's drain is an exact
 /// atomic swap and the registry is cumulative, so concurrent callers
 /// partition the counts exactly — nothing is double-reported, lost, or

@@ -16,6 +16,7 @@
 //! and the CI smoke job (`obsctl fetch`), so the pipeline needs no
 //! `curl` either.
 
+use aarray_obs::ObsReport;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,69 +60,34 @@ fn status_text(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
-        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }
 
 /// The `obsctl watch` route table, shared between the binary and the
-/// e2e tests: `/metrics` (Prometheus exposition rendered from the
-/// **latest frame**, so a scrape never touches the live registries),
-/// `/report.json` (the latest frame's full schema-versioned report),
-/// `/series.json` (the whole ring as timestamp + metric columns), and
-/// `/healthz` (sampler liveness plus every layer's drop counters).
-pub fn telemetry_handler(
-    ring: Arc<aarray_obs::TimeSeriesRing>,
-    probe: aarray_obs::CollectorProbe,
-) -> impl Fn(&str) -> Response + Send + 'static {
-    move |path| match path {
-        "/metrics" => match ring.latest() {
-            Some(f) => Response::ok("text/plain; version=0.0.4", f.report.to_prometheus()),
-            None => no_frame_yet(),
+/// e2e tests. Each request publishes the pool's pending task tallies
+/// ([`aarray_core::publish_pool_stats`]) and takes a fresh
+/// [`ObsReport::capture`] on the server thread, so no response is older
+/// than its request: `/metrics` (Prometheus exposition), `/report.json`
+/// (the full schema-versioned report) and `/healthz` (`"status": "ok"`
+/// plus the journal and ledger drop counts of the same capture).
+pub fn telemetry_handler(path: &str) -> Response {
+    let render: fn(&ObsReport) -> Response = match path {
+        "/metrics" => |r| Response::ok("text/plain; version=0.0.4", r.to_prometheus()),
+        "/report.json" => |r| Response::ok("application/json", r.to_json()),
+        "/healthz" => |r| {
+            Response::ok(
+                "application/json",
+                format!(
+                    "{{\"status\": \"ok\", \"journal_dropped\": {}, \"ops_dropped\": {}}}\n",
+                    r.journal.dropped, r.ops.dropped
+                ),
+            )
         },
-        "/report.json" => match ring.latest() {
-            Some(f) => Response::ok("application/json", f.report.to_json()),
-            None => no_frame_yet(),
-        },
-        "/series.json" => Response::ok("application/json", ring.snapshot().to_json()),
-        "/healthz" => {
-            let stats = ring.stats();
-            let (journal_dropped, ops_dropped) = ring
-                .latest()
-                .map(|f| (f.report.journal.dropped, f.report.ops.dropped))
-                .unwrap_or((0, 0));
-            let alive = probe.is_alive();
-            let body = format!(
-                "{{\"status\": \"{}\", \"interval_ms\": {}, \"last_sample_age_ms\": {}, \
-                 \"frames\": {{\"recorded\": {}, \"dropped\": {}, \"capacity\": {}}}, \
-                 \"journal_dropped\": {}, \"ops_dropped\": {}}}\n",
-                if alive { "ok" } else { "stalled" },
-                probe.interval_ms(),
-                probe.last_sample_age_ms(),
-                stats.recorded,
-                stats.dropped,
-                stats.capacity,
-                journal_dropped,
-                ops_dropped
-            );
-            Response {
-                status: if alive { 200 } else { 503 },
-                content_type: "application/json",
-                body,
-            }
-        }
-        p => Response::not_found(p),
-    }
-}
-
-/// 503 until the sampler's first frame lands (it samples immediately
-/// at start, so this window is one thread-scheduling quantum wide).
-fn no_frame_yet() -> Response {
-    Response {
-        status: 503,
-        content_type: "text/plain",
-        body: "no frame sampled yet\n".into(),
-    }
+        p => return Response::not_found(p),
+    };
+    aarray_core::publish_pool_stats();
+    render(&ObsReport::capture())
 }
 
 /// Handle to a running server; dropping it stops the accept loop and
@@ -285,56 +251,78 @@ fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
 }
 
 /// Minimal HTTP GET client for tests and `obsctl fetch`: one request,
-/// read to EOF (the server closes), return `(status, body)`.
+/// read until the server closes or the `Content-Length` body has
+/// arrived, return `(status, body)`. A partial response is an error,
+/// never a success: a read that times out is `TimedOut`, and a body
+/// that ends short of its `Content-Length` is `UnexpectedEof`.
 pub fn http_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<(u16, String)> {
+    use std::io::{Error, ErrorKind};
     let deadline = Instant::now() + timeout;
-    let sock_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "unresolvable addr")
-    })?;
+    let sock_addr = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| Error::new(ErrorKind::InvalidInput, "unresolvable addr"))?;
     let mut stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     stream.write_all(format!("GET {} HTTP/1.0\r\nHost: {}\r\n\r\n", path, addr).as_bytes())?;
 
+    let timed_out = || Error::new(ErrorKind::TimedOut, "response did not complete in time");
     let mut raw = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
+        if let Some((start, Some(len))) = response_head(&raw) {
+            if raw.len() - start >= len {
+                break;
+            }
+        }
         if Instant::now() > deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "response did not complete in time",
-            ));
+            return Err(timed_out());
         }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                break;
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(timed_out());
             }
             Err(e) => return Err(e),
         }
     }
 
-    let text = String::from_utf8_lossy(&raw).into_owned();
-    let (head, body) = match text.find("\r\n\r\n") {
-        Some(i) => (&text[..i], &text[i + 4..]),
-        None => match text.find("\n\n") {
-            Some(i) => (&text[..i], &text[i + 2..]),
-            None => (text.as_str(), ""),
-        },
-    };
-    let status = head
+    let (start, content_length) = response_head(&raw).unwrap_or((raw.len(), None));
+    let mut body = &raw[start..];
+    if let Some(len) = content_length {
+        if body.len() < len {
+            return Err(Error::new(
+                ErrorKind::UnexpectedEof,
+                format!("body ended after {} of {} bytes", body.len(), len),
+            ));
+        }
+        body = &body[..len];
+    }
+    let status = String::from_utf8_lossy(&raw[..start])
         .lines()
         .next()
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "unparsable status line")
-        })?;
-    Ok((status, body.to_string()))
+        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "unparsable status line"))?;
+    Ok((status, String::from_utf8_lossy(body).into_owned()))
+}
+
+/// Where a response's body starts and its `Content-Length`, once the
+/// head's blank line has arrived.
+fn response_head(raw: &[u8]) -> Option<(usize, Option<usize>)> {
+    let find = |pat: &[u8]| raw.windows(pat.len()).position(|w| w == pat);
+    let (end, start) = match find(b"\r\n\r\n") {
+        Some(i) => (i, i + 4),
+        None => find(b"\n\n").map(|i| (i, i + 2))?,
+    };
+    let content_length = String::from_utf8_lossy(&raw[..end])
+        .lines()
+        .filter_map(|l| l.split_once(':'))
+        .find(|(name, _)| name.trim().eq_ignore_ascii_case("content-length"))
+        .and_then(|(_, v)| v.trim().parse().ok());
+    Some((start, content_length))
 }
 
 #[cfg(test)]
@@ -385,6 +373,55 @@ mod tests {
         }
         let r = route_request_line("POST /hello HTTP/1.0", &echo_handler);
         assert_eq!(r.status, 405);
+    }
+
+    #[test]
+    fn partial_responses_are_errors_not_success() {
+        use std::io::ErrorKind;
+        use std::sync::mpsc;
+        // One fake server per case: it reads the request head, writes
+        // `reply`, then closes or holds the socket open until released.
+        fn fake(
+            reply: &'static [u8],
+            hold: bool,
+        ) -> (String, mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let (release, held) = mpsc::channel::<()>();
+            let t = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                let mut head = Vec::new();
+                let mut chunk = [0u8; 256];
+                while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+                    match s.read(&mut chunk).unwrap() {
+                        0 => break,
+                        n => head.extend_from_slice(&chunk[..n]),
+                    }
+                }
+                s.write_all(reply).unwrap();
+                if hold {
+                    let _ = held.recv();
+                }
+            });
+            (addr, release, t)
+        }
+        let short: &[u8] = b"HTTP/1.0 200 OK\r\nContent-Length: 10\r\n\r\nabc";
+        for (hold, want) in [
+            (true, ErrorKind::TimedOut),
+            (false, ErrorKind::UnexpectedEof),
+        ] {
+            let (addr, release, t) = fake(short, hold);
+            let got = http_get(&addr, "/x", Duration::from_millis(300));
+            assert_eq!(got.map_err(|e| e.kind()), Err(want), "hold {}", hold);
+            let _ = release.send(());
+            t.join().unwrap();
+        }
+        // A whole body is returned without waiting for the server to close.
+        let (addr, release, t) = fake(b"HTTP/1.0 200 OK\r\ncontent-length: 3\r\n\r\nabc", true);
+        let got = http_get(&addr, "/x", Duration::from_secs(5)).unwrap();
+        assert_eq!(got, (200, "abc".to_string()));
+        let _ = release.send(());
+        t.join().unwrap();
     }
 
     #[test]

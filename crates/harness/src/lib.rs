@@ -13,11 +13,11 @@
 //!   Chrome-trace/Perfetto timeline validated by [`chrome_trace`].
 //! - `obsctl ops` prints the op ledger's per-kind tails and cuts the
 //!   slowest op's window into its own trace.
-//! - `obsctl watch` runs a workload while a background
-//!   [`aarray_obs::Collector`] samples frames; with `--listen` an
-//!   embedded HTTP/1.0 server ([`httpd`], `std::net` only) serves
-//!   `/metrics`, `/report.json`, `/series.json` and `/healthz`, and
-//!   `obsctl fetch` is the matching client.
+//! - `obsctl watch` runs a workload and prints the diff between its own
+//!   successive [`aarray_obs::ObsReport`] captures; with `--listen` an
+//!   embedded HTTP/1.0 server ([`httpd`], `std::net` only) answers
+//!   `/metrics`, `/report.json` and `/healthz` from a fresh capture per
+//!   request, and `obsctl fetch` is the matching client.
 //!
 //! The workloads these drive live in [`workloads`]. Everything here is
 //! dependency-free: the offline `serde_json` stub is empty, so [`json`]

@@ -6,8 +6,7 @@
 //! obsctl ops   [fig3|fig5|stream] [--rows 2000] [--reps 3] [--slowest 5]
 //!              [--trace-out <workload>.optrace.json]
 //! obsctl watch [fig3|fig5|stream] [--rows 4000] [--reps 20]
-//!              [--interval-ms <AARRAY_OBS_SAMPLE_MS>] [--listen 127.0.0.1:PORT]
-//!              [--port-file <path>]
+//!              [--listen 127.0.0.1:PORT] [--port-file <path>]
 //! obsctl fetch <http://host:port/path> [--out <path>] [--timeout-ms 5000]
 //! obsctl gate  <parent-checkout> <change-checkout>
 //! ```
@@ -24,18 +23,18 @@
 //! slowest-N exemplar records with their per-stage breakdown, and cuts
 //! the slowest op's journal window into a per-op Chrome trace.
 //!
-//! `watch` runs one workload while a background
-//! [`aarray_obs::Collector`] samples full reports into a bounded frame
-//! ring. Without `--listen` it prints one line per sampled frame (ops
-//! completed per kind with interval p95s, journal growth), derived from
-//! frame pairs, then a final tail table. With `--listen` an embedded
-//! `std::net` HTTP/1.0 server serves `GET /metrics` (Prometheus
-//! exposition from the latest frame), `/report.json`, `/series.json`
-//! (the ring as sparkline columns) and `/healthz` (sampler liveness +
-//! drop counts); when the workload ends it prints the final table and
-//! keeps serving, sampler running, until the process is killed, so a
-//! client never races the workload's end. A workload panic exits 2 at
-//! once. `fetch` is the matching dependency-free HTTP client.
+//! `watch` runs one workload and shows the observability registries
+//! while it runs. Without `--listen` it prints, every 250 ms and once
+//! more when the workload ends, the diff between its own successive
+//! captures (ops completed per kind with their p95, journal growth),
+//! then a final tail table. With `--listen` an embedded `std::net`
+//! HTTP/1.0 server answers each request from a fresh capture:
+//! `GET /metrics` (Prometheus exposition), `/report.json` and
+//! `/healthz` (status plus drop counts). When the workload ends it
+//! prints the final table and keeps serving until the process is
+//! killed, so a client never races the workload's end. A workload
+//! panic exits 2 at once. `fetch` is the matching dependency-free HTTP
+//! client; it exits 1 on a non-200 answer or a partial response.
 //!
 //! `gate` is the paired benchmark gate ([`aarray_harness::gate`]): it
 //! runs `BENCHMARK.json`'s command in both checkouts, three alternating
@@ -85,8 +84,7 @@ usage:
   obsctl ops    [fig3|fig5|stream] [--rows 2000] [--reps 3] [--slowest 5]
                 [--trace-out <workload>.optrace.json]
   obsctl watch  [fig3|fig5|stream] [--rows 4000] [--reps 20]
-                [--interval-ms <AARRAY_OBS_SAMPLE_MS>] [--listen 127.0.0.1:PORT]
-                [--port-file <path>]
+                [--listen 127.0.0.1:PORT] [--port-file <path>]
   obsctl fetch  <http://host:port/path> [--out <path>] [--timeout-ms 5000]
   obsctl gate   <parent-checkout> <change-checkout>
 ";
@@ -444,11 +442,40 @@ fn cmd_ops(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// How often `watch`'s terminal view prints a diff line.
+const WATCH_TICK: std::time::Duration = std::time::Duration::from_millis(250);
+
+/// One line of `watch`'s terminal view: the ops completed per kind,
+/// with their p95, and the journal events recorded over `d`.
+fn watch_line(d: &ObsReport) -> String {
+    let mut parts = Vec::new();
+    for (i, &(_, name)) in aarray_obs::OP_KIND_NAMES.iter().enumerate() {
+        let t = &d.ops.tails[i];
+        if t.count() > 0 {
+            parts.push(format!(
+                "{} +{} p95 {} ns",
+                name,
+                t.count(),
+                t.quantile(0.95)
+            ));
+        }
+    }
+    format!(
+        "ops +{}{}  journal +{} event(s)",
+        d.ops.recorded,
+        if parts.is_empty() {
+            String::new()
+        } else {
+            format!("  [{}]", parts.join(", "))
+        },
+        d.journal.recorded
+    )
+}
+
 fn cmd_watch(args: &[String]) -> ExitCode {
     let mut workload = "fig3".to_string();
     let mut rows = 4_000usize;
     let mut reps = 20usize;
-    let mut interval_ms: Option<u64> = None;
     let mut listen: Option<String> = None;
     let mut port_file: Option<String> = None;
 
@@ -471,11 +498,6 @@ fn cmd_watch(args: &[String]) -> ExitCode {
                     .map(|n| reps = n)
                     .map_err(|_| format!("--reps: bad count {:?}", v))
             }),
-            "--interval-ms" => take_value(&mut it, a).and_then(|v| {
-                v.parse()
-                    .map(|n| interval_ms = Some(n))
-                    .map_err(|_| format!("--interval-ms: bad count {:?}", v))
-            }),
             _ => Err(format!("unknown workload or flag {:?}", a)),
         };
         if let Err(e) = r {
@@ -483,8 +505,8 @@ fn cmd_watch(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if rows == 0 || reps == 0 || interval_ms == Some(0) {
-        eprintln!("obsctl watch: need nonzero rows, reps, and interval");
+    if rows == 0 || reps == 0 {
+        eprintln!("obsctl watch: need nonzero rows and reps");
         return ExitCode::from(2);
     }
     if port_file.is_some() && listen.is_none() {
@@ -493,110 +515,72 @@ fn cmd_watch(args: &[String]) -> ExitCode {
     }
 
     let start = ObsReport::capture();
-    // The pre-sample hook bridges pending thread-pool tallies into the
-    // shared registry so every frame sees pool.tasks-* mid-workload.
-    let collector = aarray_obs::Collector::start_with(aarray_obs::CollectorConfig {
-        interval_ms,
-        capacity: None,
-        pre_sample: Some(Box::new(aarray_core::publish_pool_stats)),
-    });
-    let ring = std::sync::Arc::clone(collector.ring());
-    let tick_ms = collector.interval_ms();
-
     let server = match &listen {
-        Some(addr) => {
-            let handler = telemetry_handler(std::sync::Arc::clone(&ring), collector.probe());
-            match Httpd::serve(addr, handler) {
-                Ok(s) => {
-                    println!(
-                        "obsctl watch: serving /metrics /report.json /series.json /healthz \
-                         on http://{}",
-                        s.addr()
-                    );
-                    if let Some(pf) = &port_file {
-                        // Write-then-rename so a poller never reads a
-                        // truncated address.
-                        let tmp = format!("{}.tmp", pf);
-                        let w = std::fs::write(&tmp, format!("{}\n", s.addr()))
-                            .and_then(|()| std::fs::rename(&tmp, pf));
-                        if let Err(e) = w {
-                            eprintln!("obsctl watch: cannot write {:?}: {}", pf, e);
-                            return ExitCode::from(2);
-                        }
+        Some(addr) => match Httpd::serve(addr, telemetry_handler) {
+            Ok(s) => {
+                println!(
+                    "obsctl watch: serving /metrics /report.json /healthz on http://{}",
+                    s.addr()
+                );
+                if let Some(pf) = &port_file {
+                    // Write-then-rename so a poller never reads a
+                    // truncated address.
+                    let tmp = format!("{}.tmp", pf);
+                    let w = std::fs::write(&tmp, format!("{}\n", s.addr()))
+                        .and_then(|()| std::fs::rename(&tmp, pf));
+                    if let Err(e) = w {
+                        eprintln!("obsctl watch: cannot write {:?}: {}", pf, e);
+                        return ExitCode::from(2);
                     }
-                    Some(s)
                 }
-                Err(e) => {
-                    eprintln!("obsctl watch: cannot bind {:?}: {}", addr, e);
-                    return ExitCode::from(2);
-                }
+                Some(s)
             }
-        }
+            Err(e) => {
+                eprintln!("obsctl watch: cannot bind {:?}: {}", addr, e);
+                return ExitCode::from(2);
+            }
+        },
         None => None,
     };
 
     println!(
-        "obsctl watch: sampling every {} ms while {}@{} x{} rep(s) runs",
-        tick_ms, workload, rows, reps
+        "obsctl watch: running {}@{} x{} rep(s)",
+        workload, rows, reps
     );
+    let began = std::time::Instant::now();
+    // The sender drops when the workload returns or unwinds, which
+    // ends the wait below early.
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
     let wl = workload.clone();
-    let handle = std::thread::spawn(move || run_named_workload(&wl, rows, reps));
+    let handle = std::thread::spawn(move || {
+        let _done = done_tx;
+        run_named_workload(&wl, rows, reps)
+    });
 
-    // Tick loop: with a server the frames speak for themselves; without
-    // one, print one line per new frame: the interval's diff derived
-    // from a frame *pair* (never by mutating the live registries).
-    let mut prev: Option<aarray_obs::Frame> = None;
+    // Without a server, print one line per tick and one when the
+    // workload ends: the diff between this view's own successive
+    // captures, so the live registries are only read.
+    let mut prev = start.clone();
     let mut tick = 0u64;
     loop {
-        std::thread::sleep(std::time::Duration::from_millis(tick_ms));
+        let ended = !matches!(
+            done_rx.recv_timeout(WATCH_TICK),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout)
+        );
         if server.is_none() {
-            if let Some(cur) = ring.latest() {
-                if prev.as_ref().is_none_or(|p| p.seq != cur.seq) {
-                    tick += 1;
-                    let d = match &prev {
-                        Some(p) => cur.delta(p),
-                        None => cur.report.since(&start),
-                    };
-                    let mut parts = Vec::new();
-                    for (i, &(_, name)) in aarray_obs::OP_KIND_NAMES.iter().enumerate() {
-                        let t = &d.ops.tails[i];
-                        if t.count() > 0 {
-                            parts.push(format!(
-                                "{} +{} p95 {} ns",
-                                name,
-                                t.count(),
-                                t.quantile(0.95)
-                            ));
-                        }
-                    }
-                    println!(
-                        "frame {:>3}: ops +{}{}  journal +{} event(s)",
-                        cur.seq,
-                        d.ops.recorded,
-                        if parts.is_empty() {
-                            String::new()
-                        } else {
-                            format!("  [{}]", parts.join(", "))
-                        },
-                        d.journal.recorded
-                    );
-                    prev = Some(cur);
-                }
-            }
+            let cur = ObsReport::capture();
+            tick += 1;
+            println!("tick {:>3}: {}", tick, watch_line(&cur.since(&prev)));
+            prev = cur;
         }
-        if handle.is_finished() {
+        if ended {
             break;
         }
     }
-    let panicked = handle.join().is_err();
-    // One last frame so the series covers the workload's end.
-    ring.sample_now();
-    let stats = ring.stats();
-    if panicked {
+    if handle.join().is_err() {
         if let Some(s) = server {
             s.stop();
         }
-        collector.stop();
         eprintln!("obsctl watch: workload thread panicked");
         return ExitCode::from(2);
     }
@@ -604,20 +588,19 @@ fn cmd_watch(args: &[String]) -> ExitCode {
     let total = ObsReport::capture().since(&start);
     println!();
     println!(
-        "workload finished after {} rendered tick(s): {} frame(s) sampled ({} dropped, \
-         capacity {}), {} op(s) recorded",
-        tick, stats.recorded, stats.dropped, stats.capacity, total.ops.recorded
+        "workload finished in {:.2} s: {} op(s) recorded",
+        began.elapsed().as_secs_f64(),
+        total.ops.recorded
     );
     print!("{}", ops_table(&total.ops));
     if server.is_some() {
         println!("obsctl watch: still serving until killed");
         let _ = std::io::Write::flush(&mut std::io::stdout());
         loop {
-            // The server and sampler threads do the serving.
+            // The server thread does the serving.
             std::thread::park();
         }
     }
-    collector.stop();
     ExitCode::SUCCESS
 }
 

@@ -296,27 +296,14 @@ fn ops_shows_tails_and_writes_a_per_op_trace() {
 #[test]
 fn watch_ticks_while_the_workload_runs_and_prints_a_final_table() {
     let o = obsctl()
-        .args([
-            "watch",
-            "fig3",
-            "--rows",
-            "600",
-            "--reps",
-            "6",
-            "--interval-ms",
-            "25",
-        ])
+        .args(["watch", "fig3", "--rows", "600", "--reps", "6"])
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&o.stdout);
     let stderr = String::from_utf8_lossy(&o.stderr);
     assert!(o.status.success(), "{}{}", stdout, stderr);
-    // One line per sampled frame, derived from frame pairs.
-    assert!(
-        stdout.lines().any(|l| l.starts_with("frame ")),
-        "{}",
-        stdout
-    );
+    // One diff line per tick, and one when the workload ends.
+    assert!(stdout.lines().any(|l| l.starts_with("tick ")), "{}", stdout);
     assert!(stdout.contains("workload finished"), "{}", stdout);
     // Final table aggregates the whole run per kind.
     for needle in ["p50_ns", "p95_ns", "p99_ns", "plan-execute"] {
@@ -328,11 +315,15 @@ fn watch_ticks_while_the_workload_runs_and_prints_a_final_table() {
         );
     }
 
-    let o = obsctl()
-        .args(["watch", "--interval-ms", "0"])
-        .output()
-        .unwrap();
-    assert_eq!(o.status.code(), Some(2));
+    // The terminal view's tick is fixed, so `--interval-ms` is an
+    // unknown flag; zero reps is a bad invocation.
+    for args in [
+        &["watch", "--interval-ms", "25"][..],
+        &["watch", "--reps", "0"],
+    ] {
+        let o = obsctl().args(args).output().unwrap();
+        assert_eq!(o.status.code(), Some(2), "args {:?}", args);
+    }
 }
 
 /// A report line as the benchmark prints it.

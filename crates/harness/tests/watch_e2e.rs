@@ -1,17 +1,17 @@
 //! End-to-end exercise of the live telemetry stack: an in-process
-//! `Collector` + `Httpd` wired exactly as `obsctl watch --listen`
-//! wires them, polled with raw `TcpStream` clients while a real
+//! `Httpd` serving `telemetry_handler`, wired exactly as `obsctl watch
+//! --listen` wires it, polled with raw `TcpStream` clients while a real
 //! (tiny-scale) workload runs — plus a binary-level run of
 //! `obsctl watch --listen 127.0.0.1:0 --port-file` fetched through
 //! the harness HTTP client after its workload has finished.
 
 use aarray_harness::httpd::{http_get, telemetry_handler, Httpd};
 use aarray_harness::json::{parse, Value};
+use aarray_obs::{counters::COUNTER_NAMES, Counter, ObsReport};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn obsctl() -> Command {
@@ -24,43 +24,44 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// Extract `"key": <uint>` from the hand-rolled healthz/series JSON.
-fn json_uint(body: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{}\": ", key);
-    let i = body.find(&tag)? + tag.len();
-    let rest = &body[i..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+fn get_json(addr: &str, path: &str) -> Value {
+    let (status, body) = http_get(addr, path, Duration::from_secs(5)).unwrap();
+    assert_eq!(status, 200, "{}: {}", path, body);
+    parse(&body).unwrap_or_else(|e| panic!("{} is not JSON ({}): {}", path, e, body))
 }
 
-/// The whole live stack in one process: sampler at a test-friendly
-/// interval, server on an OS-assigned port, workload on a background
-/// thread, raw-socket clients doing the asserting.
+/// The whole live stack in one process: server on an OS-assigned port,
+/// workload on a background thread, raw-socket clients doing the
+/// asserting.
 #[test]
 fn watch_stack_serves_all_endpoints_while_workload_runs() {
-    let collector = aarray_obs::Collector::start_with(aarray_obs::CollectorConfig {
-        interval_ms: Some(10),
-        capacity: Some(256),
-        pre_sample: Some(Box::new(aarray_core::publish_pool_stats)),
-    });
-    let ring = Arc::clone(collector.ring());
-    let server = Httpd::serve(
-        "127.0.0.1:0",
-        telemetry_handler(Arc::clone(&ring), collector.probe()),
-    )
-    .unwrap();
+    let server = Httpd::serve("127.0.0.1:0", telemetry_handler).unwrap();
     let addr = server.addr().to_string();
 
     let workload = std::thread::spawn(|| {
         aarray_harness::workloads::run_workload(aarray_harness::workloads::Figure::Fig3, 400, 3);
     });
 
-    // Wait for the first frame so /metrics and /report.json are live.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while ring.latest().is_none() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
+    // No response is older than its request: bump a counter, capture,
+    // then fetch. Counters are monotone, so every served counter is at
+    // least the capture's, whatever the workload adds in between.
+    for _ in 0..3 {
+        aarray_obs::counters().incr(Counter::IntersectMerge);
+        let captured = ObsReport::capture();
+        let report = get_json(&addr, "/report.json");
+        for &(c, name) in COUNTER_NAMES.iter() {
+            let served = report
+                .path(&["counters", name])
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("/report.json lacks counter {}", name));
+            assert!(
+                served >= captured.counters.get(c),
+                "{} served {} after a capture read {}",
+                name,
+                served,
+                captured.counters.get(c)
+            );
+        }
     }
 
     // /metrics parses as Prometheus exposition text: every line is a
@@ -88,22 +89,17 @@ fn watch_stack_serves_all_endpoints_while_workload_runs() {
     }
     assert!(families >= 5, "suspiciously few families: {}", families);
 
-    // /report.json is the schema-versioned report.
-    let (status, report) = http_get(&addr, "/report.json", Duration::from_secs(5)).unwrap();
-    assert_eq!(status, 200);
-    assert_eq!(
-        json_uint(&report, "schema_version"),
-        Some(aarray_obs::REPORT_SCHEMA_VERSION)
-    );
-
-    // Its live histograms fill in: every plan build records its flops
-    // estimate into `dispatch.flops`.
+    // /report.json is the schema-versioned report, and its live
+    // histograms fill in: every plan build records its flops estimate
+    // into `dispatch.flops`.
     let deadline = Instant::now() + Duration::from_secs(10);
     let dispatch_flops = loop {
-        let (status, report) = http_get(&addr, "/report.json", Duration::from_secs(5)).unwrap();
-        assert_eq!(status, 200);
-        let doc = parse(&report).expect("/report.json must be JSON");
-        let count = doc
+        let report = get_json(&addr, "/report.json");
+        assert_eq!(
+            report.get("schema_version").and_then(Value::as_u64),
+            Some(aarray_obs::REPORT_SCHEMA_VERSION)
+        );
+        let count = report
             .path(&["histograms", "dispatch.flops", "count"])
             .and_then(Value::as_u64)
             .expect("report has a dispatch.flops histogram");
@@ -114,31 +110,16 @@ fn watch_stack_serves_all_endpoints_while_workload_runs() {
     };
     assert!(dispatch_flops > 0, "dispatch.flops stayed empty");
 
-    // /series.json frame count grows between two polls.
-    let (status, series_a) = http_get(&addr, "/series.json", Duration::from_secs(5)).unwrap();
-    assert_eq!(status, 200);
-    let frames_a = json_uint(&series_a, "recorded").expect("series has frames.recorded");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut frames_b = frames_a;
-    while frames_b <= frames_a && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(15));
-        let (status, series_b) = http_get(&addr, "/series.json", Duration::from_secs(5)).unwrap();
-        assert_eq!(status, 200);
-        frames_b = json_uint(&series_b, "recorded").unwrap();
+    // /healthz: status plus the drop counts of its own capture.
+    let health = get_json(&addr, "/healthz");
+    assert_eq!(health.get("status").and_then(Value::as_str), Some("ok"));
+    for key in ["journal_dropped", "ops_dropped"] {
+        assert!(
+            health.get(key).and_then(Value::as_u64).is_some(),
+            "{:?}",
+            health
+        );
     }
-    assert!(
-        frames_b > frames_a,
-        "frame count did not grow: {} -> {}",
-        frames_a,
-        frames_b
-    );
-
-    // /healthz: live sampler, zero sampler drops (capacity 256 is far
-    // more than this test's runtime can fill at 10 ms per frame).
-    let (status, health) = http_get(&addr, "/healthz", Duration::from_secs(5)).unwrap();
-    assert_eq!(status, 200);
-    assert!(health.contains("\"status\": \"ok\""), "{}", health);
-    assert_eq!(json_uint(&health, "dropped"), Some(0), "{}", health);
 
     // A malformed request gets 400 and the server keeps serving.
     let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -156,7 +137,6 @@ fn watch_stack_serves_all_endpoints_while_workload_runs() {
 
     workload.join().unwrap();
     server.stop();
-    collector.stop();
 }
 
 /// Kills the child when the test ends, passing or panicking: a watch
@@ -194,8 +174,6 @@ fn obsctl_watch_listen_serves_via_port_file() {
                 "400",
                 "--reps",
                 "8",
-                "--interval-ms",
-                "25",
                 "--listen",
                 "127.0.0.1:0",
                 "--port-file",

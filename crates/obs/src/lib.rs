@@ -34,17 +34,11 @@
 //!
 //! * **exporters** ([`ObsReport`]) — one capture of all layers with
 //!   stable JSON ([`ObsReport::to_json`]) and Prometheus text format
-//!   ([`ObsReport::to_prometheus`]) renderings;
-//!
-//! * a **live telemetry layer** ([`timeseries`] + [`collector`]) — a
-//!   background sampler thread ([`Collector::start`], interval via
-//!   `AARRAY_OBS_SAMPLE_MS`, join-on-drop shutdown) captures one full
-//!   report per tick into a bounded frame ring ([`TimeSeriesRing`],
-//!   capacity via `AARRAY_OBS_FRAMES`, exact drop accounting like the
-//!   journal); windowed rates and deltas are derived read-side from
-//!   frame pairs, never by mutating the live registries. This is what
-//!   a `/metrics`-style endpoint or terminal live view reads while a
-//!   workload runs;
+//!   ([`ObsReport::to_prometheus`]) renderings. A live view takes a
+//!   fresh capture whenever it is read (`obsctl watch` does one per
+//!   HTTP request and per terminal tick) and diffs two captures with
+//!   [`ObsReport::since`], so what it shows is never older than the
+//!   read and the registries are never mutated to derive a rate;
 //!
 //! * an **always-on counter registry** ([`mod@counters`]) — one process-wide
 //!   set of relaxed atomic counters recording every kernel decision the
@@ -65,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod collector;
 pub mod counters;
 pub mod histogram;
 pub mod journal;
@@ -73,12 +66,6 @@ pub mod memstats;
 pub mod oplog;
 pub mod profile;
 pub mod report;
-pub mod timeseries;
-
-pub use collector::{
-    sample_ms_from_env, Collector, CollectorConfig, CollectorProbe, DEFAULT_SAMPLE_MS,
-    SAMPLE_MS_ENV,
-};
 
 pub use counters::{counters, env_parse_error, snapshot, Counter, Gauge, Snapshot, SnapshotDiff};
 pub use histogram::{histograms, Hist, Histogram, HistogramSnapshot};
@@ -94,7 +81,3 @@ pub use oplog::{
 };
 pub use profile::StageReport;
 pub use report::{ObsReport, REPORT_SCHEMA_VERSION};
-pub use timeseries::{
-    frames_from_env, Frame, SeriesStats, TimeSeriesRing, TimeSeriesSnapshot, DEFAULT_FRAMES,
-    FRAMES_ENV,
-};
